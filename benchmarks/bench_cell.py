@@ -5,8 +5,7 @@ smaller sibling (the scheduler and record plumbing cost scales with the
 UE count; the per-UE alignment cost with the codebook product — this
 suite isolates the former while keeping a realistic alignment inside).
 The emitted ``BENCH_cell-serve-<N>.json`` labels carry wall-clock stats
-per size and the backend tier, so the trajectory tracks cell-scale
-throughput across PRs.
+per size, so the trajectory tracks cell-scale throughput across PRs.
 
 Every run is verified to cover all admitted UEs and the smallest size is
 re-served at the end and required to reproduce identical records, so the

@@ -53,12 +53,7 @@ MIN_GATED_SECONDS = 1e-5
 
 
 def load_session(bench_dir: Path) -> Dict[str, Dict[str, object]]:
-    """All BENCH_<label>.json files in a directory, keyed by label.
-
-    Besides the timing statistics each entry carries the ``backend``
-    label the session's conftest stamped (the array-backend tier that
-    produced the timings), when present.
-    """
+    """All BENCH_<label>.json files in a directory, keyed by label."""
     entries: Dict[str, Dict[str, object]] = {}
     for path in sorted(bench_dir.glob("BENCH_*.json")):
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -70,19 +65,14 @@ def load_session(bench_dir: Path) -> Dict[str, Dict[str, object]]:
         }
         if "count" in payload:
             entries[label]["count"] = float(payload["count"])
-        if "backend" in payload:
-            entries[label]["backend"] = str(payload["backend"])
     return entries
 
 
 def load_baseline(path: Path) -> Dict[str, Dict[str, object]]:
-    """The committed baseline's per-label statistics (+ backend labels)."""
+    """The committed baseline's per-label statistics."""
     payload = json.loads(path.read_text(encoding="utf-8"))
     return {
-        label: {
-            key: value if key == "backend" else float(value)
-            for key, value in stats.items()
-        }
+        label: {key: float(value) for key, value in stats.items()}
         for label, stats in payload["entries"].items()
     }
 
@@ -155,21 +145,6 @@ def compare(
             continue
         if label not in session:
             print(f"  [skip] {label}: not measured this session")
-            continue
-        base_backend = baseline[label].get("backend")
-        session_backend = session[label].get("backend")
-        if (
-            base_backend is not None
-            and session_backend is not None
-            and base_backend != session_backend
-        ):
-            # Timings from different array-backend tiers are not a
-            # regression signal either way (an accelerated session must
-            # not lower the reference baseline, nor fail against it).
-            print(
-                f"  [skip] {label}: backend mismatch"
-                f" ({session_backend} session vs {base_backend} baseline), not gated"
-            )
             continue
         for stat in GATED_STATS:
             base_value = baseline[label].get(stat)

@@ -59,16 +59,8 @@ WORKLOAD = {
 StatTable = Dict[str, Dict[str, Dict[str, float]]]  # scheme -> rate -> stat
 
 
-def compute_stats(
-    workload: dict = WORKLOAD, backend: Optional[str] = None
-) -> StatTable:
-    """Run the seeded workload and fold losses into per-rate statistics.
-
-    ``backend`` selects the array-backend tier (see :mod:`repro.xp`);
-    the default resolves ``REPRO_BACKEND``. This is the gate accelerated
-    tiers must pass: they are not bit-exact, but their statistics must
-    sit inside the golden tolerance band.
-    """
+def compute_stats(workload: dict = WORKLOAD) -> StatTable:
+    """Run the seeded workload and fold losses into per-rate statistics."""
     from repro.obs.metrics import percentile
     from repro.sim.config import ChannelKind, ScenarioConfig
     from repro.sim.runner import standard_schemes
@@ -90,7 +82,6 @@ def compute_stats(
         workload["num_trials"],
         base_seed=workload["base_seed"],
         batch_trials=workload.get("batch_trials"),
-        backend=backend,
     )
     table: StatTable = {}
     for scheme in sweep.schemes():
@@ -184,17 +175,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="DB",
         help="shift session stats by DB before comparing (gate self-test)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help=(
-            "array-backend tier to run the workload on (default:"
-            " $REPRO_BACKEND, else the numpy reference tier)"
-        ),
-    )
     args = parser.parse_args(argv)
 
-    session = compute_stats(backend=args.backend)
+    session = compute_stats()
 
     if args.inject_perturbation is not None:
         for scheme in session.values():

@@ -106,25 +106,6 @@ def _run_calibration(rounds: int = 12) -> None:
             (vectors * values) @ vectors.conj().T
 
 
-def _session_backend() -> tuple:
-    """``(resolved, requested)`` array-backend names for this session.
-
-    ``resolved`` is the tier the kernels actually dispatched to (after
-    any unavailable-tier fallback), ``requested`` what ``REPRO_BACKEND``
-    asked for — they differ exactly when the session fell back, which the
-    emitted BENCH files then record honestly.
-    """
-    import warnings
-
-    from repro.xp import DEFAULT_BACKEND, ENV_VAR, active_backend
-
-    requested = (os.environ.get(ENV_VAR) or DEFAULT_BACKEND).strip().lower()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the suite already warned once
-        resolved = active_backend().name
-    return resolved, requested
-
-
 def pytest_sessionfinish(session, exitstatus):
     """Write one BENCH_<label>.json per recorded benchmark label."""
     if BENCH_METRICS.timers:
@@ -136,16 +117,12 @@ def pytest_sessionfinish(session, exitstatus):
     out_dir.mkdir(parents=True, exist_ok=True)
     trials = int(os.environ.get("REPRO_BENCH_TRIALS", DEFAULT_TRIALS))
     seed = int(os.environ.get("REPRO_BENCH_SEED", DEFAULT_SEED))
-    backend, backend_requested = _session_backend()
     for label, samples in timers.items():
         payload = {
             "name": label,
             "trials": trials,
             "seed": seed,
-            "backend": backend,
             **timer_stats(samples),
         }
-        if backend_requested != backend:
-            payload["backend_requested"] = backend_requested
         path = out_dir / f"BENCH_{label}.json"
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -6,23 +6,21 @@ single repo-root ``BENCH_<tag>.json`` — e.g. ``BENCH_PR5.json`` — so a
 PR's perf snapshot is tracked in-repo alongside the code that produced
 it, and the trajectory across PRs is a ``git log`` over those files.
 
-Per label the artifact carries the raw wall-clock statistics, the
-array-backend tier that produced them (stamped by the bench conftest),
-and the calibration-normalized mean (mean divided by *that session's*
+Per label the artifact carries the raw wall-clock statistics and the
+calibration-normalized mean (mean divided by *that session's*
 calibration median), which is the machine-independent number to compare
 across PRs. Format details live in ``docs/performance.md``.
 
 ``--bench-dir`` is repeatable so one trajectory can fold several bench
-sessions — e.g. a numpy-tier and a numba-tier run of the same suite.
-Each directory is normalized by its own calibration label; when the same
-benchmark label appears in more than one directory, the entries are
-disambiguated as ``label[backend]``.
+sessions. Each directory is normalized by its own calibration label;
+when the same benchmark label appears in more than one directory, the
+entries are disambiguated by session position as ``label[<index>]``.
 
 Usage (after bench runs have written BENCH_*.json into the dirs)::
 
     python benchmarks/make_trajectory.py --tag PR5
-    python benchmarks/make_trajectory.py --tag PR7 \
-        --bench-dir /tmp/bench-numpy --bench-dir /tmp/bench-numba
+    python benchmarks/make_trajectory.py --tag PR8 \
+        --bench-dir /tmp/bench-a --bench-dir /tmp/bench-b
 
 Stdlib-only, like ``check_regression.py``.
 """
@@ -65,7 +63,8 @@ def build_trajectory(tag: str, sessions: List[Dict[str, dict]]) -> dict:
 
     ``sessions`` holds one label->stats mapping per bench directory.
     Every session normalizes by its own calibration median; labels
-    measured by more than one session are keyed ``label[backend]``.
+    measured by more than one session are keyed ``label[<index>]``, the
+    index being the session's position in ``sessions``.
     """
     counts: Counter = Counter(
         label
@@ -75,7 +74,7 @@ def build_trajectory(tag: str, sessions: List[Dict[str, dict]]) -> dict:
     )
     folded: Dict[str, dict] = {}
     calibrations: List[dict] = []
-    for entries in sessions:
+    for index, entries in enumerate(sessions):
         calibration = entries.get(CALIBRATION_LABEL, {})
         if calibration:
             calibrations.append(calibration)
@@ -89,22 +88,9 @@ def build_trajectory(tag: str, sessions: List[Dict[str, dict]]) -> dict:
                 for key in ("count", "mean_s", "p50_s", "p95_s")
                 if key in stats
             }
-            backend = stats.get("backend")
-            if backend is not None:
-                entry["backend"] = backend
-            if "backend_requested" in stats:
-                entry["backend_requested"] = stats["backend_requested"]
             if scale and "mean_s" in stats:
                 entry["mean_normalized"] = stats["mean_s"] / scale
-            key = label
-            if counts[label] > 1:
-                # Disambiguate by the *requested* tier: a session that
-                # fell back still names the tier it stood in for, so a
-                # numpy run and a fallback numba run stay distinct.
-                suffix = stats.get("backend_requested") or backend
-                key = f"{label}[{suffix if suffix is not None else len(folded)}]"
-            while key in folded:
-                key += "'"
+            key = f"{label}[{index}]" if counts[label] > 1 else label
             folded[key] = entry
     primary = calibrations[0] if calibrations else {}
     return {
@@ -132,8 +118,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "directory holding a session's BENCH_*.json files; repeatable"
-            " to fold several sessions (e.g. one per backend tier) into"
-            " one trajectory (default: $REPRO_BENCH_DIR or the repo root)"
+            " to fold several sessions into one trajectory"
+            " (default: $REPRO_BENCH_DIR or the repo root)"
         ),
     )
     parser.add_argument(

@@ -31,7 +31,6 @@ from repro.campaign.store import ShardStore
 from repro.campaign.worker import DEFAULT_POLL_S
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
-from repro.xp import active_backend, resolve_backend
 
 __all__ = ["LaunchReport", "launch_campaign", "worker_attribution"]
 
@@ -106,17 +105,14 @@ def launch_campaign(
     claim_batch: int = 1,
     heartbeats: bool = True,
     checkpoints: bool = False,
-    backend: Optional[str] = None,
     progress: Optional[ProgressCallback] = None,
     watch_interval_s: float = 0.2,
     start_method: Optional[str] = None,
 ) -> LaunchReport:
     """Spawn ``num_workers`` lease-based workers and watch to completion.
 
-    The launcher's only jobs are to persist the plan manifest, resolve
-    the backend once (so an unavailable accelerated tier warns once, not
-    once per worker), fork/spawn the workers, and poll the store for
-    aggregate progress — it holds no campaign state, so killing the
+    The launcher's only jobs are to persist the plan manifest,
+    fork/spawn the workers, and poll the store for aggregate progress — it holds no campaign state, so killing the
     launcher mid-run leaves a resumable store exactly like killing a
     supervisor does. Workers that crash are *not* respawned: their
     leases expire and the surviving workers absorb the orphaned shards,
@@ -127,9 +123,6 @@ def launch_campaign(
     """
     if num_workers < 1:
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
-    backend_name = (
-        resolve_backend(backend).name if backend is not None else active_backend().name
-    )
     recorder = get_recorder()
     store.save_manifest(plan)
     method = start_method or (
@@ -145,7 +138,6 @@ def launch_campaign(
         "claim_batch": claim_batch,
         "heartbeats": heartbeats,
         "checkpoints": checkpoints,
-        "backend": backend_name,
     }
     # Import here so the circular scheduler -> worker -> ... chain stays
     # one-directional at module-load time.
@@ -158,7 +150,6 @@ def launch_campaign(
         num_workers=num_workers,
         num_shards=len(plan.shards),
         total_trials=plan.total_trials,
-        backend=backend_name,
         start_method=method,
     ) as span:
         workers = [

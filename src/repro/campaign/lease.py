@@ -14,9 +14,11 @@ Claim files live in their own subtree of the shard store::
 
 The discipline mirrors shard artifacts:
 
-* **acquire** creates the claim with ``O_CREAT | O_EXCL`` — the kernel
+* **acquire** writes the whole claim to a temp file and hard-links it
+  into place — ``link`` fails if the claim exists, so the kernel
   guarantees exactly one winner when several workers race for a free
-  shard; the losers observe the claim and move on;
+  shard, and no racer ever sees a half-written claim; the losers
+  observe the claim and move on;
 * **renew** rewrites the claim through the same atomic
   tmp-file + ``os.replace`` path as artifacts, bumping
   ``renewed_unix_s`` so watchers can tell a live lease from a dead one;
@@ -43,6 +45,7 @@ import hashlib
 import json
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,6 +188,29 @@ def backoff_delay(base_s: float, attempt: int, digest: str) -> float:
     return base_s * (2 ** (max(1, attempt) - 1)) * (0.5 + fraction)
 
 
+def _link_new_claim(payload: Mapping[str, Any], path: Path) -> None:
+    """Publish a complete claim at ``path``; FileExistsError when taken.
+
+    The payload is written and fsynced to a same-directory temp file
+    first, then hard-linked to the claim path, so the claim never exists
+    half-written: a racer can only ever read a whole claim, never an
+    empty file it would mistake for a torn one and take over. The
+    ``.tmp`` suffix keeps the temp file out of ``*.json`` claim scans.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(path.parent), prefix=f".{path.stem}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.link(tmp_name, str(path))
+    finally:
+        os.unlink(tmp_name)
+
+
 class LeaseManager:
     """Acquire/renew/release shard leases for one worker on one plan.
 
@@ -251,16 +277,17 @@ class LeaseManager:
     def acquire(self, shard_digest: str) -> bool:
         """Try to claim one shard; True when we hold the lease after this.
 
-        Free shard: exclusive create wins or loses atomically. Claim
-        already ours: treated as a renewal. Live foreign claim: lose.
-        Expired or unreadable claim: atomic takeover (``os.replace``).
+        Free shard: the fully written claim is hard-linked into place,
+        which wins or loses atomically. Claim already ours: treated as a
+        renewal. Live foreign claim: lose. Expired or unreadable claim:
+        atomic takeover (``os.replace``).
         """
         path = self.path(shard_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         now = time.time()
         record = self._record(shard_digest, acquired=now, now=now)
         try:
-            fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            _link_new_claim(record.to_payload(), path)
         except FileExistsError:
             current = self.peek(shard_digest)
             if current is not None and current.token == self.token:
@@ -278,11 +305,6 @@ class LeaseManager:
                 current.owner if current is not None else "<unreadable>",
             )
             return True
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(record.to_payload(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
         self._held[shard_digest] = now
         return True
 

@@ -33,7 +33,6 @@ from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger
 from repro.sim.scenario import Scenario
 from repro.utils.serialization import to_jsonable
-from repro.xp import active_backend, use_backend
 
 __all__ = [
     "CELL_SHARD_KIND",
@@ -207,13 +206,11 @@ def _shard_task(
     ue_start: int,
     ue_count: int,
     batch_users: Optional[int],
-    backend_name: Optional[str],
 ) -> List[dict]:
     """Worker-process entry point: one shard, payloads out (picklable)."""
     config = CellConfig.from_dict(config_payload)
     shard = CellShard(config=config, ue_start=ue_start, ue_count=ue_count)
-    with use_backend(backend_name):
-        records = execute_shard(shard, batch_users=batch_users)
+    records = execute_shard(shard, batch_users=batch_users)
     return [record.to_payload() for record in records]
 
 
@@ -273,7 +270,6 @@ def run_cell_plan(
         reporter.update()
 
     if pending and workers:
-        backend_name = active_backend().name
         config_payload = plan.config.to_dict()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
@@ -286,7 +282,6 @@ def run_cell_plan(
                         shard.ue_start,
                         shard.ue_count,
                         batch_users,
-                        backend_name,
                     ),
                 )
                 for index, shard in pending

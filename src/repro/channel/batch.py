@@ -28,7 +28,6 @@ from repro.arrays.geometry import ArrayGeometry
 from repro.arrays.steering import direction_unit_vector
 from repro.channel.base import ClusteredChannel, CodebookCoupling, Subpath
 from repro.utils.geometry import Direction
-from repro.xp import active_backend
 
 __all__ = [
     "stacked_steering_matrices",
@@ -55,7 +54,6 @@ def stacked_steering_matrices(
         return [
             np.zeros((array.num_elements, 0), dtype=complex) for _ in direction_lists
         ]
-    backend = active_backend()
     units = np.stack([direction_unit_vector(d) for d in flat], axis=1)
     phases = 2.0 * np.pi * (array.positions @ units)
     scale = np.sqrt(array.num_elements)
@@ -63,9 +61,7 @@ def stacked_steering_matrices(
     offset = 0
     for count in counts:
         block = np.ascontiguousarray(phases[:, offset : offset + count])
-        matrices.append(
-            backend.to_numpy(backend.steering_phase_exp(block, scale))
-        )
+        matrices.append(np.exp(1j * block) / scale)
         offset += count
     return matrices
 
@@ -124,18 +120,14 @@ def prime_codebook_couplings(
     :meth:`~repro.channel.base.ClusteredChannel.codebook_couplings` call
     a cache hit.
     """
-    backend = active_backend()
-    xp = backend.np
     couplings: List[CodebookCoupling] = [None] * len(channels)  # type: ignore[list-item]
-    rx_conj = xp.conj(backend.asarray(rx_codebook.vectors)).T
-    tx_vectors = backend.asarray(tx_codebook.vectors)
+    rx_conj = np.conj(rx_codebook.vectors).T
+    tx_vectors = tx_codebook.vectors
     for indices in _groups_by_subpaths(channels).values():
-        tx_stack = xp.stack([backend.asarray(channels[i].tx_steering) for i in indices])
-        rx_stack = xp.stack([backend.asarray(channels[i].rx_steering) for i in indices])
-        tx_proj = backend.to_numpy(
-            xp.matmul(xp.conj(tx_stack.transpose(0, 2, 1)), tx_vectors)
-        )
-        rx_proj = backend.to_numpy(xp.matmul(rx_conj, rx_stack))
+        tx_stack = np.stack([channels[i].tx_steering for i in indices])
+        rx_stack = np.stack([channels[i].rx_steering for i in indices])
+        tx_proj = np.matmul(np.conj(tx_stack.transpose(0, 2, 1)), tx_vectors)
+        rx_proj = np.matmul(rx_conj, rx_stack)
         for position, index in enumerate(indices):
             coupling = CodebookCoupling(
                 tx_proj=tx_proj[position], rx_proj=rx_proj[position]
@@ -157,16 +149,14 @@ def mean_snr_matrices(
     Per channel bit-identical to
     :meth:`~repro.channel.base.ClusteredChannel.mean_snr_matrix`.
     """
-    backend = active_backend()
-    xp = backend.np
     couplings = prime_codebook_couplings(channels, tx_codebook, rx_codebook)
     matrices: List[np.ndarray] = [None] * len(channels)  # type: ignore[list-item]
     for indices in _groups_by_subpaths(channels).values():
-        tx_gains = xp.abs(xp.stack([backend.asarray(couplings[i].tx_proj) for i in indices])) ** 2
-        rx_gains = xp.abs(xp.stack([backend.asarray(couplings[i].rx_proj) for i in indices])) ** 2
-        powers = xp.stack([backend.asarray(channels[i].powers) for i in indices])
+        tx_gains = np.abs(np.stack([couplings[i].tx_proj for i in indices])) ** 2
+        rx_gains = np.abs(np.stack([couplings[i].rx_proj for i in indices])) ** 2
+        powers = np.stack([channels[i].powers for i in indices])
         weighted = powers[:, :, None] * rx_gains.transpose(0, 2, 1)
-        products = backend.to_numpy(xp.matmul(tx_gains.transpose(0, 2, 1), weighted))
+        products = np.matmul(tx_gains.transpose(0, 2, 1), weighted)
         for position, index in enumerate(indices):
             matrices[index] = channels[index].snr * products[position]
     return matrices

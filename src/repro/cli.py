@@ -62,8 +62,6 @@ from repro.sim.runner import run_trial, standard_schemes
 from repro.sim.scenario import Scenario
 from repro.utils.serialization import dump
 from repro.version import __version__
-from repro.xp import ENV_VAR as BACKEND_ENV_VAR
-from repro.xp import registered_backends, use_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -94,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd = commands.add_parser("run", help="run a registered experiment")
     run_cmd.add_argument("experiment", help="experiment id (see `repro list`)")
     run_cmd.add_argument("--quick", action="store_true", help="small/fast variant")
-    _add_backend_argument(run_cmd)
     run_cmd.add_argument("--trials", type=int, default=None, help="override trial count")
     run_cmd.add_argument("--seed", type=int, default=None, help="override base seed")
     run_cmd.add_argument("--json", default=None, help="also write result data as JSON")
@@ -222,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="require a digest manifest covering every shard trial at assembly",
         )
-        _add_backend_argument(verb_cmd)
         verb_cmd.set_defaults(handler=_handle_campaign_run)
 
     launch_cmd = campaign_sub.add_parser(
@@ -267,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-digests", action="store_true",
         help="require a digest manifest covering every shard trial at assembly",
     )
-    _add_backend_argument(launch_cmd)
     launch_cmd.set_defaults(handler=_handle_campaign_launch)
 
     worker_cmd = campaign_sub.add_parser(
@@ -320,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoints", action="store_true",
         help="record flight-recorder stage digests into each shard artifact",
     )
-    _add_backend_argument(worker_cmd)
     worker_cmd.set_defaults(handler=_handle_campaign_worker)
 
     status_cmd = campaign_sub.add_parser(
@@ -482,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--progress", action="store_true", help="print progress/ETA lines to stderr"
     )
-    _add_backend_argument(serve_cmd)
     serve_cmd.set_defaults(handler=_handle_cell_serve)
 
     report_cmd = commands.add_parser(
@@ -501,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     align_cmd.add_argument("--rate", type=float, default=0.1, help="search rate (0, 1]")
     align_cmd.add_argument("--snr-db", type=float, default=20.0)
     align_cmd.add_argument("--seed", type=int, default=0)
-    _add_backend_argument(align_cmd)
     align_cmd.add_argument(
         "--trace", default=None, help="write a structured JSONL trace to this path"
     )
@@ -572,37 +564,6 @@ def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="rows per hotspot table (default 15)",
     )
-
-
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The array-backend tier option shared by run/align/campaign verbs."""
-    parser.add_argument(
-        "--backend",
-        choices=registered_backends(),
-        default=None,
-        help=(
-            "array backend tier (default: $REPRO_BACKEND, else the"
-            " bit-exact numpy reference tier); accelerated tiers fall"
-            " back to numpy with a warning when unavailable"
-        ),
-    )
-
-
-def _enter_backend(args: argparse.Namespace, stack: ExitStack) -> Optional[str]:
-    """Install the ``--backend`` selection for the handler's lifetime.
-
-    Enters a :func:`repro.xp.use_backend` scope and exports
-    ``REPRO_BACKEND`` so worker processes spawned by campaign/parallel
-    pools inherit the choice. Returns the *resolved* backend name (for
-    provenance), or ``None`` when no ``--backend`` was given — the
-    ambient ``REPRO_BACKEND``/default semantics then apply unchanged.
-    """
-    name = getattr(args, "backend", None)
-    if name is None:
-        return None
-    active = stack.enter_context(use_backend(name))
-    os.environ[BACKEND_ENV_VAR] = active.name
-    return active.name
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -762,8 +723,6 @@ def _handle_run(args: argparse.Namespace) -> int:
                 f"note: experiment {args.experiment!r} does not support batching",
                 file=sys.stderr,
             )
-    if args.backend is not None and _accepts_kwarg(runner, "backend"):
-        overrides["backend"] = args.backend
     if args.store is not None:
         if _accepts_kwarg(runner, "store"):
             overrides["store"] = args.store
@@ -779,7 +738,6 @@ def _handle_run(args: argparse.Namespace) -> int:
         except OSError as error:
             print(f"error: cannot write trace {args.trace}: {error}", file=sys.stderr)
             return 2
-        _enter_backend(args, stack)
         if recorder is not None:
             stack.enter_context(use_recorder(recorder))
         if args.trace:
@@ -868,33 +826,30 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
         f"campaign {plan.digest[:12]}: {len(plan.shards)} shards"
         f" ({plan.total_trials} trials), {before.done} already done"
     )
-    with ExitStack() as stack:
-        backend_name = _enter_backend(args, stack)
-        try:
-            report = run_campaign(
-                plan,
-                store,
-                max_workers=args.workers,
-                batch_trials=args.batch_trials,
-                retries=args.retries,
-                backoff_s=args.backoff,
-                timeout_s=args.timeout,
-                progress=print_progress if args.progress else None,
-                checkpoints=args.checkpoints,
-                backend=args.backend,
-            )
-        except CampaignError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+    try:
+        report = run_campaign(
+            plan,
+            store,
+            max_workers=args.workers,
+            batch_trials=args.batch_trials,
+            retries=args.retries,
+            backoff_s=args.backoff,
+            timeout_s=args.timeout,
+            progress=print_progress if args.progress else None,
+            checkpoints=args.checkpoints,
+        )
+    except CampaignError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     print(
         f"executed {report.executed} shards, skipped {report.skipped},"
         f" {report.retries} retries, {report.fallbacks} fallbacks"
         + (f", {report.deferred} deferred to other workers" if report.deferred else "")
     )
-    return _finish_campaign(args, config, plan, store, backend_name)
+    return _finish_campaign(args, config, plan, store)
 
 
-def _finish_campaign(args, config, plan, store, backend_name) -> int:
+def _finish_campaign(args, config, plan, store) -> int:
     """Assemble, render, and optionally persist one completed campaign."""
     from repro.campaign import assemble_effectiveness_sweep
     from repro.exceptions import CampaignError
@@ -912,7 +867,6 @@ def _finish_campaign(args, config, plan, store, backend_name) -> int:
         print(f"verified digest manifests for all {len(plan.shards)} shard(s)")
     print(render_effectiveness(sweep, f"Campaign sweep ({args.channel})"))
     if args.json:
-        extra = {"backend": backend_name} if backend_name is not None else {}
         save_effectiveness_sweep(
             sweep,
             args.json,
@@ -920,7 +874,6 @@ def _finish_campaign(args, config, plan, store, backend_name) -> int:
                 base_seed=plan.base_seed,
                 num_trials=plan.num_trials,
                 config=config,
-                **extra,
             ),
         )
         print(f"\nwrote {args.json}")
@@ -938,24 +891,21 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
         f" ({plan.total_trials} trials), {before.done} already done;"
         f" launching {args.workers} lease-based worker(s)"
     )
-    with ExitStack() as stack:
-        backend_name = _enter_backend(args, stack)
-        kwargs = {}
-        if args.lease_ttl is not None:
-            kwargs["lease_ttl_s"] = args.lease_ttl
-        report = launch_campaign(
-            plan,
-            store,
-            num_workers=args.workers,
-            batch_trials=args.batch_trials,
-            retries=args.retries,
-            backoff_s=args.backoff,
-            claim_batch=args.claim_batch,
-            checkpoints=args.checkpoints,
-            backend=args.backend,
-            progress=print_progress if args.progress else None,
-            **kwargs,
-        )
+    kwargs = {}
+    if args.lease_ttl is not None:
+        kwargs["lease_ttl_s"] = args.lease_ttl
+    report = launch_campaign(
+        plan,
+        store,
+        num_workers=args.workers,
+        batch_trials=args.batch_trials,
+        retries=args.retries,
+        backoff_s=args.backoff,
+        claim_batch=args.claim_batch,
+        checkpoints=args.checkpoints,
+        progress=print_progress if args.progress else None,
+        **kwargs,
+    )
     attribution = ", ".join(
         f"{worker}: {count}" for worker, count in report.attribution.items()
     )
@@ -963,7 +913,7 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
     if not report.complete:
         print("error: campaign incomplete after all workers exited", file=sys.stderr)
         return 1
-    return _finish_campaign(args, config, plan, store, backend_name)
+    return _finish_campaign(args, config, plan, store)
 
 
 def _resolve_stored_plan(store, token):
@@ -999,27 +949,24 @@ def _handle_campaign_worker(args: argparse.Namespace) -> int:
     except SystemExit as error:
         print(error.code, file=sys.stderr)
         return 1
-    with ExitStack() as stack:
-        _enter_backend(args, stack)
-        kwargs = {}
-        if args.lease_ttl is not None:
-            kwargs["lease_ttl_s"] = args.lease_ttl
-        if args.poll is not None:
-            kwargs["poll_s"] = args.poll
-        report = run_worker(
-            plan,
-            store,
-            worker_id=args.worker_id,
-            batch_trials=args.batch_trials,
-            retries=args.retries,
-            backoff_s=args.backoff,
-            claim_batch=args.claim_batch,
-            max_shards=args.max_shards,
-            checkpoints=args.checkpoints,
-            backend=args.backend,
-            progress=print_progress if args.progress else None,
-            **kwargs,
-        )
+    kwargs = {}
+    if args.lease_ttl is not None:
+        kwargs["lease_ttl_s"] = args.lease_ttl
+    if args.poll is not None:
+        kwargs["poll_s"] = args.poll
+    report = run_worker(
+        plan,
+        store,
+        worker_id=args.worker_id,
+        batch_trials=args.batch_trials,
+        retries=args.retries,
+        backoff_s=args.backoff,
+        claim_batch=args.claim_batch,
+        max_shards=args.max_shards,
+        checkpoints=args.checkpoints,
+        progress=print_progress if args.progress else None,
+        **kwargs,
+    )
     print(
         f"worker {report.worker_id}: executed {report.executed},"
         f" skipped {report.skipped}, retries {report.retries},"
@@ -1177,25 +1124,23 @@ def _handle_cell_serve(args: argparse.Namespace) -> int:
         from repro.campaign import ShardStore
 
         store = ShardStore(args.store)
-    with ExitStack() as stack:
-        _enter_backend(args, stack)
-        kwargs = {}
-        if args.shard_ues is not None:
-            kwargs["shard_ues"] = args.shard_ues
-        try:
-            report = serve_cell(
-                config,
-                store=store,
-                batch_users=None if args.serial else args.batch_users,
-                workers=args.workers,
-                openmetrics_path=args.openmetrics,
-                summary_path=args.summary,
-                progress=print_progress if args.progress else None,
-                **kwargs,
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    kwargs = {}
+    if args.shard_ues is not None:
+        kwargs["shard_ues"] = args.shard_ues
+    try:
+        report = serve_cell(
+            config,
+            store=store,
+            batch_users=None if args.serial else args.batch_users,
+            workers=args.workers,
+            openmetrics_path=args.openmetrics,
+            summary_path=args.summary,
+            progress=print_progress if args.progress else None,
+            **kwargs,
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(render_cell_report(report))
     if report.summary_path is not None:
         print(f"wrote summary {report.summary_path}")
@@ -1333,7 +1278,6 @@ def _handle_align(args: argparse.Namespace) -> int:
 
             profiler = ProfilingRecorder(inner=recorder, mode=args.profile_mode)
         stack.enter_context(use_recorder(profiler if profiler is not None else recorder))
-        _enter_backend(args, stack)
         outcomes = run_trial(
             scenario,
             standard_schemes(),

@@ -33,21 +33,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.estimation.ml_covariance import _reduction_basis
+from repro.estimation.ml_covariance import _EIGH_LOWER, _reduction_basis
 from repro.exceptions import ValidationError
 from repro.mc.result import SolverResult
 from repro.obs import get_recorder
 from repro.utils.linalg import hermitian, project_psd
 from repro.utils.validation import check_nonnegative, check_positive
-from repro.xp import active_backend
-from repro.xp.backend import EIGH_LOWER_GUFUNC
 
 __all__ = ["estimate_ml_covariance_batch", "soft_threshold_eigenvalues_batch"]
 
-# The numpy-internal eigh gufunc handle, kept as a module attribute so
-# tests can force the public ``np.linalg.eigh`` fallback by patching it
-# to ``None``; it is threaded into the active backend's prox call.
-_EIGH_LOWER = EIGH_LOWER_GUFUNC
+# ``_EIGH_LOWER`` (the numpy-internal eigh gufunc, or ``None``) is bound
+# here as a module attribute so tests can force the public
+# ``np.linalg.eigh`` fallback by patching it to ``None``.
 
 
 def soft_threshold_eigenvalues_batch(
@@ -57,18 +54,22 @@ def soft_threshold_eigenvalues_batch(
     """Stacked eigenvalue soft-threshold prox over ``(B, N, N)`` matrices.
 
     ``thresholds`` is a scalar or a ``(B,)`` vector (one threshold per
-    matrix). On the reference tier each slice of the result is
-    bit-identical to the serial ``_soft_threshold_hot`` prox on that
-    matrix: the same eigh gufunc decomposes the whole stack in one call
-    (``np.linalg.eigh`` is the fallback when the internal gufunc is
-    unavailable — it accepts stacks natively), and the reconstruction is
-    one batched GEMM. Accelerated tiers keep the LAPACK decomposition
-    and JIT the reconstruction.
+    matrix). Each slice of the result is bit-identical to the serial
+    ``_soft_threshold_hot`` prox on that matrix: the same eigh gufunc
+    decomposes the whole stack in one call (``np.linalg.eigh`` is the
+    fallback when the internal gufunc is unavailable — it accepts stacks
+    natively), and the reconstruction is one batched GEMM.
     """
     matrices = np.asarray(matrices)
     thresholds = np.asarray(thresholds, dtype=float)
-    return active_backend().soft_threshold_eigenvalues_batch(
-        matrices, thresholds, eigh_gufunc=_EIGH_LOWER
+    if _EIGH_LOWER is not None and matrices.dtype == np.complex128:
+        values, vectors = _EIGH_LOWER(matrices, signature="D->dD")
+    else:
+        values, vectors = np.linalg.eigh(matrices)
+    shifted = values - (thresholds[:, None] if thresholds.ndim else thresholds)
+    shrunk = np.clip(shifted, 0.0, None)
+    return np.matmul(
+        vectors * shrunk[:, None, :], np.conj(vectors.transpose(0, 2, 1))
     )
 
 
@@ -76,14 +77,16 @@ def _batch_apply(
     probes_conj: np.ndarray, matrices: np.ndarray, probes: np.ndarray
 ) -> np.ndarray:
     """Stacked quadratic forms ``[Re(v_j^H Q_b v_j)]_{b,j}``."""
-    return active_backend().batch_quadratic_forms(probes_conj, matrices, probes)
+    return np.real(np.einsum("bnm,bnk,bkm->bm", probes_conj, matrices, probes))
 
 
 def _batch_adjoint(
     probes: np.ndarray, probes_conj: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
     """Stacked adjoints ``sum_j w_{b,j} v_j v_j^H`` (Hermitian part)."""
-    return active_backend().batch_adjoint(probes, probes_conj, weights)
+    weighted = probes * weights[:, None, :]
+    outer = np.matmul(weighted, probes_conj.transpose(0, 2, 1))
+    return (outer + np.conj(outer.transpose(0, 2, 1))) / 2.0
 
 
 def _batch_nll(
@@ -94,12 +97,12 @@ def _batch_nll(
     offsets: np.ndarray,
 ):
     """Stacked NLL values and gradients (one einsum + one GEMM)."""
-    backend = active_backend()
-    lambdas = backend.batch_quadratic_forms(probes_conj, matrices, probes) + offsets
+    lambdas = _batch_apply(probes_conj, matrices, probes) + offsets
     if np.any(lambdas <= 0):
         raise ValidationError("expected powers must be positive; is Q PSD?")
-    values, weights = backend.nll_terms(lambdas, powers)
-    return values, backend.batch_adjoint(probes, probes_conj, weights)
+    values = np.sum(np.log(lambdas) + powers / lambdas, axis=1)
+    weights = 1.0 / lambdas - powers / lambdas**2
+    return values, _batch_adjoint(probes, probes_conj, weights)
 
 
 def _solve_batch(

@@ -22,7 +22,6 @@ from repro.exceptions import ValidationError
 from repro.mc.result import SolverResult
 from repro.mc.svt import shrink_singular_values
 from repro.obs import get_recorder
-from repro.xp import active_backend
 
 __all__ = ["RpcaResult", "soft_threshold_entries", "rpca_ialm"]
 
@@ -55,11 +54,10 @@ def soft_threshold_entries(
     ``workspace`` is a caller-kept dict whose float scratch buffers are
     reused across calls, and ``out`` receives the result in place — hot
     loops (one call per IALM iteration) then allocate nothing per call.
-    On the reference tier the fused ``out=`` chain evaluates exactly
-    the operations of the plain ``np.where`` formulation, including the
-    positive zero written to sub-threshold entries, so results are
-    bit-identical with or without the buffers; accelerated tiers run a
-    fused JIT loop into ``out`` instead.
+    The fused ``out=`` chain evaluates exactly the operations of the
+    plain ``np.where`` formulation, including the positive zero written
+    to sub-threshold entries, so results are bit-identical with or
+    without the buffers.
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")
@@ -68,7 +66,26 @@ def soft_threshold_entries(
         raise ValidationError(
             f"out must match matrix shape {matrix.shape} and dtype {matrix.dtype}"
         )
-    return active_backend().soft_threshold_entries(matrix, threshold, workspace, out)
+    if workspace is None:
+        workspace = {}
+    magnitude = workspace.get("magnitude")
+    if magnitude is None or magnitude.shape != matrix.shape:
+        magnitude = workspace["magnitude"] = np.empty(matrix.shape, dtype=float)
+        workspace["mask"] = np.empty(matrix.shape, dtype=bool)
+        workspace["scale"] = np.empty(matrix.shape, dtype=float)
+        workspace["denominator"] = np.empty(matrix.shape, dtype=float)
+    mask = workspace["mask"]
+    scale = workspace["scale"]
+    denominator = workspace["denominator"]
+    np.abs(matrix, out=magnitude)
+    np.less_equal(magnitude, threshold, out=mask)
+    np.subtract(magnitude, threshold, out=scale)
+    np.maximum(magnitude, 1e-30, out=denominator)
+    np.divide(scale, denominator, out=scale)
+    np.copyto(scale, 0.0, where=mask)
+    if out is None:
+        return matrix * scale
+    return np.multiply(matrix, scale, out=out)
 
 
 def rpca_ialm(

@@ -25,7 +25,6 @@ from repro.exceptions import ValidationError
 from repro.types import BeamPair
 from repro.utils.rng import complex_normal
 from repro.utils.validation import check_unit_norm
-from repro.xp import active_backend
 
 __all__ = ["Measurement", "MeasurementEngine"]
 
@@ -168,16 +167,13 @@ class MeasurementEngine:
     ) -> List[Measurement]:
         """Measure several codebook beam pairs in one fused RNG block.
 
-        On the reference tier this is bit-identical to calling
+        This is bit-identical to calling
         :meth:`measure_pair` per pair in order: the serial path
         consumes, per measurement, ``count*K`` gain reals, ``count*K``
         gain imaginaries, ``count`` noise reals, and ``count`` noise
         imaginaries — one row-major ``standard_normal`` block with rows
         laid out that way draws the exact same stream values, and the
-        matched-filter outputs stack into one batched matvec. The RNG
-        draw itself always stays host-side (the stream contract is
-        backend-independent); only the matched-filter math after the
-        draw dispatches to the active backend.
+        matched-filter outputs stack into one batched matvec.
 
         With interference enabled each dwell consumes a data-dependent
         number of draws (one uniform, plus an interference block on a
@@ -185,7 +181,7 @@ class MeasurementEngine:
         block. They still fuse: per pair the draw order is replayed
         exactly — one ``standard_normal`` row, one uniform, the hit
         rows' interference draws — and the matched-filter math then runs
-        as one batched backend call with the hit rows adjusted after,
+        as one batched call with the hit rows adjusted after,
         bit-identical to the serial loop.
         """
         if not pairs:
@@ -216,26 +212,25 @@ class MeasurementEngine:
             block = self._rng.standard_normal((len(pairs), width))
         gain_scale = np.sqrt(0.5)
         noise_scale = np.sqrt(self.noise_variance / 2.0)
-        backend = active_backend()
-        samples, powers = backend.fused_probe_measurements(
-            block,
-            coefficients,
-            self._channel.sqrt_powers,
-            count,
-            num_subpaths,
-            gain_scale,
-            noise_scale,
-        )
-        samples = backend.to_numpy(samples)
-        powers = backend.to_numpy(powers)
+        gains = (
+            (gain_scale * block[:, :gain_block]).reshape(-1, count, num_subpaths)
+            + 1j
+            * (gain_scale * block[:, gain_block : 2 * gain_block]).reshape(
+                -1, count, num_subpaths
+            )
+        ) * self._channel.sqrt_powers
+        faded = np.matmul(gains, coefficients[:, :, None])[..., 0]
+        noise = noise_scale * block[
+            :, 2 * gain_block : 2 * gain_block + count
+        ] + 1j * (noise_scale * block[:, 2 * gain_block + count :])
+        samples = faded + noise
+        powers = np.mean(np.abs(samples) ** 2, axis=1)
         if hit_rows:
             # Match the serial arithmetic exactly: (faded + noise) +
             # interference, then the power statistic over the final
             # samples — per row, so the mean reduction order is the
             # serial one.
             self._interference_hits += len(hit_rows)
-            samples = np.array(samples)
-            powers = np.array(powers)
             scale = np.sqrt(self._interference_power / 2.0)
             for row, draws in zip(hit_rows, hit_draws):
                 interference = scale * draws[:count] + 1j * (scale * draws[count:])

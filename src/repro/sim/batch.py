@@ -36,7 +36,6 @@ from repro.sim.runner import (
 )
 from repro.sim.scenario import Scenario
 from repro.utils.rng import spawn, trial_generator
-from repro.xp import use_backend
 
 __all__ = ["DEFAULT_BATCH_TRIALS", "run_trial_block", "run_trials_batched"]
 
@@ -117,16 +116,12 @@ def run_trials_batched(
     base_seed: int = 0,
     batch_size: int = DEFAULT_BATCH_TRIALS,
     progress: Optional[ProgressCallback] = None,
-    backend: Optional[str] = None,
 ) -> List[Dict[str, TrialOutcome]]:
     """Batched drop-in for :func:`repro.sim.runner.run_trials`.
 
     Same per-trial seeding contract (trial ``k`` sees the same channel
     for a given ``base_seed`` no matter the batch size); the final,
-    possibly partial block simply stacks fewer trials. ``backend``
-    selects the array-backend tier for the stacked kernels (default:
-    whatever ``REPRO_BACKEND`` resolves to, normally the bit-exact
-    ``numpy`` reference tier).
+    possibly partial block simply stacks fewer trials.
     """
     if num_trials < 1:
         raise ConfigurationError(f"num_trials must be >= 1, got {num_trials}")
@@ -142,21 +137,19 @@ def run_trials_batched(
         batch_size,
     )
     outcomes: List[Dict[str, TrialOutcome]] = []
-    with use_backend(backend) as active:
-        with recorder.span(
-            "run_trials_batched",
-            num_trials=num_trials,
-            search_rate=search_rate,
-            base_seed=base_seed,
-            batch_size=batch_size,
-            backend=active.name,
-        ):
-            for start in range(0, num_trials, batch_size):
-                trials = list(range(start, min(start + batch_size, num_trials)))
-                rngs = [trial_generator(base_seed, trial) for trial in trials]
-                for trial_outcomes in run_trial_block(
-                    scenario, schemes, search_rate, rngs, trial_indices=trials
-                ):
-                    outcomes.append(trial_outcomes)
-                    reporter.update()
+    with recorder.span(
+        "run_trials_batched",
+        num_trials=num_trials,
+        search_rate=search_rate,
+        base_seed=base_seed,
+        batch_size=batch_size,
+    ):
+        for start in range(0, num_trials, batch_size):
+            trials = list(range(start, min(start + batch_size, num_trials)))
+            rngs = [trial_generator(base_seed, trial) for trial in trials]
+            for trial_outcomes in run_trial_block(
+                scenario, schemes, search_rate, rngs, trial_indices=trials
+            ):
+                outcomes.append(trial_outcomes)
+                reporter.update()
     return outcomes

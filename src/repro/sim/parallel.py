@@ -50,7 +50,6 @@ from repro.sim.runner import TrialOutcome, run_trial
 from repro.sim.scenario import Scenario
 from repro.types import BeamPair
 from repro.utils.rng import trial_generator
-from repro.xp import resolve_backend, use_backend
 
 __all__ = ["SchemeSpec", "ParallelOutcome", "run_trials_parallel", "SCHEME_BUILDERS"]
 
@@ -163,7 +162,6 @@ def _run_one_trial(
     trial_index: int,
     collect_metrics: bool = False,
     checkpoints: Optional[CheckpointSpec] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Dict[str, ParallelOutcome], Optional[Dict[str, Any]]]:
     """Worker entry point: one full trial, all schemes.
 
@@ -172,26 +170,15 @@ def _run_one_trial(
     back across the process boundary for the parent to merge; with
     ``checkpoints`` a worker-local flight recorder digests every stage
     and the event payloads ride back the same way. Recorders never touch
-    RNG streams, so outcomes are identical either way. ``backend``
-    names the array-backend tier the trial's kernels dispatch to
-    (``None``: whatever the worker's environment resolves to).
+    RNG streams, so outcomes are identical either way.
     """
     scenario = _scenario_for(config)
     schemes = {spec.name: spec.build_factory() for spec in specs}
     inner = MetricsRecorder() if collect_metrics else None
     checkpointer = checkpoints.build(inner) if checkpoints is not None else None
     active = checkpointer if checkpointer is not None else inner
-    with use_backend(backend):
-        if active is not None:
-            with use_recorder(active):
-                outcomes = run_trial(
-                    scenario,
-                    schemes,
-                    search_rate,
-                    trial_generator(base_seed, trial_index),
-                    trial_index=trial_index,
-                )
-        else:
+    if active is not None:
+        with use_recorder(active):
             outcomes = run_trial(
                 scenario,
                 schemes,
@@ -199,6 +186,14 @@ def _run_one_trial(
                 trial_generator(base_seed, trial_index),
                 trial_index=trial_index,
             )
+    else:
+        outcomes = run_trial(
+            scenario,
+            schemes,
+            search_rate,
+            trial_generator(base_seed, trial_index),
+            trial_index=trial_index,
+        )
     return _to_parallel(outcomes), _worker_aux(inner, checkpointer)
 
 
@@ -211,7 +206,6 @@ def _run_trial_batch(
     collect_metrics: bool = False,
     batch_trials: Optional[int] = None,
     checkpoints: Optional[CheckpointSpec] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[List[Dict[str, ParallelOutcome]], Optional[Dict[str, Any]]]:
     """Worker entry point: several trials amortizing one task dispatch.
 
@@ -225,8 +219,7 @@ def _run_trial_batch(
     ``batch_trials`` additionally routes the worker's trials through the
     in-process batched engine (:func:`repro.sim.batch.run_trial_block`)
     in blocks of that size — processes x stacked-array batches, still
-    outcome-identical to the serial runner. ``backend`` names the
-    array-backend tier the stacked kernels dispatch to.
+    outcome-identical to the serial runner.
     """
     scenario = _scenario_for(config)
     schemes = {spec.name: spec.build_factory() for spec in specs}
@@ -255,12 +248,11 @@ def _run_trial_batch(
     inner = MetricsRecorder() if collect_metrics else None
     checkpointer = checkpoints.build(inner) if checkpoints is not None else None
     active = checkpointer if checkpointer is not None else inner
-    with use_backend(backend):
-        if active is not None:
-            with use_recorder(active):
-                _run_all()
-        else:
+    if active is not None:
+        with use_recorder(active):
             _run_all()
+    else:
+        _run_all()
     return batch_results, _worker_aux(inner, checkpointer)
 
 
@@ -285,7 +277,6 @@ def run_trials_parallel(
     progress: Optional[ProgressCallback] = None,
     batch_size: Optional[int] = None,
     batch_trials: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> List[Dict[str, ParallelOutcome]]:
     """Run ``num_trials`` independent trials across worker processes.
 
@@ -310,12 +301,6 @@ def run_trials_parallel(
     every worker (:mod:`repro.sim.batch`): each worker executes its trial
     chunks as stacked array programs in blocks of ``batch_trials`` —
     processes x batches compose, and seeded outcomes stay bit-identical.
-
-    ``backend`` names the array-backend tier (see :mod:`repro.xp`); it
-    is resolved once in the parent — so an unavailable accelerated tier
-    warns exactly once and degrades to the reference tier — and the
-    resolved name is shipped to every worker explicitly (context
-    variables do not cross the process boundary).
     """
     if num_trials < 1:
         raise ConfigurationError(f"num_trials must be >= 1, got {num_trials}")
@@ -329,7 +314,6 @@ def run_trials_parallel(
         raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
     if batch_trials is not None and batch_trials < 1:
         raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
-    backend_name = resolve_backend(backend).name if backend is not None else None
 
     recorder = get_recorder()
     reporter = ProgressReporter(num_trials, progress, label="trials")
@@ -362,7 +346,6 @@ def run_trials_parallel(
                         chunk,
                         False,
                         batch_trials,
-                        backend=backend_name,
                     )
                     results.extend(batch_outcomes)
                     for _ in batch_outcomes:
@@ -370,8 +353,7 @@ def run_trials_parallel(
             else:
                 for trial in range(num_trials):
                     outcomes, _ = _run_one_trial(
-                        config, specs, search_rate, base_seed, trial,
-                        backend=backend_name,
+                        config, specs, search_rate, base_seed, trial
                     )
                     results.append(outcomes)
                     reporter.update()
@@ -414,7 +396,6 @@ def run_trials_parallel(
                     collect,
                     batch_trials,
                     checkpoint_spec,
-                    backend_name,
                 )
                 for batch in batches
             ]
@@ -445,7 +426,6 @@ def run_trials_parallel(
                         collect,
                         batch_trials,
                         checkpoint_spec,
-                        backend_name,
                     )
                 results.extend(batch_outcomes)
                 snapshot = aux.get("metrics") if aux else None

@@ -1,52 +1,17 @@
-"""``repro.xp`` — pluggable array-backend dispatch for the batched kernels.
+"""Array-backend stamp: every kernel in this package is plain numpy.
 
-The batched engine's hot kernels (stacked eigh prox, einsum NLL, GEMM
-adjoint, stacked SVD shrinkage, entrywise soft-threshold, fused probe
-measurements, steering phase ramps) dispatch through
-:func:`active_backend` to a named :class:`ArrayBackend` tier:
-
-``numpy``
-    The reference tier (default). Bit-identical to the pre-dispatch
-    engine; gated by the determinism and checkpoint-digest suites.
-``numba``
-    JIT-compiled parallel loops; numerically equivalent, gated by the
-    statistical golden gate. Falls back to ``numpy`` with a
-    :class:`BackendFallbackWarning` when numba is not installed.
-
-Selection: ``--backend`` on the CLI, ``backend=`` on the batched
-runners/campaigns, or the ``REPRO_BACKEND`` environment variable.
-Registering a new tier (CuPy, JAX, ...) is
-``register_backend(name, factory)`` with an :class:`ArrayBackend`
-subclass — see docs/performance.md, "Backend tiers".
+Only :func:`active_backend` is left. It exists because the benchmark
+harness stamps ``repro.xp.active_backend().name`` into its result
+payloads; it always reports ``"numpy"``.
 """
 
-from repro.xp.backend import ArrayBackend, USE_BACKEND_DEFAULT
-from repro.xp.registry import (
-    BackendFallbackWarning,
-    BackendUnavailableError,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    active_backend,
-    available_backends,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-    to_numpy,
-    use_backend,
-)
+from types import SimpleNamespace
 
-__all__ = [
-    "ArrayBackend",
-    "USE_BACKEND_DEFAULT",
-    "BackendFallbackWarning",
-    "BackendUnavailableError",
-    "DEFAULT_BACKEND",
-    "ENV_VAR",
-    "active_backend",
-    "available_backends",
-    "register_backend",
-    "registered_backends",
-    "resolve_backend",
-    "to_numpy",
-    "use_backend",
-]
+__all__ = ["active_backend"]
+
+_NUMPY = SimpleNamespace(name="numpy")
+
+
+def active_backend() -> SimpleNamespace:
+    """The array backend every kernel runs on (always ``numpy``)."""
+    return _NUMPY

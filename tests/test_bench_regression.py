@@ -287,47 +287,26 @@ class TestTrajectoryArtifact:
         assert payload["entries"]["beta"]["mean_normalized"] == pytest.approx(4.0)
         assert payload["calibration"]["mean_s"] == pytest.approx(1e-3)
 
-    def test_folds_per_backend_sessions(self, tmp_path):
+    def test_folds_multiple_sessions(self, tmp_path):
         from benchmarks import make_trajectory
 
         sessions = []
-        for backend, scale in (("numpy", 1e-3), ("numba", 2e-3)):
-            directory = tmp_path / backend
+        for name, scale in (("fast", 1e-3), ("slow", 2e-3)):
+            directory = tmp_path / name
             directory.mkdir()
             _write_bench(directory, "alpha", 4 * scale)
+            _write_bench(directory, "beta", 3 * scale)
             _write_bench(directory, "calibration", scale)
-            entries = make_trajectory.load_bench_files(directory)
-            for stats in entries.values():
-                stats["backend"] = backend
-            sessions.append(entries)
-        payload = make_trajectory.build_trajectory("PR7", sessions)
-        # Shared labels are keyed label[backend]; each session normalizes
-        # by its OWN calibration, so both tiers land on the same ratio.
-        assert set(payload["entries"]) == {"alpha[numpy]", "alpha[numba]"}
-        for key in payload["entries"]:
+            sessions.append(make_trajectory.load_bench_files(directory))
+        sessions[1].pop("beta")
+        payload = make_trajectory.build_trajectory("PR8", sessions)
+        # Shared labels are keyed by session position; each session
+        # normalizes by its OWN calibration, so both land on one ratio.
+        assert set(payload["entries"]) == {"alpha[0]", "alpha[1]", "beta"}
+        for key in ("alpha[0]", "alpha[1]"):
             assert payload["entries"][key]["mean_normalized"] == pytest.approx(4.0)
-        assert payload["entries"]["alpha[numba]"]["backend"] == "numba"
+        assert payload["entries"]["beta"]["mean_normalized"] == pytest.approx(3.0)
         assert payload["calibration"]["mean_s"] == pytest.approx(1e-3)
-
-    def test_fallback_session_keyed_by_requested_tier(self, tmp_path):
-        from benchmarks import make_trajectory
-
-        sessions = []
-        for requested in ("numpy", "numba"):
-            directory = tmp_path / requested
-            directory.mkdir()
-            _write_bench(directory, "alpha", 2e-3)
-            entries = make_trajectory.load_bench_files(directory)
-            for stats in entries.values():
-                stats["backend"] = "numpy"  # numba leg fell back
-                if requested != "numpy":
-                    stats["backend_requested"] = requested
-            sessions.append(entries)
-        payload = make_trajectory.build_trajectory("PR7", sessions)
-        assert set(payload["entries"]) == {"alpha[numpy]", "alpha[numba]"}
-        entry = payload["entries"]["alpha[numba]"]
-        assert entry["backend"] == "numpy"
-        assert entry["backend_requested"] == "numba"
 
     def test_main_writes_artifact_and_skips_itself(self, bench_dir):
         from benchmarks import make_trajectory

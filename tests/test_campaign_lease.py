@@ -199,26 +199,35 @@ class TestExpiryAndTakeover:
 
 
 class TestRaces:
+    ROUNDS = 60
+
     def test_exactly_one_winner_when_many_race(self, store):
+        """A racer must never see a half-written claim and take it over;
+        one race rarely hits that window, so run many."""
         managers = [_manager(store, owner=f"w{i}") for i in range(8)]
         barrier = threading.Barrier(len(managers))
-        results = [False] * len(managers)
+        for round_index in range(self.ROUNDS):
+            shard = f"{SHARD}-{round_index}"
+            results = [False] * len(managers)
 
-        def contend(slot: int) -> None:
-            barrier.wait()
-            results[slot] = managers[slot].acquire(SHARD)
+            def contend(slot: int) -> None:
+                barrier.wait()
+                results[slot] = managers[slot].acquire(shard)
 
-        threads = [
-            threading.Thread(target=contend, args=(slot,))
-            for slot in range(len(managers))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sum(results) == 1
-        winner = results.index(True)
-        assert managers[winner].still_owns(SHARD)
+            threads = [
+                threading.Thread(target=contend, args=(slot,))
+                for slot in range(len(managers))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert sum(results) == 1, f"round {round_index}: {results}"
+            winner = results.index(True)
+            assert managers[winner].still_owns(shard)
+        # Temp files never outlive an acquire.
+        claim_dir = store.claim_dir(PLAN)
+        assert sorted(p.suffix for p in claim_dir.iterdir()) == [".json"] * self.ROUNDS
 
 
 class TestBackoffJitter:

@@ -213,7 +213,7 @@ class TestLeaseIntegration:
         foreign = LeaseManager(store, plan.digest, owner="other-host")
         assert foreign.acquire(contested.digest)
         losses, _ = execute_shard_in_process(
-            contested, None, None, None, get_recorder(), False
+            contested, None, None, get_recorder(), False
         )
 
         def publish_later() -> None:

@@ -66,6 +66,37 @@ class TestShardArtifacts:
         assert provenance["config"]["snr_db"] == shard.config.snr_db
         assert payload["spec"]["trial_count"] == 3
 
+    def test_old_artifact_with_backend_provenance_loads_and_resumes(
+        self, store, small_config, specs
+    ):
+        """New artifacts no longer record an array backend, but artifacts
+        written by older versions (which did) still load, and a resume
+        counts them as cached instead of re-running them."""
+        from repro.campaign import assemble_effectiveness_sweep, run_campaign
+
+        plan = plan_effectiveness_sweep(
+            small_config, specs, [0.2], 2, base_seed=7, shard_trials=1
+        )
+        run_campaign(plan, store, heartbeats=False)
+        fresh = assemble_effectiveness_sweep(plan, store)
+        for shard in plan.shards:
+            path = store.shard_path(shard.digest)
+            payload = load(path)
+            assert "backend" not in payload["provenance"]
+            payload["provenance"]["backend"] = "numpy"
+            dump(payload, path)
+        old_bytes = {
+            shard.digest: store.shard_path(shard.digest).read_bytes()
+            for shard in plan.shards
+        }
+        assert all(store.classify(shard) == "done" for shard in plan.shards)
+        report = run_campaign(plan, store, heartbeats=False)
+        assert report.executed == 0
+        assert report.skipped == len(plan.shards)
+        for shard in plan.shards:
+            assert store.shard_path(shard.digest).read_bytes() == old_bytes[shard.digest]
+        assert assemble_effectiveness_sweep(plan, store).losses == fresh.losses
+
     def test_artifact_bytes_deterministic(self, store, shard):
         losses = {"Random": [1.0, 2.5, 0.0]}
         path = store.put(shard, losses)

@@ -196,7 +196,7 @@ class TestLeaseContention:
         zombie = LeaseManager(store, plan.digest, owner="zombie")
         assert zombie.acquire(shard.digest)
         losses, digests = execute_shard_in_process(
-            shard, None, None, None, get_recorder(), False
+            shard, None, None, get_recorder(), False
         )
         # The zombie stalls; its lease is taken over and the new owner
         # completes the shard.
@@ -216,7 +216,7 @@ class TestLeaseContention:
         zombie = LeaseManager(store, plan.digest, owner="zombie")
         assert zombie.acquire(shard.digest)
         losses, _ = execute_shard_in_process(
-            shard, None, None, None, get_recorder(), False
+            shard, None, None, get_recorder(), False
         )
         zombie._held.clear()  # lost the lease; claim file shows another token
         from repro.utils.serialization import dump

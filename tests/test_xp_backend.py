@@ -1,219 +1,44 @@
-"""Array-backend dispatch layer suite (:mod:`repro.xp`).
+"""The numpy array kernels and the ``repro.xp`` stamp shim.
 
-Pins the three contracts the batched engine leans on:
+Every stacked kernel of the batched engine lives next to its one caller
+as plain numpy. This suite pins:
 
-* **Registry resolution** — explicit name > ``use_backend`` scope >
-  ``REPRO_BACKEND`` env > the ``numpy`` default; unknown names are hard
-  errors while registered-but-unavailable tiers fall back to the
-  reference tier with a :class:`~repro.xp.BackendFallbackWarning`.
-* **Reference-tier exactness** — the :class:`~repro.xp.ArrayBackend`
-  kernel bodies are bitwise the stacked formulations the engine used
-  before the dispatch layer, and the loop-form bodies the numba tier
-  JITs (:mod:`repro.xp.kernels`) agree with them to float precision.
-* **Host-array boundaries** — :func:`repro.xp.to_numpy` is the identity
-  on host ndarrays (checkpoint digests stay free under the numpy tier)
-  and shard provenance records the producing backend additively.
+* **the stamp** — :func:`repro.xp.active_backend` always reports
+  ``numpy``, and ``REPRO_BACKEND`` is no longer read;
+* **reference formulations** — the estimation kernels are bitwise the
+  stacked formulas they document, with or without the eigh gufunc;
+* **loop parity** — each stacked kernel agrees with a plain per-element
+  loop written out here;
+* **host-array boundaries** — checkpoint digests see host ndarrays,
+  passing ndarrays through untouched.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.xp import (
-    ArrayBackend,
-    BackendFallbackWarning,
-    BackendUnavailableError,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    active_backend,
-    available_backends,
-    register_backend,
-    registered_backends,
-    resolve_backend,
-    to_numpy,
-    use_backend,
+from repro.arrays.steering import direction_unit_vector
+from repro.arrays.upa import UniformPlanarArray
+from repro.channel.batch import stacked_steering_matrices
+from repro.estimation import batch as estimation_batch
+from repro.estimation.batch import (
+    _batch_adjoint,
+    _batch_apply,
+    _batch_nll,
+    soft_threshold_eigenvalues_batch,
 )
-from repro.xp import kernels, registry
-from repro.xp.backend import USE_BACKEND_DEFAULT
-
-
-@pytest.fixture
-def scratch_registry(monkeypatch):
-    """Snapshot the registry so tests can register throwaway backends."""
-    monkeypatch.setattr(registry, "_FACTORIES", dict(registry._FACTORIES))
-    monkeypatch.setattr(registry, "_INSTANCES", dict(registry._INSTANCES))
-
-
-class _BrokenBackend(ArrayBackend):
-    name = "broken"
-    tier = "accelerated"
-    exact = False
-
-
-def _register_broken():
-    def factory():
-        raise BackendUnavailableError("the 'broken' package is not installed")
-
-    register_backend("broken", factory)
-
-
-# ----------------------------------------------------------------------
-# Registry resolution
-# ----------------------------------------------------------------------
-
-
-class TestResolution:
-    def test_default_is_numpy_reference(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        backend = resolve_backend()
-        assert backend.name == DEFAULT_BACKEND == "numpy"
-        assert backend.tier == "reference"
-        assert backend.exact is True
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        assert resolve_backend().name == "numpy"
-
-    def test_names_are_normalized(self):
-        assert resolve_backend("  NumPy ") is resolve_backend("numpy")
-
-    def test_instances_are_cached(self):
-        assert resolve_backend("numpy") is resolve_backend("numpy")
-
-    def test_unknown_name_is_a_hard_error(self, monkeypatch):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            resolve_backend("cupy-typo")
-        # ... also via the environment, and never subject to fallback.
-        monkeypatch.setenv(ENV_VAR, "cupy-typo")
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            active_backend()
-
-    def test_error_lists_registered_tiers(self):
-        with pytest.raises(ConfigurationError, match="numba"):
-            resolve_backend("nope")
-
-    def test_shipped_tiers_are_registered(self):
-        names = registered_backends()
-        assert "numpy" in names and "numba" in names
-
-    def test_numpy_is_always_available(self):
-        assert available_backends()["numpy"] is True
-
-
-class TestUseBackendScope:
-    def test_scope_overrides_environment(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numpy")
-        instance = _BrokenBackend()
-        with use_backend(instance) as active:
-            assert active is instance
-            assert active_backend() is instance
-        assert active_backend().name == "numpy"
-
-    def test_scopes_nest_and_restore(self):
-        outer = _BrokenBackend()
-        with use_backend(outer):
-            with use_backend("numpy") as inner:
-                assert active_backend() is inner
-            assert active_backend() is outer
-
-    def test_none_is_ambient_passthrough(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with use_backend(None) as active:
-            assert active.name == "numpy"
-
-    def test_name_is_resolved(self):
-        with use_backend("numpy") as active:
-            assert isinstance(active, ArrayBackend)
-            assert active.name == "numpy"
-
-
-class TestFallback:
-    def test_unavailable_tier_falls_back_with_warning(self, scratch_registry):
-        _register_broken()
-        with pytest.warns(BackendFallbackWarning, match="'broken' is unavailable"):
-            backend = resolve_backend("broken")
-        assert backend.name == "numpy"
-
-    def test_fallback_false_reraises(self, scratch_registry):
-        _register_broken()
-        with pytest.raises(BackendUnavailableError):
-            resolve_backend("broken", fallback=False)
-
-    def test_availability_map_reports_false(self, scratch_registry):
-        _register_broken()
-        assert available_backends()["broken"] is False
-
-    def test_numba_without_numba_falls_back(self):
-        """The shipped accelerated tier degrades cleanly when absent."""
-        if available_backends()["numba"]:
-            pytest.skip("numba is installed here; the fallback leg covers this")
-        with pytest.warns(BackendFallbackWarning, match="'numba' is unavailable"):
-            backend = resolve_backend("numba")
-        assert backend.name == "numpy"
-        assert backend.exact is True
-
-    def test_duplicate_registration_is_rejected(self, scratch_registry):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_backend("numpy", ArrayBackend)
-        register_backend("numpy", ArrayBackend, replace=True)  # explicit wins
-
-    def test_empty_name_is_rejected(self, scratch_registry):
-        with pytest.raises(ConfigurationError):
-            register_backend("  ", ArrayBackend)
-
-
-# ----------------------------------------------------------------------
-# Host-array boundaries
-# ----------------------------------------------------------------------
-
-
-class TestToNumpy:
-    def test_host_ndarray_identity(self):
-        array = np.arange(6.0).reshape(2, 3)
-        assert to_numpy(array) is array
-
-    def test_non_array_values_convert(self):
-        result = to_numpy([[1.0, 2.0], [3.0, 4.0]])
-        assert isinstance(result, np.ndarray)
-        assert result.shape == (2, 2)
-
-    def test_round_trip_through_backend(self):
-        backend = resolve_backend("numpy")
-        array = np.linspace(0.0, 1.0, 7)
-        moved = backend.asarray(array)
-        back = backend.to_numpy(moved)
-        assert back.tobytes() == array.tobytes()
-
-    def test_digest_boundary_is_backend_invariant(self):
-        """Checkpoint digests hash host arrays; under the numpy tier the
-        explicit scope changes nothing byte for byte."""
-        from repro.obs.checkpoint import array_digest
-
-        stage = {"Q": np.arange(9.0).reshape(3, 3) + 1j}
-        ambient = array_digest(stage)
-        with use_backend("numpy"):
-            scoped = array_digest(stage)
-        assert scoped == ambient
-
-
-class TestCapabilities:
-    def test_reference_probe(self):
-        backend = resolve_backend("numpy")
-        assert backend.supports("cpu_arrays")
-        assert backend.supports("eigh_stack")
-        assert backend.supports("svd_gufunc")
-        assert not backend.supports("cuda")
-
-    def test_probe_is_cached(self):
-        backend = resolve_backend("numpy")
-        assert backend.capabilities is backend.capabilities
-
-
-# ----------------------------------------------------------------------
-# Reference kernels vs their pre-dispatch formulations
-# ----------------------------------------------------------------------
+from repro.mc.alm import soft_threshold_entries
+from repro.mc.svt import shrink_singular_values_batch
+from repro.obs.checkpoint import _as_arrays, array_digest
+from repro.utils.geometry import Direction
+from repro.utils.linalg import quadratic_forms
+from repro.xp import active_backend
 
 
 def _hermitian_stack(batch=4, size=6, seed=11):
@@ -224,192 +49,277 @@ def _hermitian_stack(batch=4, size=6, seed=11):
     return (raw + np.conj(raw.transpose(0, 2, 1))) / 2.0
 
 
-class TestReferenceKernels:
-    def test_eigh_stack_matches_public_eigh(self):
-        backend = resolve_backend("numpy")
-        matrices = _hermitian_stack()
-        values, vectors = backend.eigh_stack(matrices, eigh_gufunc=None)
-        expected_values, expected_vectors = np.linalg.eigh(matrices)
-        assert values.tobytes() == expected_values.tobytes()
-        assert vectors.tobytes() == expected_vectors.tobytes()
+def _complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    def test_eigh_stack_sentinel_uses_probe(self):
-        backend = resolve_backend("numpy")
-        matrices = _hermitian_stack(seed=13)
-        values, _ = backend.eigh_stack(matrices, eigh_gufunc=USE_BACKEND_DEFAULT)
+
+# ----------------------------------------------------------------------
+# The stamp shim
+# ----------------------------------------------------------------------
+
+
+class TestResolution:
+    def test_default_is_numpy_reference(self):
+        assert active_backend().name == "numpy"
+
+    def test_env_var_resolution(self, monkeypatch):
+        """``REPRO_BACKEND`` is no longer read: any value is ignored."""
+        for value in ("numba", "cupy-typo", "numpy"):
+            monkeypatch.setenv("REPRO_BACKEND", value)
+            assert active_backend().name == "numpy"
+
+    def test_instances_are_cached(self):
+        assert active_backend() is active_backend()
+
+    def test_shipped_tiers_are_registered(self):
+        """numpy is the only tier: the shim exports nothing but the stamp."""
+        import repro.xp
+
+        assert repro.xp.__all__ == ["active_backend"]
+
+    def test_numpy_is_always_available(self):
+        """The stamp works even where importing numba would fail."""
+        code = (
+            "import sys; sys.modules['numba'] = None\n"
+            "from repro.xp import active_backend\n"
+            "print(active_backend().name)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.strip() == "numpy"
+
+    def test_unknown_name_is_a_hard_error(self, capsys):
+        """The ``--backend`` option is gone; passing it is a usage error."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["run", "fig6", "--backend", "numpy"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
+
+class TestFallback:
+    def test_numba_without_numba_falls_back(self, monkeypatch):
+        """Asking for numba changes nothing: no warning, same numbers,
+        and numba is never imported."""
+        rng = np.random.default_rng(3)
+        matrix = _hermitian_stack(batch=1, size=5, seed=5)[0]
+        vectors = _complex(rng, (5, 7))
+        expected = quadratic_forms(matrix, vectors)
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = quadratic_forms(matrix, vectors)
+        assert result.tobytes() == expected.tobytes()
+        assert "numba" not in sys.modules
+
+
+# ----------------------------------------------------------------------
+# Host-array boundaries
+# ----------------------------------------------------------------------
+
+
+class TestToNumpy:
+    def test_host_ndarray_identity(self):
+        array = np.arange(6.0).reshape(2, 3)
+        ((name, value),) = _as_arrays(array)
+        assert name == "value"
+        assert value is array
+        ((_, named),) = _as_arrays({"Q": array})
+        assert named is array
+
+    def test_non_array_values_convert(self):
+        ((_, result),) = _as_arrays([[1.0, 2.0], [3.0, 4.0]])
+        assert isinstance(result, np.ndarray)
+        assert result.shape == (2, 2)
+
+    def test_digest_boundary_is_backend_invariant(self):
+        """Digests hash host arrays: the same values digest the same
+        whether they arrive as an ndarray or as nested lists."""
+        matrix = np.arange(9.0).reshape(3, 3) + 1j
+        from_array = array_digest({"Q": matrix})
+        from_lists = array_digest({"Q": matrix.tolist()})
+        assert from_lists[0] == from_array[0]
+
+
+class TestCapabilities:
+    def test_reference_probe(self):
+        """The numpy-internal eigh gufunc is found and decomposes stacks."""
+        gufunc = estimation_batch._EIGH_LOWER
+        if gufunc is None:  # pragma: no cover - numpy internals moved
+            pytest.skip("numpy no longer exposes the eigh gufunc")
+        matrices = _hermitian_stack(batch=3, size=4, seed=7)
+        values, _ = gufunc(matrices, signature="D->dD")
         expected, _ = np.linalg.eigh(matrices)
         assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
 
+
+# ----------------------------------------------------------------------
+# Reference kernels vs their documented formulations
+# ----------------------------------------------------------------------
+
+
+class TestReferenceKernels:
+    def test_eigh_stack_matches_public_eigh(self, monkeypatch):
+        """Without the gufunc the prox is bitwise the public-eigh formula."""
+        monkeypatch.setattr(estimation_batch, "_EIGH_LOWER", None)
+        matrices = _hermitian_stack()
+        thresholds = np.linspace(0.1, 0.4, 4)
+        result = soft_threshold_eigenvalues_batch(matrices, thresholds)
+        values, vectors = np.linalg.eigh(matrices)
+        shrunk = np.clip(values - thresholds[:, None], 0.0, None)
+        expected = np.matmul(
+            vectors * shrunk[:, None, :], np.conj(vectors.transpose(0, 2, 1))
+        )
+        assert result.tobytes() == expected.tobytes()
+
+    def test_eigh_stack_sentinel_uses_probe(self, monkeypatch):
+        """The default (gufunc) path agrees with the public fallback."""
+        matrices = _hermitian_stack(seed=13)
+        default = soft_threshold_eigenvalues_batch(matrices, 0.2)
+        monkeypatch.setattr(estimation_batch, "_EIGH_LOWER", None)
+        fallback = soft_threshold_eigenvalues_batch(matrices, 0.2)
+        assert np.allclose(default, fallback, rtol=1e-12, atol=1e-12)
+
     def test_batch_quadratic_forms_is_the_einsum(self):
         rng = np.random.default_rng(17)
-        probes = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+        probes = _complex(rng, (3, 5, 4))
         matrices = _hermitian_stack(batch=3, size=5, seed=19)
         conj = np.conj(probes)
-        backend = resolve_backend("numpy")
-        result = backend.batch_quadratic_forms(conj, matrices, probes)
+        result = _batch_apply(conj, matrices, probes)
         expected = np.real(np.einsum("bnm,bnk,bkm->bm", conj, matrices, probes))
         assert result.tobytes() == expected.tobytes()
 
     def test_nll_terms_reference(self):
         rng = np.random.default_rng(23)
-        lambdas = np.abs(rng.normal(size=(3, 6))) + 0.1
-        powers = np.abs(rng.normal(size=(3, 6)))
-        backend = resolve_backend("numpy")
-        values, weights = backend.nll_terms(lambdas, powers)
+        probes = _complex(rng, (3, 6, 5))
+        conj = np.conj(probes)
+        matrices = np.stack([np.eye(6, dtype=complex)] * 3)
+        powers = np.abs(rng.normal(size=(3, 5)))
+        offsets = np.full((3, 5), 0.1)
+        values, gradient = _batch_nll(probes, conj, matrices, powers, offsets)
+        lambdas = _batch_apply(conj, matrices, probes) + offsets
         assert values.tobytes() == np.sum(
             np.log(lambdas) + powers / lambdas, axis=1
         ).tobytes()
-        assert weights.tobytes() == (1.0 / lambdas - powers / lambdas**2).tobytes()
+        weights = 1.0 / lambdas - powers / lambdas**2
+        assert gradient.tobytes() == _batch_adjoint(probes, conj, weights).tobytes()
 
 
 # ----------------------------------------------------------------------
-# Loop-form kernel bodies (what the numba tier JITs)
+# Stacked kernels vs plain loops
 # ----------------------------------------------------------------------
 
 
 class TestLoopKernels:
-    """The :mod:`repro.xp.kernels` bodies run under plain Python here
-    (``prange`` degrades to ``range`` without numba), so the numba
-    tier's numerics are testable on any machine."""
+    """Each stacked kernel against the same math written as loops."""
 
     def test_nll_terms_loops(self):
         rng = np.random.default_rng(29)
-        lambdas = np.abs(rng.normal(size=(4, 7))) + 0.1
-        powers = np.abs(rng.normal(size=(4, 7)))
-        values, weights = kernels.nll_terms_loops(lambdas, powers)
-        expected_values, expected_weights = ArrayBackend().nll_terms(lambdas, powers)
-        assert np.allclose(values, expected_values, rtol=1e-12)
-        assert np.allclose(weights, expected_weights, rtol=1e-12)
+        batch, size, count = 2, 4, 5
+        probes = _complex(rng, (batch, size, count))
+        matrices = _hermitian_stack(batch=batch, size=size, seed=30)
+        matrices = matrices + 10.0 * np.eye(size)  # keep every lambda > 0
+        powers = np.abs(rng.normal(size=(batch, count)))
+        offsets = np.full((batch, count), 0.1)
+        values, _ = _batch_nll(probes, np.conj(probes), matrices, powers, offsets)
+        for b in range(batch):
+            total = 0.0
+            for j in range(count):
+                v = probes[b, :, j]
+                lam = float(np.real(np.vdot(v, matrices[b] @ v))) + offsets[b, j]
+                total += np.log(lam) + powers[b, j] / lam
+            assert np.isclose(values[b], total, rtol=1e-12)
 
     def test_batch_adjoint_loops(self):
         rng = np.random.default_rng(31)
-        probes = rng.normal(size=(3, 5, 4)) + 1j * rng.normal(size=(3, 5, 4))
+        probes = _complex(rng, (3, 5, 4))
         weights = rng.normal(size=(3, 4))
-        conj = np.conj(probes)
-        result = kernels.batch_adjoint_loops(probes, conj, weights)
-        expected = ArrayBackend().batch_adjoint(probes, conj, weights)
-        assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
+        result = _batch_adjoint(probes, np.conj(probes), weights)
+        for b in range(3):
+            expected = np.zeros((5, 5), dtype=complex)
+            for j in range(4):
+                v = probes[b, :, j]
+                expected += weights[b, j] * np.outer(v, np.conj(v))
+            expected = (expected + expected.conj().T) / 2.0
+            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-14)
 
     def test_batch_quadratic_forms_loops(self):
         rng = np.random.default_rng(37)
-        probes = rng.normal(size=(2, 6, 5)) + 1j * rng.normal(size=(2, 6, 5))
+        probes = _complex(rng, (2, 6, 5))
         matrices = _hermitian_stack(batch=2, size=6, seed=41)
-        conj = np.conj(probes)
-        result = kernels.batch_quadratic_forms_loops(conj, matrices, probes)
-        expected = ArrayBackend().batch_quadratic_forms(conj, matrices, probes)
-        assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
+        result = _batch_apply(np.conj(probes), matrices, probes)
+        for b in range(2):
+            for j in range(5):
+                v = probes[b, :, j]
+                expected = np.real(np.vdot(v, matrices[b] @ v))
+                assert np.isclose(result[b, j], expected, rtol=1e-12, atol=1e-12)
 
     def test_eig_reconstruct_loops(self):
         matrices = _hermitian_stack(batch=3, size=5, seed=43)
         thresholds = np.linspace(0.05, 0.3, 3)
-        values, vectors = np.linalg.eigh(matrices)
-        shrunk = np.clip(values - thresholds[:, None], 0.0, None)
-        result = kernels.eig_reconstruct_loops(
-            np.ascontiguousarray(vectors), np.ascontiguousarray(shrunk)
-        )
-        expected = ArrayBackend().soft_threshold_eigenvalues_batch(
-            matrices, thresholds, eigh_gufunc=None
-        )
-        assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
+        result = soft_threshold_eigenvalues_batch(matrices, thresholds)
+        for b in range(3):
+            values, vectors = np.linalg.eigh(matrices[b])
+            expected = np.zeros((5, 5), dtype=complex)
+            for k in range(5):
+                shrunk = max(values[k] - thresholds[b], 0.0)
+                expected += shrunk * np.outer(vectors[:, k], np.conj(vectors[:, k]))
+            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-12)
 
     def test_svd_reconstruct_loops(self):
         rng = np.random.default_rng(47)
-        matrices = rng.normal(size=(3, 6, 4)) + 1j * rng.normal(size=(3, 6, 4))
+        matrices = _complex(rng, (3, 6, 4))
         thresholds = np.array([0.2, 1.0, 50.0])  # last slice fully shrunk
-        u, s, vh = np.linalg.svd(matrices, full_matrices=False)
-        shrunk = np.clip(s - thresholds[:, None], 0.0, None)
-        out = np.zeros_like(matrices)
-        kernels.svd_reconstruct_loops(
-            np.ascontiguousarray(u),
-            np.ascontiguousarray(shrunk),
-            np.ascontiguousarray(vh),
-            out,
-        )
-        expected = ArrayBackend().shrink_singular_values_batch(matrices, thresholds)
-        assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
-        assert np.all(out[-1] == 0.0)
+        result = shrink_singular_values_batch(matrices, thresholds)
+        for b in range(3):
+            u, s, vh = np.linalg.svd(matrices[b], full_matrices=False)
+            expected = np.zeros((6, 4), dtype=complex)
+            for k in range(len(s)):
+                shrunk = max(s[k] - thresholds[b], 0.0)
+                expected += shrunk * np.outer(u[:, k], vh[k, :])
+            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-12)
+        assert np.all(result[-1] == 0.0)
 
     def test_soft_threshold_entries_loops(self):
         rng = np.random.default_rng(53)
-        matrix = rng.normal(size=(9, 7)) + 1j * rng.normal(size=(9, 7))
-        out = np.empty_like(matrix)
-        kernels.soft_threshold_entries_loops(matrix, 0.6, out)
-        expected = ArrayBackend().soft_threshold_entries(matrix, 0.6)
-        assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+        matrix = _complex(rng, (9, 7))
+        result = soft_threshold_entries(matrix, 0.6)
+        for index, value in np.ndenumerate(matrix):
+            magnitude = abs(value)
+            expected = 0.0 if magnitude <= 0.6 else value * (magnitude - 0.6) / magnitude
+            assert np.isclose(result[index], expected, rtol=1e-12, atol=1e-14)
 
     def test_steering_phase_exp_loops(self):
-        rng = np.random.default_rng(59)
-        phases = rng.normal(size=(5, 8))
-        result = kernels.steering_phase_exp_loops(phases, 3.0)
-        expected = ArrayBackend().steering_phase_exp(phases, 3.0)
-        assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
+        array = UniformPlanarArray(2, 3)
+        groups = [
+            [Direction(0.1, 0.2), Direction(-0.7, 0.0)],
+            [Direction(1.2, -0.3)],
+        ]
+        matrices = stacked_steering_matrices(array, groups)
+        scale = np.sqrt(array.num_elements)
+        for matrix, directions in zip(matrices, groups):
+            assert matrix.shape == (array.num_elements, len(directions))
+            for k, direction in enumerate(directions):
+                unit = direction_unit_vector(direction)
+                for m in range(array.num_elements):
+                    phase = 2.0 * np.pi * float(array.positions[m] @ unit)
+                    expected = np.exp(1j * phase) / scale
+                    assert np.isclose(matrix[m, k], expected, rtol=1e-12, atol=1e-14)
 
     def test_quadratic_forms_loops(self):
         rng = np.random.default_rng(61)
         matrix = _hermitian_stack(batch=1, size=6, seed=67)[0]
-        vectors = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
-        result = kernels.quadratic_forms_loops(
-            np.ascontiguousarray(matrix), np.ascontiguousarray(vectors)
-        )
-        expected = ArrayBackend().quadratic_forms(matrix, vectors)
-        assert np.allclose(result, expected, rtol=1e-12, atol=1e-14)
-
-    def test_fused_probe_loops(self):
-        rng = np.random.default_rng(71)
-        count, num_subpaths, pairs = 5, 3, 4
-        block = rng.standard_normal((pairs, 2 * count * num_subpaths + 2 * count))
-        coefficients = rng.normal(size=(pairs, num_subpaths)) + 1j * rng.normal(
-            size=(pairs, num_subpaths)
-        )
-        sqrt_powers = np.abs(rng.normal(size=num_subpaths)) + 0.1
-        samples, powers = kernels.fused_probe_loops(
-            np.ascontiguousarray(block),
-            np.ascontiguousarray(coefficients),
-            np.ascontiguousarray(sqrt_powers),
-            count,
-            num_subpaths,
-            0.7,
-            0.3,
-        )
-        expected_samples, expected_powers = ArrayBackend().fused_probe_measurements(
-            block, coefficients, sqrt_powers, count, num_subpaths, 0.7, 0.3
-        )
-        assert np.allclose(samples, expected_samples, rtol=1e-12, atol=1e-14)
-        assert np.allclose(powers, expected_powers, rtol=1e-12, atol=1e-14)
-
-
-# ----------------------------------------------------------------------
-# Provenance
-# ----------------------------------------------------------------------
-
-
-class TestBackendProvenance:
-    def test_shard_provenance_records_backend(self, tmp_path):
-        from repro.campaign import plan_effectiveness_sweep, standard_scheme_specs
-        from repro.campaign.store import ShardStore
-        from repro.sim.config import ScenarioConfig
-
-        plan = plan_effectiveness_sweep(
-            ScenarioConfig(), standard_scheme_specs(), [0.1], 2, shard_trials=2
-        )
-        shard = plan.shards[0]
-        losses = {name: [0.0, 1.0] for name in shard.scheme_names()}
-        store = ShardStore(tmp_path / "with")
-        path = store.put(shard, losses, backend="numpy")
-        from repro.utils.serialization import load
-
-        assert load(path)["provenance"]["backend"] == "numpy"
-        # ... and is additive: untagged artifacts carry no backend key.
-        bare = ShardStore(tmp_path / "without").put(shard, losses)
-        assert "backend" not in load(bare)["provenance"]
-
-    def test_accelerated_tier_contract_if_present(self):
-        """When numba is installed (the CI accelerated leg), the tier
-        must self-describe as non-exact so bitwise suites skip."""
-        if not available_backends()["numba"]:
-            pytest.skip("numba not installed; fallback is covered above")
-        backend = resolve_backend("numba")
-        assert backend.name == "numba"
-        assert backend.tier == "accelerated"
-        assert backend.exact is False
-        assert backend.supports("jit")
+        vectors = _complex(rng, (6, 5))
+        result = quadratic_forms(matrix, vectors)
+        for k in range(5):
+            v = vectors[:, k]
+            expected = sum(
+                np.conj(v[n]) * matrix[n, m] * v[m] for n in range(6) for m in range(6)
+            )
+            assert np.isclose(result[k], expected.real, rtol=1e-12, atol=1e-12)
