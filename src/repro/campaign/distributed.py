@@ -23,6 +23,7 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign.lease import DEFAULT_LEASE_TTL_S
@@ -72,22 +73,22 @@ def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
 
 
 def _worker_entry(
-    store_root: str, plan_digest: str, worker_id: str, options: Dict[str, Any]
+    store_root: str, plan: CampaignPlan, worker_id: str, options: Dict[str, Any]
 ) -> None:
-    """Child-process entry: load the plan from the store and work it.
+    """Child-process entry: work the plan the launcher was given.
 
-    Runs under a fresh worker-local recorder so a forked child never
-    writes into the parent's trace stream; progress travels home through
-    the store (artifacts + heartbeats), not the process boundary.
+    The plan arrives with the process (inherited under ``fork``, pickled
+    under ``spawn``) together with the digests it already computed, so
+    a worker neither re-parses the store's manifests nor re-derives any
+    content address. Runs under a fresh worker-local recorder so a
+    forked child never writes into the parent's trace stream; progress
+    travels home through the store (artifacts + heartbeats), not the
+    process boundary.
     """
     from repro.obs import MetricsRecorder, use_recorder
     from repro.campaign.worker import run_worker
 
     store = ShardStore(store_root)
-    plan = store.load_manifests().get(plan_digest)
-    if plan is None:
-        logger.error("worker %s: plan %s not in store", worker_id, plan_digest[:12])
-        sys.exit(3)
     with use_recorder(MetricsRecorder()):
         report = run_worker(plan, store, worker_id=worker_id, **options)
     sys.exit(1 if report.failed_digests else 0)
@@ -112,11 +113,13 @@ def launch_campaign(
     """Spawn ``num_workers`` lease-based workers and watch to completion.
 
     The launcher's only jobs are to persist the plan manifest,
-    fork/spawn the workers, and poll the store for aggregate progress — it holds no campaign state, so killing the
-    launcher mid-run leaves a resumable store exactly like killing a
-    supervisor does. Workers that crash are *not* respawned: their
-    leases expire and the surviving workers absorb the orphaned shards,
-    which is the reassignment path the kill-a-worker tests pin down.
+    fork/spawn the workers, and poll the store for aggregate progress
+    every ``watch_interval_s``, waking early when a worker exits. It
+    holds no campaign state, so killing the launcher mid-run leaves a
+    resumable store exactly like killing a supervisor does. Workers
+    that crash are *not* respawned: their leases expire and the
+    surviving workers absorb the orphaned shards, which is the
+    reassignment path the kill-a-worker tests pin down.
 
     ``start_method`` overrides the multiprocessing start method (default:
     ``fork`` where available for cheap startup, else ``spawn``).
@@ -155,7 +158,7 @@ def launch_campaign(
         workers = [
             context.Process(
                 target=_worker_entry,
-                args=(str(store.root), plan.digest, f"w{index}", options),
+                args=(str(store.root), plan, f"w{index}", options),
                 name=f"repro-campaign-w{index}",
             )
             for index in range(num_workers)
@@ -172,12 +175,18 @@ def launch_campaign(
             plan.digest[:12],
         )
         try:
-            while any(process.is_alive() for process in workers):
+            while True:
+                # A worker that exits after this line leaves its sentinel
+                # ready, so the wait below returns at once instead of
+                # sleeping through the interval.
+                alive = [p.sentinel for p in workers if p.is_alive()]
+                if not alive:
+                    break
                 status = campaign_status(plan, store)
                 reporter.report(status.done_trials)
                 if status.complete:
                     break
-                time.sleep(watch_interval_s)
+                wait(alive, timeout=watch_interval_s)
             deadline = time.time() + _JOIN_GRACE_S
             for process in workers:
                 process.join(timeout=max(0.0, deadline - time.time()))

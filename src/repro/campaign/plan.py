@@ -19,15 +19,13 @@ computed under any execution regime are interchangeable.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.sim.parallel import SchemeSpec
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import memoized_digest
 
 __all__ = [
     "DEFAULT_SHARD_TRIALS",
@@ -63,18 +61,6 @@ def standard_scheme_specs(measurements_per_slot: int = 8) -> Tuple[SchemeSpec, .
         SchemeSpec.of("Scan"),
         SchemeSpec.of("Proposed", measurements_per_slot=measurements_per_slot),
     )
-
-
-def _canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, native types."""
-    return json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
-
-
-def _digest(payload: Any) -> str:
-    """blake2b hex digest of a canonical-JSON payload."""
-    return hashlib.blake2b(
-        _canonical_json(payload).encode("utf-8"), digest_size=16
-    ).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -132,8 +118,12 @@ class ShardSpec:
 
     @property
     def digest(self) -> str:
-        """Content address of this shard (blake2b of the canonical spec)."""
-        return _digest(self.spec_payload())
+        """Content address of this shard (blake2b of the canonical spec).
+
+        Computed once per instance: the worker loop, leases, heartbeats
+        and store paths all ask for it.
+        """
+        return memoized_digest(self, "_digest", self.spec_payload)
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ShardSpec":
@@ -176,8 +166,11 @@ class CampaignPlan:
 
     @property
     def digest(self) -> str:
-        """Content address of the whole plan (used as the manifest key)."""
-        return _digest(self.payload())
+        """Content address of the whole plan (used as the manifest key).
+
+        Computed once per instance, like :attr:`ShardSpec.digest`.
+        """
+        return memoized_digest(self, "_digest", self.payload)
 
     def schemes(self) -> Tuple[SchemeSpec, ...]:
         """The scheme specs shared by every shard."""

@@ -3,7 +3,7 @@
 Layout under the store root::
 
     shards/<digest>.json               one completed shard result
-    manifests/<digest>.json            one campaign plan (written at run start)
+    manifests/<digest>.json            one campaign plan (written once, at run start)
     heartbeats/<plan>/<digest>.json    one shard's liveness record (timestamps)
     claims/<plan>/<digest>.json        one worker's lease on one shard
 
@@ -364,9 +364,21 @@ class ShardStore:
         Accepts any plan-like object with ``digest`` and ``payload()`` —
         campaign plans and cell plans share the manifest tree, telling
         each other apart by the payload's ``schema`` field.
+
+        Write-once: the file is named by the plan's content address, so
+        an intact manifest is left alone (no rewrite, no fsync); only an
+        absent or unreadable one is (re)written.
         """
         path = self.manifest_path(plan.digest)
-        dump(plan.payload(), path)
+        try:
+            intact = isinstance(load(path), dict)
+        except FileNotFoundError:
+            intact = False
+        except (OSError, ValueError) as error:
+            logger.warning("rewriting unreadable manifest %s: %s", path, error)
+            intact = False
+        if not intact:
+            dump(plan.payload(), path)
         return path
 
     def manifest_payloads(self) -> Dict[str, dict]:

@@ -18,11 +18,9 @@ explicit per-shard digests for exactly that reason).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cell.config import CellConfig
 from repro.cell.engine import execute_ues
@@ -32,7 +30,7 @@ from repro.campaign.lease import local_hostname
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger
 from repro.sim.scenario import Scenario
-from repro.utils.serialization import to_jsonable
+from repro.utils.serialization import memoized_digest
 
 __all__ = [
     "CELL_SHARD_KIND",
@@ -56,12 +54,6 @@ CELL_PLAN_SCHEMA = "repro.cell.plan/1"
 #: Default UEs per shard: big enough to amortize the batched channel
 #: blocks, small enough for useful resume granularity.
 DEFAULT_SHARD_UES = 64
-
-
-def _digest(payload: Any) -> str:
-    """blake2b-16 hex digest of canonical JSON (the campaign convention)."""
-    canonical = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,8 @@ class CellShard:
 
     @property
     def digest(self) -> str:
-        return _digest(self.spec_payload())
+        """Content address of this shard, computed once per instance."""
+        return memoized_digest(self, "_digest", self.spec_payload)
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,8 @@ class CellPlan:
 
     @property
     def digest(self) -> str:
-        return _digest(self.payload())
+        """Content address of the plan (the manifest key), computed once."""
+        return memoized_digest(self, "_digest", self.payload)
 
     @property
     def config_digest(self) -> str:
@@ -114,9 +108,14 @@ class CellPlan:
         The deterministic summary artifact is keyed by this, not by
         :attr:`digest`: shard size is an execution knob (like campaign
         ``batch_trials``), so two serves of one config must emit the same
-        summary bytes no matter how the UE range was cut.
+        summary bytes no matter how the UE range was cut. Computed once
+        per instance, like :attr:`digest`.
         """
-        return _digest({"schema": CELL_PLAN_SCHEMA, "config": self.config.to_dict()})
+        return memoized_digest(
+            self,
+            "_config_digest",
+            lambda: {"schema": CELL_PLAN_SCHEMA, "config": self.config.to_dict()},
+        )
 
     def payload(self) -> dict:
         """Manifest payload; ``shards[*].digest`` keeps gc retention."""

@@ -15,15 +15,24 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Union
 
 import numpy as np
 
-__all__ = ["to_jsonable", "dumps", "dump", "loads", "load"]
+__all__ = [
+    "to_jsonable",
+    "dumps",
+    "dump",
+    "loads",
+    "load",
+    "content_digest",
+    "memoized_digest",
+]
 
 
 def to_jsonable(value: Any) -> Any:
@@ -102,6 +111,35 @@ def dump(value: Any, path: Union[str, Path], indent: int = 2) -> None:
         except OSError:
             pass
         raise
+
+
+def content_digest(payload: Any) -> str:
+    """blake2b-16 hex digest of ``payload`` as canonical JSON.
+
+    Canonical means sorted keys, no whitespace and native types (via
+    :func:`to_jsonable`), so equal payloads hash equally in any process.
+    This is the content address of campaign and cell shards and plans.
+    """
+    canonical = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def memoized_digest(instance: Any, key: str, payload: Callable[[], Any]) -> str:
+    """``content_digest(payload())``, computed once per ``instance``.
+
+    For frozen dataclasses whose digest is a pure function of their
+    fields. The value is kept in ``instance.__dict__[key]`` (set with
+    ``object.__setattr__``), outside the dataclass fields, so equality,
+    hashing, ``repr`` and :func:`to_jsonable` never see it. Pickling and
+    copying carry it along with the fields it was computed from;
+    :func:`dataclasses.replace` builds a new instance, which computes
+    its own. Callers keep ``digest`` a plain ``property``.
+    """
+    memo = instance.__dict__.get(key)
+    if memo is None:
+        memo = content_digest(payload())
+        object.__setattr__(instance, key, memo)
+    return memo
 
 
 def loads(text: str) -> Any:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.campaign.plan import (
 from repro.exceptions import ConfigurationError
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import standard_schemes
+from repro.utils.serialization import content_digest, to_jsonable
 
 
 @pytest.fixture
@@ -129,6 +132,54 @@ class TestPlanEffectivenessSweep:
             plan_effectiveness_sweep(
                 small_config, specs, (0.1,), 5, shard_trials=0
             )
+
+
+class TestDigestMemo:
+    """Digests are computed once per object and never leak into its value."""
+
+    @pytest.fixture
+    def plan(self, small_config, specs) -> CampaignPlan:
+        return plan_effectiveness_sweep(
+            small_config, specs, (0.1, 0.2), 5, base_seed=3, shard_trials=2
+        )
+
+    def test_memo_matches_recomputation_after_payload_roundtrip(self, plan):
+        rebuilt = plan_from_payload(plan.payload())
+        for shard in rebuilt.shards:
+            for _ in range(2):  # first access computes, second reads the memo
+                assert shard.digest == content_digest(shard.spec_payload())
+        assert rebuilt.digest == content_digest(rebuilt.payload()) == plan.digest
+
+    def test_pickle_and_copy_keep_the_address(self, plan, shard):
+        for value in (shard, plan):
+            address = value.digest
+            for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+                assert clone == value
+                assert clone.digest == address
+
+    def test_replace_computes_a_fresh_address(self, plan, shard):
+        address = shard.digest
+        moved = dataclasses.replace(shard, base_seed=shard.base_seed + 1)
+        assert moved.digest == content_digest(moved.spec_payload()) != address
+        plan_address = plan.digest
+        fewer = dataclasses.replace(plan, shards=plan.shards[:1])
+        assert fewer.digest == content_digest(fewer.payload()) != plan_address
+
+    def test_memo_invisible_to_value_semantics(self, small_config, specs):
+        def fresh_plan():
+            return plan_effectiveness_sweep(
+                small_config, specs, (0.1,), 4, base_seed=3, shard_trials=2
+            )
+
+        def observed(value):
+            return repr(value), hash(value), to_jsonable(value)
+
+        for build in (fresh_plan, lambda: fresh_plan().shards[0]):
+            untouched, memoized = build(), build()
+            before = observed(memoized)
+            assert memoized.digest
+            assert observed(memoized) == before == observed(untouched)
+            assert memoized == untouched
 
 
 class TestStandardSchemeSpecs:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -132,6 +133,25 @@ class TestManifests:
     def test_invalid_manifest_skipped(self, store):
         (store.manifest_dir / "junk.json").write_text("{", encoding="utf-8")
         assert store.load_manifests() == {}
+
+    def test_intact_manifest_not_rewritten(self, store, small_config, specs):
+        plan = plan_effectiveness_sweep(small_config, specs, (0.1,), 4, base_seed=3)
+        path = store.save_manifest(plan)
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        before = path.stat()
+        assert store.save_manifest(plan) == path
+        after = path.stat()
+        assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns, before.st_ino)
+
+    def test_truncated_manifest_repaired(self, store, small_config, specs):
+        plan = plan_effectiveness_sweep(small_config, specs, (0.1,), 4, base_seed=3)
+        path = store.save_manifest(plan)
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])
+        assert store.load_manifests() == {}
+        store.save_manifest(plan)
+        assert path.read_bytes() == intact
+        assert store.load_manifests() == {plan.digest: plan}
 
 
 class TestGc:

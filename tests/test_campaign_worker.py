@@ -273,10 +273,10 @@ class TestKilledWorker:
         context = multiprocessing.get_context("fork")
         options = {"poll_s": 0.05, "lease_ttl_s": 30.0}
         victim = context.Process(
-            target=_worker_entry, args=(str(store.root), plan.digest, "w0", options)
+            target=_worker_entry, args=(str(store.root), plan, "w0", options)
         )
         survivor = context.Process(
-            target=_worker_entry, args=(str(store.root), plan.digest, "w1", options)
+            target=_worker_entry, args=(str(store.root), plan, "w1", options)
         )
         victim.start()
         deadline = time.time() + 30.0
@@ -316,3 +316,27 @@ class TestLaunchCampaign:
         report = launch_campaign(plan, store, num_workers=2, poll_s=0.05)
         assert report.complete
         assert report.exit_codes == (0, 0)
+
+    def test_launch_repairs_truncated_manifest(self, plan, store):
+        path = store.save_manifest(plan)
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])
+        report = launch_campaign(plan, store, num_workers=2, poll_s=0.05)
+        assert report.complete
+        assert report.exit_codes == (0, 0)
+        assert path.read_bytes() == intact
+        assert store.load_manifests() == {plan.digest: plan}
+
+    def test_launcher_wakes_on_worker_exit(self, small_config, store):
+        # A fresh plan outlives the launcher's first status check, so only
+        # waking on worker exit (not the 30 s tick) returns promptly; the
+        # second launch runs over the then-completed store.
+        plan = plan_effectiveness_sweep(
+            small_config, (SchemeSpec.of("Random"),), (0.2,), 2, base_seed=SEED
+        )
+        for _ in range(2):
+            started = time.monotonic()
+            report = launch_campaign(plan, store, num_workers=2, watch_interval_s=30)
+            assert time.monotonic() - started < 10.0
+            assert report.complete
+            assert report.exit_codes == (0, 0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.cell.config import CellConfig
 from repro.cell.metrics import UERecord, merge_records, summarize_records
 from repro.cell.service import render_cell_report, serve_cell, summary_payload
 from repro.cell.shards import (
+    CELL_PLAN_SCHEMA,
     CELL_SHARD_KIND,
     execute_shard,
     plan_cell,
@@ -18,7 +22,7 @@ from repro.cell.shards import (
 from repro.exceptions import ConfigurationError
 from repro.obs.openmetrics import parse_openmetrics
 from repro.sim.config import ScenarioConfig
-from repro.utils.serialization import dumps
+from repro.utils.serialization import content_digest, dumps
 
 
 def small_cell(**overrides) -> CellConfig:
@@ -50,6 +54,21 @@ class TestPlanAndShards:
         c = plan_cell(small_cell(base_seed=9), shard_ues=10)
         assert a.digest != c.digest
         assert len({s.digest for s in a.shards}) == len(a.shards)
+
+    def test_digests_memoized_like_campaign_addresses(self):
+        plan = plan_cell(small_cell(), shard_ues=10)
+        config_payload = {"schema": CELL_PLAN_SCHEMA, "config": plan.config.to_dict()}
+        before = repr(plan), hash(plan)
+        for _ in range(2):  # first access computes, second reads the memo
+            assert plan.digest == content_digest(plan.payload())
+            assert plan.config_digest == content_digest(config_payload)
+            for shard in plan.shards:
+                assert shard.digest == content_digest(shard.spec_payload())
+        assert (repr(plan), hash(plan)) == before
+        assert pickle.loads(pickle.dumps(plan)).digest == plan.digest
+        moved = dataclasses.replace(plan.shards[0], ue_start=1)
+        assert moved.digest == content_digest(moved.spec_payload())
+        assert moved.digest != plan.shards[0].digest
 
     def test_plan_respects_duration_truncation(self):
         config = small_cell(num_users=200, arrival_rate_hz=1000.0, duration_s=0.05)
