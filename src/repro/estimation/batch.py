@@ -33,7 +33,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.estimation.ml_covariance import _EIGH_LOWER, _reduction_basis
+from repro.estimation.ml_covariance import (
+    _EIGH_LOWER,
+    _check_step_controls,
+    _reduction_basis,
+)
 from repro.exceptions import ValidationError
 from repro.mc.result import SolverResult
 from repro.obs import get_recorder
@@ -156,8 +160,6 @@ def _solve_batch(
         [float(np.linalg.norm(currents[b])) for b in range(group)]
     )
     active = np.ones(group, dtype=bool)
-    if max_iterations < 1:
-        active[:] = False
 
     while np.any(active):
         iterations[active] += 1
@@ -253,6 +255,7 @@ def estimate_ml_covariance_batch(
     """
     mu = check_nonnegative(mu, "mu")
     noise_variance = check_positive(noise_variance, "noise_variance")
+    _check_step_controls(max_iterations, tolerance, initial_step, backtrack, min_step)
     probes = np.asarray(probes, dtype=complex)
     powers = np.asarray(powers, dtype=float)
     if probes.ndim != 3:

@@ -121,20 +121,12 @@ def nll_value_and_gradient(
     powers: np.ndarray,
     noise_variance: float,
     offsets: Optional[np.ndarray] = None,
-    validate: bool = True,
 ) -> Tuple[float, np.ndarray]:
     """NLL and its gradient in one pass (shares the ``lambda`` evaluation).
 
-    ``validate=False`` skips the input checks (shapes, signs, noise
-    floor) for hot loops that have already validated once — the iterative
-    solver calls this twice per line-search step, so the checks would
-    otherwise dominate small-matrix solves. ``offsets`` is then required.
-    The computed values are identical either way.
+    The inputs (shapes, signs, noise floor) are validated on every call.
     """
-    if validate:
-        powers, offsets = _validate(operator, powers, noise_variance, offsets)
-    elif offsets is None:
-        raise ValidationError("validate=False requires precomputed offsets")
+    powers, offsets = _validate(operator, powers, noise_variance, offsets)
     lambdas = operator.apply(covariance) + offsets
     if np.any(lambdas <= 0):
         raise ValidationError("expected powers must be positive; is Q PSD?")

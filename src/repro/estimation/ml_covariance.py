@@ -33,6 +33,7 @@ Algorithm 1 needs from the estimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -40,11 +41,12 @@ import numpy as np
 
 from repro.estimation.base import CovarianceEstimator
 from repro.estimation.likelihood import nll_value_and_gradient
+from repro.exceptions import ValidationError
 from repro.mc.operators import QuadraticFormOperator
 from repro.mc.result import SolverResult
 from repro.obs import get_recorder
 from repro.utils.linalg import hermitian, project_psd
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_nonnegative, check_positive, require
 
 __all__ = ["MlCovarianceEstimator", "estimate_ml_covariance"]
 
@@ -64,14 +66,51 @@ def _soft_threshold_hot(matrix: np.ndarray, threshold: float) -> np.ndarray:
     iterates here are Hermitian by construction (``eigh`` reads only the
     lower triangle and reconstruction is ``V diag(s) V^H``), so the
     guards are redundant; the final solution is still re-symmetrized once
-    in :func:`_solve`.
+    in :func:`_solve`. The clamp is ``np.maximum``, the ufunc that
+    ``np.clip(values - threshold, 0.0, None)`` dispatches to.
     """
     if _EIGH_LOWER is not None and matrix.dtype == np.complex128:
         values, vectors = _EIGH_LOWER(matrix, signature="D->dD")
     else:
         values, vectors = np.linalg.eigh(matrix)
-    shrunk = np.clip(values - threshold, 0.0, None)
+    shrunk = np.maximum(values - threshold, 0.0)
     return (vectors * shrunk) @ vectors.conj().T
+
+
+def _frobenius_norm(matrix: np.ndarray) -> float:
+    """``np.linalg.norm(matrix)`` for a complex matrix, minus the dispatch.
+
+    The same formula numpy uses (flatten in memory order, sum the squared
+    real and imaginary parts with two dot products, square root), so the
+    result is bit-identical.
+    """
+    flat = matrix.ravel(order="K")
+    real, imag = flat.real, flat.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
+
+
+def _check_step_controls(
+    max_iterations: int,
+    tolerance: float,
+    initial_step: float,
+    backtrack: float,
+    min_step: float,
+) -> None:
+    """Reject step controls under which the line search cannot work.
+
+    ``backtrack >= 1`` never shrinks the step (the line search spins
+    forever), ``initial_step <= 0`` or ``min_step > initial_step`` end
+    every solve before its first step, and ``max_iterations < 1`` runs
+    none at all.
+    """
+    require(max_iterations >= 1, f"max_iterations must be >= 1, got {max_iterations}")
+    require(tolerance >= 0, f"tolerance must be >= 0, got {tolerance}")
+    require(initial_step > 0, f"initial_step must be > 0, got {initial_step}")
+    require(0 < backtrack < 1, f"backtrack must be in (0, 1), got {backtrack}")
+    require(
+        0 < min_step <= initial_step,
+        f"min_step must be in (0, initial_step={initial_step}], got {min_step}",
+    )
 
 
 def _initial_estimate(
@@ -165,6 +204,7 @@ def estimate_ml_covariance(
     """
     mu = check_nonnegative(mu, "mu")
     noise_variance = check_positive(noise_variance, "noise_variance")
+    _check_step_controls(max_iterations, tolerance, initial_step, backtrack, min_step)
     probes = np.asarray(probes, dtype=complex)
     powers = np.asarray(powers, dtype=float)
     dimension = probes.shape[0]
@@ -254,7 +294,16 @@ def _solve(
     backtrack: float,
     min_step: float,
 ) -> SolverResult:
-    """Monotone projected proximal gradient on the (possibly reduced) space."""
+    """Monotone projected proximal gradient on the (possibly reduced) space.
+
+    Each line-search candidate costs one small eigendecomposition plus
+    its likelihood value; the gradient is formed only for the accepted
+    candidate. The expressions are those of
+    :func:`~repro.estimation.likelihood.nll_value_and_gradient` and
+    ``np.linalg.norm`` written out with the same operands, operand order
+    and reductions, so the iterates are bit-identical to evaluating
+    through those helpers.
+    """
     operator = QuadraticFormOperator(probes)
 
     if initial is not None:
@@ -262,33 +311,34 @@ def _solve(
     else:
         current = _initial_estimate(operator, powers, offsets)
 
-    def penalized(matrix: np.ndarray, nll: float) -> float:
-        return nll + mu * float(np.real(np.trace(matrix)))
-
+    # The first evaluation validates the inputs; the loop below reuses them.
     value, gradient = nll_value_and_gradient(
         current, operator, powers, 1.0, offsets=offsets
     )
-    # Inputs are validated by the first evaluation above; the line-search
-    # evaluations below run the unchecked fast path (identical numerics).
-    history = [penalized(current, value)]
+    probes_conj = probes.conj()
+    probes_conj_t = probes_conj.T
+    history = [value + mu * float(current.trace().real)]
     step = initial_step
     converged = False
     iteration = 0
-    current_norm = float(np.linalg.norm(current))
+    current_norm = _frobenius_norm(current)
     recorder = get_recorder()
     for iteration in range(1, max_iterations + 1):
         accepted = False
         while step >= min_step:
             candidate = _soft_threshold_hot(current - step * gradient, mu * step)
             difference = candidate - current
-            difference_norm = float(np.linalg.norm(difference))
+            difference_norm = _frobenius_norm(difference)
             quadratic_gap = float(
-                np.real(np.vdot(gradient, difference))
-                + difference_norm**2 / (2.0 * step)
+                np.vdot(gradient, difference).real + difference_norm**2 / (2.0 * step)
             )
-            candidate_value, candidate_gradient = nll_value_and_gradient(
-                candidate, operator, powers, 1.0, offsets=offsets, validate=False
+            lambdas = (
+                np.einsum("nm,nk,km->m", probes_conj, candidate, probes).real
+                + offsets
             )
+            if (lambdas <= 0).any():
+                raise ValidationError("expected powers must be positive; is Q PSD?")
+            candidate_value = float((np.log(lambdas) + powers / lambdas).sum())
             if candidate_value <= value + quadratic_gap + 1e-12:
                 accepted = True
                 break
@@ -296,9 +346,12 @@ def _solve(
         if not accepted:
             break
         change = difference_norm / max(1.0, current_norm)
-        current_norm = float(np.linalg.norm(candidate))
-        current, value, gradient = candidate, candidate_value, candidate_gradient
-        history.append(penalized(current, value))
+        current_norm = _frobenius_norm(candidate)
+        weights = 1.0 / lambdas - powers / lambdas**2
+        outer = (probes * weights) @ probes_conj_t
+        gradient = (outer + outer.conj().T) / 2.0
+        current, value = candidate, candidate_value
+        history.append(value + mu * float(current.trace().real))
         if recorder.enabled:
             recorder.event(
                 "solver.ml_covariance.iteration",

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.estimation.batch import estimate_ml_covariance_batch
 from repro.estimation.likelihood import expected_powers
 from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
+from repro.exceptions import ValidationError
 from repro.mc.operators import QuadraticFormOperator
 from repro.utils.linalg import dominant_eigenvector, random_psd, unit_norm
 
@@ -82,6 +87,77 @@ class TestSolver:
         powers = noise * rng.exponential(size=m)
         result = estimate_ml_covariance(probes, powers, noise)
         assert float(np.real(np.trace(result.solution))) < 5 * noise
+
+
+def _serial_solve(probes, powers, **controls):
+    return estimate_ml_covariance(probes, powers, 0.01, **controls)
+
+
+def _batch_solve(probes, powers, **controls):
+    return estimate_ml_covariance_batch(probes[None], powers[None], 0.01, **controls)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Turn a hang into a failure: raise if the block runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "solve", [_serial_solve, _batch_solve], ids=["serial", "batch"]
+)
+class TestStepControls:
+    """Bad step controls fail once at entry instead of hanging or
+    returning a solve that never took a step."""
+
+    def test_backtrack_one_fails_fast(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with _deadline(5.0), pytest.raises(ValidationError, match="backtrack"):
+            solve(probes, powers, backtrack=1.0)
+
+    def test_backtrack_zero_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="backtrack"):
+            solve(probes, powers, backtrack=0.0)
+
+    def test_nonpositive_initial_step_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="initial_step"):
+            solve(probes, powers, initial_step=0.0)
+
+    def test_min_step_above_initial_step_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="min_step"):
+            solve(probes, powers, initial_step=0.5, min_step=1.0)
+
+    def test_nonpositive_min_step_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="min_step"):
+            solve(probes, powers, min_step=0.0)
+
+    def test_zero_max_iterations_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="max_iterations"):
+            solve(probes, powers, max_iterations=0)
+
+    def test_negative_tolerance_rejected(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        with pytest.raises(ValidationError, match="tolerance"):
+            solve(probes, powers, tolerance=-1e-3)
+
+    def test_boundary_controls_accepted(self, rng, solve):
+        probes, _, powers = _measurement_setup(rng, m=7)
+        solve(probes, powers, max_iterations=1, tolerance=0.0, min_step=1.0)
 
 
 class TestEstimatorObject:

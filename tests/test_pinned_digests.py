@@ -8,7 +8,10 @@ reason:
 * the flight-recorder stage digests of a tiny fixed-seed fig6-style
   sweep, serial and batched (one combined digest over every event);
 * one campaign ``ShardSpec.digest``;
-* the digest of one ``cell serve`` deterministic summary payload.
+* the digest of one ``cell serve`` deterministic summary payload;
+* one digest over a seeded set of penalized-ML covariance solves (cold,
+  warm with a carried eigendecomposition, and without the subspace
+  reduction), so the solver's iterates are pinned on their own.
 
 Each case also runs with ``REPRO_BACKEND=numba`` in the environment:
 the variable is no longer read, so the digests must be identical and
@@ -20,11 +23,13 @@ from __future__ import annotations
 import hashlib
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.campaign import plan_effectiveness_sweep
 from repro.cell.config import CellConfig
 from repro.cell.service import serve_cell, summary_payload
+from repro.estimation.ml_covariance import estimate_ml_covariance
 from repro.obs import CheckpointRecorder, use_recorder
 from repro.sim.batch import run_trials_batched
 from repro.sim.config import ChannelKind, ScenarioConfig
@@ -48,6 +53,8 @@ SWEEP_CHECKPOINT_DIGEST = "e5d051ab8fe22d22a96230bef45b77a5"
 SHARD_SPEC_DIGEST = "d47d8276eaf70b7cbb34ab622a669c6d"
 #: blake2b of the canonical JSON of the tiny cell's summary payload.
 CELL_SUMMARY_DIGEST = "a857732c798545378a1959d8f9ce4791"
+#: blake2b over the results of the seeded ``estimate_ml_covariance`` set.
+ML_SOLVER_DIGEST = "3bf01a3ae32b3884cd07c687134a3cf8"
 
 
 def _config() -> ScenarioConfig:
@@ -109,6 +116,45 @@ def cell_summary_digest() -> str:
     return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
 
+def _solver_problem(rng, n, m, noise):
+    probes = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    probes /= np.linalg.norm(probes, axis=0)
+    direction = rng.normal(size=n) + 1j * rng.normal(size=n)
+    truth = float(n) * np.outer(direction, direction.conj()) / np.vdot(
+        direction, direction
+    ).real
+    lambdas = np.real(np.einsum("nm,nk,km->m", probes.conj(), truth, probes))
+    powers = (lambdas + noise) * rng.exponential(size=m)
+    return probes, powers
+
+
+def ml_solver_digest() -> str:
+    """Digest a cold, a warm and a full-space penalized-ML solve."""
+    rng = np.random.default_rng(SEED)
+    noise = 0.01
+    cold_probes, cold_powers = _solver_problem(rng, 16, 7, noise)
+    cold = estimate_ml_covariance(cold_probes, cold_powers, noise)
+    warm_probes, warm_powers = _solver_problem(rng, 16, 7, noise)
+    warm = estimate_ml_covariance(
+        warm_probes,
+        warm_powers,
+        noise,
+        initial=cold.solution,
+        initial_eig=cold.solution_eig,
+    )
+    full_probes, full_powers = _solver_problem(rng, 6, 12, noise)
+    full = estimate_ml_covariance(full_probes, full_powers, noise, subspace=False)
+    hasher = hashlib.blake2b(digest_size=16)
+    for result in (cold, warm, full):
+        hasher.update(result.solution.tobytes())
+        hasher.update(np.asarray(result.history, dtype=float).tobytes())
+        hasher.update(f"|{result.iterations}|{bool(result.converged)}|".encode())
+        if result.solution_eig is not None:
+            for array in result.solution_eig:
+                hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
 @pytest.fixture(params=[None, "numba"], ids=["plain-env", "repro-backend-numba"])
 def environment(request, monkeypatch):
     """Run each case as is and with ``REPRO_BACKEND=numba`` set."""
@@ -133,3 +179,6 @@ class TestPinnedDigests:
 
     def test_cell_summary_digest(self, environment):
         assert cell_summary_digest() == CELL_SUMMARY_DIGEST
+
+    def test_ml_solver_digest(self, environment):
+        assert ml_solver_digest() == ML_SOLVER_DIGEST
