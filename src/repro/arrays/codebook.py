@@ -363,7 +363,7 @@ class Codebook:
         path: List[int] = []
         for row in range(rows):
             cols_range = range(cols) if row % 2 == 0 else range(cols - 1, -1, -1)
-            path.extend(self.beam_index(row, col) for col in cols_range)
+            path.extend(row * cols + col for col in cols_range)
         offset = path.index(start)
         return path[offset:] + path[:offset]
 

@@ -62,24 +62,23 @@ class ScanSearch(BeamAlignmentAlgorithm):
         rx_step = int(rng.integers(0, n_rx))
 
         # The walk is deterministic given the start, so the whole path is
-        # planned first and measured through one fused measure_many call.
-        limit = context.budget.remaining
-        planned: List[BeamPair] = []
-        planned_set = set()
-        for _ in range(limit):
-            pair = BeamPair(tx_path[tx_step % n_tx], rx_path[rx_step % n_rx])
+        # planned first, on flat pair indices ``tx * |V| + rx``, and
+        # measured through one fused measure_many call.
+        total = context.total_pairs
+        taken = context.measured_indices()
+        planned: List[int] = []
+        for _ in range(context.budget.remaining):
+            flat = tx_path[tx_step % n_tx] * n_rx + rx_path[rx_step % n_rx]
             attempts = 0
-            while (
-                pair in planned_set or context.is_measured(pair)
-            ) and attempts < context.total_pairs:
+            while flat in taken and attempts < total:
                 tx_step += 1  # phase shift opens a fresh diagonal
-                pair = BeamPair(tx_path[tx_step % n_tx], rx_path[rx_step % n_rx])
+                flat = tx_path[tx_step % n_tx] * n_rx + rx_path[rx_step % n_rx]
                 attempts += 1
-            if pair in planned_set or context.is_measured(pair):
+            if flat in taken:
                 break  # every pair measured
-            planned.append(pair)
-            planned_set.add(pair)
+            planned.append(flat)
+            taken.add(flat)
             tx_step += 1
             rx_step += 1
-        context.measure_many(planned)
+        context.measure_many([BeamPair(*divmod(flat, n_rx)) for flat in planned])
         return context.result(self.name)

@@ -12,6 +12,7 @@ plan digests are blake2b hashes of its canonical JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -89,14 +90,14 @@ class CellConfig:
                 f" {training_us:g}us of training in a"
                 f" {self.frame.superframe_duration_us:g}us frame"
             )
-        if self.interference_coupling < 0:
+        coupling, power = self.interference_coupling, self.interference_power
+        if not math.isfinite(coupling) or coupling < 0:
             raise ConfigurationError(
-                f"interference_coupling must be >= 0,"
-                f" got {self.interference_coupling}"
+                f"interference_coupling must be finite and >= 0, got {coupling}"
             )
-        if self.interference_power < 0:
+        if not math.isfinite(power) or power < 0:
             raise ConfigurationError(
-                f"interference_power must be >= 0, got {self.interference_power}"
+                f"interference_power must be finite and >= 0, got {power}"
             )
 
     def measurements_per_ue(self) -> int:

@@ -120,12 +120,9 @@ def _offset_direction(
 ) -> Direction:
     """Perturb a center direction by a Gaussian angular offset (clipped)."""
     azimuth = wrap_angle(center.azimuth + rng.normal(scale=azimuth_spread_rad))
-    elevation = float(
-        np.clip(
-            center.elevation + rng.normal(scale=elevation_spread_rad),
-            -np.pi / 2,
-            np.pi / 2,
-        )
+    elevation = min(
+        max(center.elevation + rng.normal(scale=elevation_spread_rad), -np.pi / 2),
+        np.pi / 2,
     )
     return Direction(azimuth=azimuth, elevation=elevation)
 

@@ -50,7 +50,10 @@ class AlignmentContext:
         self._rx_codebook = rx_codebook
         self._engine = engine
         self._budget = budget
-        self._measured: Dict[BeamPair, Measurement] = {}
+        self._num_rx = rx_codebook.num_beams
+        # Measured codebook pairs keyed by flat index ``tx * |V| + rx``:
+        # dedup then hashes plain ints instead of BeamPair dataclasses.
+        self._measured: Dict[int, Measurement] = {}
         self._measured_by_tx: Dict[int, Set[int]] = {}
         self._trace: List[Measurement] = []
         # Flight-recorder hookup: contexts are built per trial inside the
@@ -110,7 +113,20 @@ class AlignmentContext:
 
     def is_measured(self, pair: BeamPair) -> bool:
         """Whether a codebook pair was already measured in this run."""
-        return pair in self._measured
+        return self._record(pair) is not None
+
+    def _record(self, pair: BeamPair) -> Optional[Measurement]:
+        """The measurement of a codebook pair, or ``None`` if unmeasured."""
+        if pair.rx_index >= self._num_rx:
+            return None  # off the codebook: its flat index would alias
+        return self._measured.get(pair.tx_index * self._num_rx + pair.rx_index)
+
+    def measured_indices(self) -> Set[int]:
+        """Flat indices ``tx * |V| + rx`` of every measured codebook pair.
+
+        Returns a copy, so a planner may extend it with its own picks.
+        """
+        return set(self._measured)
 
     def measured_rx_beams(self, tx_index: int) -> Set[int]:
         """RX beams already paired with ``tx_index`` (for dedup).
@@ -130,7 +146,7 @@ class AlignmentContext:
         measurement = self._engine.measure_pair(
             self._tx_codebook, self._rx_codebook, pair, slot=slot
         )
-        self._measured[pair] = measurement
+        self._measured[pair.tx_index * self._num_rx + pair.rx_index] = measurement
         self._measured_by_tx.setdefault(pair.tx_index, set()).add(pair.rx_index)
         self._trace.append(measurement)
         if self._recorder.checkpoints_enabled:
@@ -162,19 +178,28 @@ class AlignmentContext:
         """
         if not pairs:
             return []
-        if len(set(pairs)) != len(pairs):
-            raise ValidationError("measure_many pairs must be distinct")
-        for pair in pairs:
-            if self.is_measured(pair):
-                raise ValidationError(f"pair {pair} was already measured")
+        num_rx = self._num_rx
+        flats = [pair.tx_index * num_rx + pair.rx_index for pair in pairs]
+        measured = self._measured
+        if len(set(flats)) != len(flats) or not measured.keys().isdisjoint(flats):
+            # Rare path: walk the batch only to name the offending pair.
+            seen: Set[BeamPair] = set()
+            for pair in pairs:
+                if pair in seen:
+                    raise ValidationError("measure_many pairs must be distinct")
+                seen.add(pair)
+            for pair in pairs:
+                if self.is_measured(pair):
+                    raise ValidationError(f"pair {pair} was already measured")
         self._budget.charge(len(pairs))
         measurements = self._engine.measure_pairs(
             self._tx_codebook, self._rx_codebook, pairs, slot=slot
         )
-        for pair, measurement in zip(pairs, measurements):
-            self._measured[pair] = measurement
-            self._measured_by_tx.setdefault(pair.tx_index, set()).add(pair.rx_index)
-            self._trace.append(measurement)
+        measured.update(zip(flats, measurements))
+        by_tx = self._measured_by_tx
+        for pair in pairs:
+            by_tx.setdefault(pair.tx_index, set()).add(pair.rx_index)
+        self._trace.extend(measurements)
         if self._recorder.checkpoints_enabled:
             self._recorder.checkpoint(
                 "measurement.probe",
@@ -234,7 +259,7 @@ class AlignmentContext:
             selected = best.pair
             power = best.power
         else:
-            record = self._measured.get(selected)
+            record = self._record(selected)
             power = record.power if record is not None else float("nan")
         return AlignmentResult(
             algorithm=algorithm,

@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -84,9 +85,9 @@ class MeasurementEngine:
                 f"interference_probability must be in [0, 1],"
                 f" got {interference_probability}"
             )
-        if interference_power < 0.0:
+        if not math.isfinite(interference_power) or interference_power < 0.0:
             raise ValidationError(
-                f"interference_power must be >= 0, got {interference_power}"
+                f"interference_power must be finite and >= 0, got {interference_power}"
             )
         self._channel = channel
         self._rng = rng
@@ -194,22 +195,28 @@ class MeasurementEngine:
         num_subpaths = self._channel.num_subpaths
         gain_block = count * num_subpaths
         width = 2 * gain_block + 2 * count
+        num_pairs = len(pairs)
         hit_rows: List[int] = []
         hit_draws: List[np.ndarray] = []
-        if self._interference_probability > 0.0:
+        probability = self._interference_probability
+        if probability > 0.0:
             # Serial draw order per pair: gains+noise, then the hit
             # uniform, then (on a hit) the interference block. Sequential
             # standard_normal calls consume the same ziggurat stream as
             # one fused block, so replaying the order row by row keeps
-            # the draws bit-identical to measure_pair.
-            block = np.empty((len(pairs), width))
-            for row in range(len(pairs)):
-                block[row] = self._rng.standard_normal(width)
-                if self._rng.uniform() < self._interference_probability:
+            # the draws bit-identical to measure_pair. ``random()`` is
+            # the ``uniform()`` draw without its ``0 + 1 * x`` affine map,
+            # and filling each row in place skips a per-dwell allocation.
+            block = np.empty((num_pairs, width))
+            standard_normal = self._rng.standard_normal
+            uniform = self._rng.random
+            for row in range(num_pairs):
+                standard_normal(out=block[row])
+                if uniform() < probability:
                     hit_rows.append(row)
-                    hit_draws.append(self._rng.standard_normal(2 * count))
+                    hit_draws.append(standard_normal(2 * count))
         else:
-            block = self._rng.standard_normal((len(pairs), width))
+            block = self._rng.standard_normal((num_pairs, width))
         gain_scale = np.sqrt(0.5)
         noise_scale = np.sqrt(self.noise_variance / 2.0)
         gains = (
@@ -236,18 +243,11 @@ class MeasurementEngine:
                 interference = scale * draws[:count] + 1j * (scale * draws[count:])
                 samples[row] = samples[row] + interference
                 powers[row] = np.mean(np.abs(samples[row]) ** 2)
-        measurements = []
-        for row, pair in enumerate(pairs):
-            self._count += 1
-            measurements.append(
-                Measurement(
-                    power=float(powers[row]),
-                    z=complex(samples[row, -1]),
-                    pair=pair,
-                    slot=slot,
-                )
-            )
-        return measurements
+        self._count += num_pairs
+        return [
+            Measurement(power, z, pair, slot)
+            for power, z, pair in zip(powers.tolist(), samples[:, -1].tolist(), pairs)
+        ]
 
     def _finish_measurement(
         self,

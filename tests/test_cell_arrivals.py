@@ -107,3 +107,11 @@ class TestConfigRoundTrip:
             small_cell(probe_budget_per_frame=1000)
         with pytest.raises(ConfigurationError):
             small_cell(interference_coupling=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["interference_coupling", "interference_power"])
+    def test_non_finite_interference_rejected(self, field, value):
+        # NaN slips past a plain ``< 0`` check, and min(1, nan) is 1: a NaN
+        # coupling would strike every dwell instead of failing loudly.
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            small_cell(**{field: value})

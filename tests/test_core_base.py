@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.baselines.scan_search import ScanSearch
 from repro.core.base import AlignmentContext
 from repro.exceptions import BudgetExhaustedError, ValidationError
 from repro.measurement.budget import MeasurementBudget
@@ -65,6 +66,82 @@ class TestMeasurement:
         assert context.num_measurements == 1
         # Off-codebook probes have no pair identity -> no dedup entry.
         assert not context.is_measured(BeamPair(0, 0))
+
+
+class TestMeasureMany:
+    def test_repeated_pair_rejected_without_charge(self, context):
+        batch = [BeamPair(0, 1), BeamPair(2, 3), BeamPair(0, 1)]
+        with pytest.raises(ValidationError, match="pairs must be distinct"):
+            context.measure_many(batch)
+        assert context.num_measurements == 0
+        assert context.engine.num_measurements == 0
+        assert context.trace == []
+        assert not context.is_measured(BeamPair(2, 3))
+
+    def test_measured_pair_rejected_without_charge(self, context):
+        context.measure(BeamPair(1, 2))
+        with pytest.raises(ValidationError, match=r"pair .* was already measured"):
+            context.measure_many([BeamPair(0, 0), BeamPair(1, 2)])
+        assert context.num_measurements == 1
+        assert context.engine.num_measurements == 1
+        assert not context.is_measured(BeamPair(0, 0))
+
+    def test_batch_then_single_repeat_rejected(self, context):
+        context.measure_many([BeamPair(3, 4), BeamPair(0, 17)])
+        with pytest.raises(ValidationError, match="was already measured"):
+            context.measure(BeamPair(0, 17))
+        assert context.num_measurements == 2
+
+    def test_is_measured_tracks_codebook_probes_only(
+        self, context, tx_codebook, rx_codebook
+    ):
+        context.measure(BeamPair(0, 0))
+        batch = [BeamPair(1, 0), BeamPair(2, 5), BeamPair(2, 9)]
+        measurements = context.measure_many(batch)
+        context.measure_vectors(tx_codebook.beam(3), rx_codebook.beam(3))
+        for pair in [BeamPair(0, 0)] + batch:
+            assert context.is_measured(pair)
+        assert not context.is_measured(BeamPair(3, 3))
+        assert [m.pair for m in measurements] == batch
+        assert context.trace[1:4] == measurements
+        assert context.measured_rx_beams(2) == {5, 9}
+        assert context.num_measurements == 5
+
+    def test_off_codebook_index_does_not_alias(self, context):
+        # BeamPair(0, 18) would share flat index 18 with BeamPair(1, 0).
+        context.measure(BeamPair(1, 0))
+        assert not context.is_measured(BeamPair(0, 18))
+
+    @pytest.mark.parametrize(
+        ("prior", "finishes"),
+        [
+            # a fully measured RX column blocks the walk: it stops early
+            ([BeamPair(tx, rx) for tx in range(4) for rx in (0, 7, 11)], False),
+            # only TX beam 3 is left: the walk measures every last pair
+            ([BeamPair(tx, rx) for tx in range(3) for rx in range(18)], True),
+        ],
+        ids=["blocked-columns", "one-tx-left"],
+    )
+    def test_scan_skips_prior_measurements(
+        self, small_channel, tx_codebook, rx_codebook, rng, prior, finishes
+    ):
+        total = tx_codebook.num_beams * rx_codebook.num_beams
+        engine = MeasurementEngine(small_channel, rng, fading_blocks=2)
+        context = AlignmentContext(
+            tx_codebook,
+            rx_codebook,
+            engine,
+            MeasurementBudget(total_pairs=total, limit=total),
+        )
+        context.measure(prior[0])
+        context.measure_many(prior[1:])
+        result = ScanSearch().align(context, rng)
+        pairs = [m.pair for m in result.trace]
+        assert pairs[: len(prior)] == prior
+        assert len(set(pairs)) == len(pairs) == result.measurements_used
+        assert all(context.is_measured(pair) for pair in pairs)
+        assert (result.measurements_used == total) == finishes
+        assert context.budget.exhausted == finishes
 
 
 class TestOutcome:

@@ -17,6 +17,16 @@ class TestInterferenceConfig:
         with pytest.raises(ValidationError):
             MeasurementEngine(small_channel, rng, interference_power=-1.0)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf")])
+    def test_non_finite_power_rejected(self, small_channel, rng, power):
+        with pytest.raises(ValidationError, match="must be finite"):
+            MeasurementEngine(
+                small_channel,
+                rng,
+                interference_probability=0.5,
+                interference_power=power,
+            )
+
     def test_defaults_clean(self, small_channel, rng, tx_codebook, rx_codebook):
         engine = MeasurementEngine(small_channel, rng)
         for index in range(10):

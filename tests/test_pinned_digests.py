@@ -11,7 +11,11 @@ reason:
 * the digest of one ``cell serve`` deterministic summary payload;
 * one digest over a seeded set of penalized-ML covariance solves (cold,
   warm with a carried eigendecomposition, and without the subspace
-  reduction), so the solver's iterates are pinned on their own.
+  reduction), so the solver's iterates are pinned on their own;
+* one digest over a seeded set of probe measurements: fused
+  ``measure_pairs`` batches with and without interference hits, a
+  ``measure_pair`` loop, and ``Scan``/``Random`` alignments, so the
+  probe path's RNG stream and arithmetic are pinned on their own.
 
 Each case also runs with ``REPRO_BACKEND=numba`` in the environment:
 the variable is no longer read, so the digests must be identical and
@@ -26,16 +30,22 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.baselines.random_search import RandomSearch
+from repro.baselines.scan_search import ScanSearch
 from repro.campaign import plan_effectiveness_sweep
 from repro.cell.config import CellConfig
 from repro.cell.service import serve_cell, summary_payload
+from repro.core.base import AlignmentContext
 from repro.estimation.ml_covariance import estimate_ml_covariance
+from repro.measurement.budget import MeasurementBudget
+from repro.measurement.measurer import MeasurementEngine
 from repro.obs import CheckpointRecorder, use_recorder
 from repro.sim.batch import run_trials_batched
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trials
 from repro.sim.scenario import Scenario
+from repro.types import BeamPair
 from repro.utils.serialization import dumps
 
 SPECS = (
@@ -55,6 +65,8 @@ SHARD_SPEC_DIGEST = "d47d8276eaf70b7cbb34ab622a669c6d"
 CELL_SUMMARY_DIGEST = "a857732c798545378a1959d8f9ce4791"
 #: blake2b over the results of the seeded ``estimate_ml_covariance`` set.
 ML_SOLVER_DIGEST = "3bf01a3ae32b3884cd07c687134a3cf8"
+#: blake2b over the seeded probe measurements of ``probe_stream_digest``.
+PROBE_STREAM_DIGEST = "f8c02ccc2b697470482fbba9a9283bf7"
 
 
 def _config() -> ScenarioConfig:
@@ -155,6 +167,66 @@ def ml_solver_digest() -> str:
     return hasher.hexdigest()
 
 
+def _update_measurements(hasher, measurements, engine) -> None:
+    hasher.update(np.array([m.power for m in measurements], dtype=float).tobytes())
+    hasher.update(np.array([m.z for m in measurements], dtype=complex).tobytes())
+    hasher.update(f"|{engine.interference_hits}|{engine.num_measurements}|".encode())
+
+
+def probe_stream_digest() -> str:
+    """Digest fused batches, a per-pair loop and Scan/Random alignments."""
+    scenario = Scenario(_config())
+    tx_codebook, rx_codebook = scenario.tx_codebook, scenario.rx_codebook
+    channel = scenario.sample_channel(np.random.default_rng(SEED))
+    num_rx = rx_codebook.num_beams
+    pairs = [
+        BeamPair(*divmod(flat, num_rx))
+        for flat in np.random.default_rng(SEED + 1).permutation(scenario.total_pairs)
+    ]
+    hasher = hashlib.blake2b(digest_size=16)
+    for seed, probability in ((SEED, 0.0), (SEED + 2, 0.3)):
+        engine = MeasurementEngine(
+            channel,
+            np.random.default_rng(seed),
+            fading_blocks=4,
+            interference_probability=probability,
+            interference_power=0.5,
+        )
+        for batch in (pairs[:5], pairs[5:]):
+            measured = engine.measure_pairs(tx_codebook, rx_codebook, batch, slot=3)
+            _update_measurements(hasher, measured, engine)
+    engine = MeasurementEngine(
+        channel,
+        np.random.default_rng(SEED + 3),
+        fading_blocks=4,
+        interference_probability=0.3,
+        interference_power=0.5,
+    )
+    looped = [engine.measure_pair(tx_codebook, rx_codebook, pair) for pair in pairs]
+    _update_measurements(hasher, looped, engine)
+    for offset, scheme in enumerate((ScanSearch(), RandomSearch())):
+        engine = MeasurementEngine(
+            channel,
+            np.random.default_rng(SEED + 4 + offset),
+            fading_blocks=4,
+            interference_probability=0.3,
+            interference_power=0.5,
+        )
+        context = AlignmentContext(
+            tx_codebook,
+            rx_codebook,
+            engine,
+            MeasurementBudget.from_search_rate(scenario.total_pairs, 0.5),
+        )
+        result = scheme.align(context, np.random.default_rng(SEED + 6 + offset))
+        _update_measurements(hasher, result.trace, engine)
+        selected = result.selected
+        used = result.measurements_used
+        hasher.update(f"|{selected.tx_index}|{selected.rx_index}|{used}|".encode())
+        hasher.update(np.array([result.selected_power]).tobytes())
+    return hasher.hexdigest()
+
+
 @pytest.fixture(params=[None, "numba"], ids=["plain-env", "repro-backend-numba"])
 def environment(request, monkeypatch):
     """Run each case as is and with ``REPRO_BACKEND=numba`` set."""
@@ -182,3 +254,6 @@ class TestPinnedDigests:
 
     def test_ml_solver_digest(self, environment):
         assert ml_solver_digest() == ML_SOLVER_DIGEST
+
+    def test_probe_stream_digest(self, environment):
+        assert probe_stream_digest() == PROBE_STREAM_DIGEST
