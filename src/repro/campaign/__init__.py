@@ -40,43 +40,52 @@ See ``docs/campaigns.md`` for the shard model, store layout, resume
 semantics, and fault-injection knobs.
 """
 
-from repro.campaign.assemble import assemble_effectiveness_sweep
-from repro.campaign.distributed import LaunchReport, launch_campaign, worker_attribution
-from repro.campaign.health import (
-    DEFAULT_STALL_FACTOR,
-    CampaignHealth,
-    HostHealth,
-    ShardHealth,
-    campaign_health,
-    render_campaign_health,
-)
-from repro.campaign.plan import (
-    DEFAULT_SHARD_TRIALS,
-    CampaignPlan,
-    ShardSpec,
-    plan_effectiveness_sweep,
-    plan_from_payload,
-    standard_scheme_specs,
-)
-from repro.campaign.scheduler import (
-    CampaignReport,
-    CampaignStatus,
-    FaultInjector,
-    InjectedFault,
-    campaign_status,
-    run_campaign,
-)
-from repro.campaign.lease import (
-    DEFAULT_LEASE_TTL_S,
-    LEASE_SCHEMA,
-    LeaseManager,
-    LeaseRecord,
-    backoff_delay,
-    lease_expired,
-)
-from repro.campaign.store import HEARTBEAT_SCHEMA, ShardStore
-from repro.campaign.worker import WorkerReport, publish_shard, run_worker
-from repro.exceptions import CampaignAborted, CampaignError, ShardExecutionError
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.campaign.assemble import assemble_effectiveness_sweep
+    from repro.campaign.distributed import (
+        LaunchReport,
+        launch_campaign,
+        worker_attribution,
+    )
+    from repro.campaign.health import (
+        DEFAULT_STALL_FACTOR,
+        CampaignHealth,
+        HostHealth,
+        ShardHealth,
+        campaign_health,
+        render_campaign_health,
+    )
+    from repro.campaign.plan import (
+        DEFAULT_SHARD_TRIALS,
+        CampaignPlan,
+        ShardSpec,
+        plan_effectiveness_sweep,
+        plan_from_payload,
+        standard_scheme_specs,
+    )
+    from repro.campaign.scheduler import (
+        CampaignReport,
+        CampaignStatus,
+        FaultInjector,
+        InjectedFault,
+        campaign_status,
+        run_campaign,
+    )
+    from repro.campaign.lease import (
+        DEFAULT_LEASE_TTL_S,
+        LEASE_SCHEMA,
+        LeaseManager,
+        LeaseRecord,
+        backoff_delay,
+        lease_expired,
+    )
+    from repro.campaign.store import HEARTBEAT_SCHEMA, ShardStore
+    from repro.campaign.worker import WorkerReport, publish_shard, run_worker
+    from repro.exceptions import CampaignAborted, CampaignError, ShardExecutionError
 
 __all__ = [
     "DEFAULT_SHARD_TRIALS",
@@ -116,3 +125,54 @@ __all__ = [
     "launch_campaign",
     "worker_attribution",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.campaign.assemble": ("assemble_effectiveness_sweep",),
+        "repro.campaign.distributed": (
+            "LaunchReport",
+            "launch_campaign",
+            "worker_attribution",
+        ),
+        "repro.campaign.health": (
+            "DEFAULT_STALL_FACTOR",
+            "CampaignHealth",
+            "HostHealth",
+            "ShardHealth",
+            "campaign_health",
+            "render_campaign_health",
+        ),
+        "repro.campaign.plan": (
+            "DEFAULT_SHARD_TRIALS",
+            "CampaignPlan",
+            "ShardSpec",
+            "plan_effectiveness_sweep",
+            "plan_from_payload",
+            "standard_scheme_specs",
+        ),
+        "repro.campaign.scheduler": (
+            "CampaignReport",
+            "CampaignStatus",
+            "FaultInjector",
+            "InjectedFault",
+            "campaign_status",
+            "run_campaign",
+        ),
+        "repro.campaign.lease": (
+            "DEFAULT_LEASE_TTL_S",
+            "LEASE_SCHEMA",
+            "LeaseManager",
+            "LeaseRecord",
+            "backoff_delay",
+            "lease_expired",
+        ),
+        "repro.campaign.store": ("HEARTBEAT_SCHEMA", "ShardStore"),
+        "repro.campaign.worker": ("WorkerReport", "publish_shard", "run_worker"),
+        "repro.exceptions": (
+            "CampaignAborted",
+            "CampaignError",
+            "ShardExecutionError",
+        ),
+    },
+)

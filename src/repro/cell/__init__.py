@@ -18,41 +18,46 @@ layers:
   plus a byte-stable deterministic summary artifact.
 """
 
-from repro.cell.arrivals import (
-    ARRIVAL_STREAM,
-    CELL_NAMESPACE,
-    Arrival,
-    ArrivalSchedule,
-    arrival_schedule,
-    cell_root,
-    poisson_arrivals,
-)
-from repro.cell.config import DEFAULT_CELL_SEED, CellConfig
-from repro.cell.engine import UE_STREAM_LABELS, UEOutcome, execute_ues, ue_streams
-from repro.cell.metrics import UERecord, merge_records, summarize_records
-from repro.cell.scheduler import (
-    CellSchedule,
-    UESchedule,
-    build_schedule,
-    schedule_airtime,
-)
-from repro.cell.service import (
-    CELL_SUMMARY_KIND,
-    CellServeReport,
-    render_cell_report,
-    serve_cell,
-    summary_payload,
-)
-from repro.cell.shards import (
-    CELL_PLAN_SCHEMA,
-    CELL_SHARD_KIND,
-    DEFAULT_SHARD_UES,
-    CellPlan,
-    CellShard,
-    execute_shard,
-    plan_cell,
-    run_cell_plan,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.cell.arrivals import (
+        ARRIVAL_STREAM,
+        CELL_NAMESPACE,
+        Arrival,
+        ArrivalSchedule,
+        arrival_schedule,
+        cell_root,
+        poisson_arrivals,
+    )
+    from repro.cell.config import DEFAULT_CELL_SEED, CellConfig
+    from repro.cell.engine import UE_STREAM_LABELS, UEOutcome, execute_ues, ue_streams
+    from repro.cell.metrics import UERecord, merge_records, summarize_records
+    from repro.cell.scheduler import (
+        CellSchedule,
+        UESchedule,
+        build_schedule,
+        schedule_airtime,
+    )
+    from repro.cell.service import (
+        CELL_SUMMARY_KIND,
+        CellServeReport,
+        render_cell_report,
+        serve_cell,
+        summary_payload,
+    )
+    from repro.cell.shards import (
+        CELL_PLAN_SCHEMA,
+        CELL_SHARD_KIND,
+        DEFAULT_SHARD_UES,
+        CellPlan,
+        CellShard,
+        execute_shard,
+        plan_cell,
+        run_cell_plan,
+    )
 
 __all__ = [
     "ARRIVAL_STREAM",
@@ -89,3 +94,49 @@ __all__ = [
     "summary_payload",
     "ue_streams",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.cell.arrivals": (
+            "ARRIVAL_STREAM",
+            "CELL_NAMESPACE",
+            "Arrival",
+            "ArrivalSchedule",
+            "arrival_schedule",
+            "cell_root",
+            "poisson_arrivals",
+        ),
+        "repro.cell.config": ("DEFAULT_CELL_SEED", "CellConfig"),
+        "repro.cell.engine": (
+            "UE_STREAM_LABELS",
+            "UEOutcome",
+            "execute_ues",
+            "ue_streams",
+        ),
+        "repro.cell.metrics": ("UERecord", "merge_records", "summarize_records"),
+        "repro.cell.scheduler": (
+            "CellSchedule",
+            "UESchedule",
+            "build_schedule",
+            "schedule_airtime",
+        ),
+        "repro.cell.service": (
+            "CELL_SUMMARY_KIND",
+            "CellServeReport",
+            "render_cell_report",
+            "serve_cell",
+            "summary_payload",
+        ),
+        "repro.cell.shards": (
+            "CELL_PLAN_SCHEMA",
+            "CELL_SHARD_KIND",
+            "DEFAULT_SHARD_UES",
+            "CellPlan",
+            "CellShard",
+            "execute_shard",
+            "plan_cell",
+            "run_cell_plan",
+        ),
+    },
+)

@@ -34,34 +34,29 @@
 
 Also reachable as ``python -m repro.cli``. ``--log-level debug`` surfaces
 the package's loggers on stderr; tracing and progress are opt-in and do
-not perturb seeded results.
+not perturb seeded results. Bad input (an unknown experiment id, an
+out-of-range option) exits with status 2 and one ``repro: error: ...``
+line on stderr; ``--log-level debug`` adds the traceback.
+
+Module level holds only what :func:`build_parser` needs; each handler
+imports the subsystem it runs, so ``repro list`` never loads the
+campaign store and ``repro run fig6`` never loads the cell workload.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-import os
 import sys
 from contextlib import ExitStack
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
-from repro import experiments
-from repro.obs import (
-    MetricsRecorder,
-    TraceRecorder,
-    configure_logging,
-    get_logger,
-    print_progress,
-    use_recorder,
-)
+from repro.exceptions import ReproError
+from repro.obs.log import configure_logging, get_logger
 from repro.sim.config import ChannelKind, ScenarioConfig
-from repro.sim.runner import run_trial, standard_schemes
-from repro.sim.scenario import Scenario
-from repro.utils.serialization import dump
 from repro.version import __version__
+
+if TYPE_CHECKING:
+    from repro.obs.recorder import MetricsRecorder
 
 __all__ = ["main", "build_parser"]
 
@@ -595,14 +590,23 @@ def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _handle_list(args: argparse.Namespace) -> int:
-    for experiment_id in experiments.list_ids():
-        experiment = experiments.get(experiment_id)
-        print(f"{experiment_id:14s} {experiment.paper_artifact:30s} {experiment.title}")
+    from repro.experiments import registry
+
+    rows = [registry.get(experiment_id) for experiment_id in registry.list_ids()]
+    id_width = max(len(row.experiment_id) for row in rows)
+    artifact_width = max(len(row.paper_artifact) for row in rows)
+    for row in rows:
+        print(
+            f"{row.experiment_id:{id_width}s} {row.paper_artifact:{artifact_width}s}"
+            f" {row.title}"
+        )
     return 0
 
 
 def _accepts_kwarg(func, name: str) -> bool:
     """True if ``func`` can take ``name`` as a keyword argument."""
+    import inspect
+
     try:
         parameters = inspect.signature(func).parameters
     except (TypeError, ValueError):
@@ -625,6 +629,8 @@ def _build_recorder_stack(args: argparse.Namespace, stack: ExitStack, run_meta=N
     can replay the run. Raises ``OSError`` when the trace file cannot be
     opened.
     """
+    from repro.obs import MetricsRecorder, TraceRecorder
+
     trace_path = getattr(args, "trace", None)
     openmetrics_path = getattr(args, "openmetrics", None)
     checkpoints = getattr(args, "checkpoints", False) and trace_path
@@ -674,6 +680,10 @@ def _finish_diagnostics(args: argparse.Namespace, recorder, profiler) -> None:
 
 
 def _handle_run(args: argparse.Namespace) -> int:
+    from repro.experiments import registry
+    from repro.obs import print_progress, use_recorder
+    from repro.utils.serialization import dump
+
     overrides = {}
     if args.quick:
         overrides["quick"] = True
@@ -681,7 +691,7 @@ def _handle_run(args: argparse.Namespace) -> int:
         overrides["num_trials"] = args.trials
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    experiment = experiments.get(args.experiment)
+    experiment = registry.get(args.experiment)
     runner = experiment.runner
     if args.checkpoints and not args.trace and not args.store:
         print(
@@ -742,7 +752,7 @@ def _handle_run(args: argparse.Namespace) -> int:
             stack.enter_context(use_recorder(recorder))
         if args.trace:
             logger.info("tracing %s to %s", args.experiment, args.trace)
-        result = experiments.run(args.experiment, **overrides)
+        result = registry.run(args.experiment, **overrides)
     print(result.table)
     _finish_diagnostics(args, recorder, profiler)
     if recorder is not None:
@@ -818,6 +828,7 @@ def _campaign_plan_from_args(args: argparse.Namespace):
 def _handle_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import ShardStore, campaign_status, run_campaign
     from repro.exceptions import CampaignError
+    from repro.obs import print_progress
 
     config, plan = _campaign_plan_from_args(args)
     store = ShardStore(args.store)
@@ -882,6 +893,7 @@ def _finish_campaign(args, config, plan, store) -> int:
 
 def _handle_campaign_launch(args: argparse.Namespace) -> int:
     from repro.campaign import ShardStore, campaign_status, launch_campaign
+    from repro.obs import print_progress
 
     config, plan = _campaign_plan_from_args(args)
     store = ShardStore(args.store)
@@ -942,6 +954,7 @@ def _resolve_stored_plan(store, token):
 
 def _handle_campaign_worker(args: argparse.Namespace) -> int:
     from repro.campaign import ShardStore, run_worker
+    from repro.obs import print_progress
 
     store = ShardStore(args.store)
     try:
@@ -1112,13 +1125,9 @@ def _cell_config_from_args(args: argparse.Namespace):
 
 def _handle_cell_serve(args: argparse.Namespace) -> int:
     from repro.cell import render_cell_report, serve_cell
-    from repro.exceptions import ReproError
+    from repro.obs import print_progress
 
-    try:
-        config = _cell_config_from_args(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _cell_config_from_args(args)
     store = None
     if args.store:
         from repro.campaign import ShardStore
@@ -1127,20 +1136,16 @@ def _handle_cell_serve(args: argparse.Namespace) -> int:
     kwargs = {}
     if args.shard_ues is not None:
         kwargs["shard_ues"] = args.shard_ues
-    try:
-        report = serve_cell(
-            config,
-            store=store,
-            batch_users=None if args.serial else args.batch_users,
-            workers=args.workers,
-            openmetrics_path=args.openmetrics,
-            summary_path=args.summary,
-            progress=print_progress if args.progress else None,
-            **kwargs,
-        )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = serve_cell(
+        config,
+        store=store,
+        batch_users=None if args.serial else args.batch_users,
+        workers=args.workers,
+        openmetrics_path=args.openmetrics,
+        summary_path=args.summary,
+        progress=print_progress if args.progress else None,
+        **kwargs,
+    )
     print(render_cell_report(report))
     if report.summary_path is not None:
         print(f"wrote summary {report.summary_path}")
@@ -1259,6 +1264,12 @@ def _handle_report(args: argparse.Namespace) -> int:
 
 
 def _handle_align(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.obs import MetricsRecorder, TraceRecorder, use_recorder
+    from repro.sim.runner import run_trial, standard_schemes
+    from repro.sim.scenario import Scenario
+
     scenario = Scenario(
         ScenarioConfig(channel=ChannelKind(args.channel), snr_db=args.snr_db)
     )
@@ -1372,6 +1383,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         configure_logging(args.log_level)
     try:
         return args.handler(args)
+    except ReproError as error:
+        # One exit path for every subcommand's bad input: a one-line
+        # message, with the traceback only under ``--log-level debug``.
+        logger.debug("%s failed", args.command, exc_info=True)
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved unix filter.

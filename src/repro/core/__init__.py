@@ -1,15 +1,20 @@
 """Core contribution: the adaptive beam-alignment algorithm and interfaces."""
 
-from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
-from repro.core.bidirectional import BidirectionalAlignment
-from repro.core.policies import (
-    RandomTxPolicy,
-    RoundRobinTxPolicy,
-    SnakeTxPolicy,
-    TxBeamPolicy,
-)
-from repro.core.proposed import ProposedAlignment
-from repro.core.result import AlignmentResult, SlotRecord
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+    from repro.core.bidirectional import BidirectionalAlignment
+    from repro.core.policies import (
+        RandomTxPolicy,
+        RoundRobinTxPolicy,
+        SnakeTxPolicy,
+        TxBeamPolicy,
+    )
+    from repro.core.proposed import ProposedAlignment
+    from repro.core.result import AlignmentResult, SlotRecord
 
 __all__ = [
     "AlignmentContext",
@@ -23,3 +28,19 @@ __all__ = [
     "AlignmentResult",
     "SlotRecord",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.core.base": ("AlignmentContext", "BeamAlignmentAlgorithm"),
+        "repro.core.bidirectional": ("BidirectionalAlignment",),
+        "repro.core.policies": (
+            "RandomTxPolicy",
+            "RoundRobinTxPolicy",
+            "SnakeTxPolicy",
+            "TxBeamPolicy",
+        ),
+        "repro.core.proposed": ("ProposedAlignment",),
+        "repro.core.result": ("AlignmentResult", "SlotRecord"),
+    },
+)

@@ -1,26 +1,38 @@
 """Covariance estimation from beam power measurements (Eq. 14–26)."""
 
-from repro.estimation.base import CovarianceEstimator
-from repro.estimation.eigenbeam import (
-    best_codebook_beam,
-    eigen_beamformer,
-    quantization_loss_db,
-    select_probe_beams,
-)
-from repro.estimation.likelihood import (
-    expected_powers,
-    negative_log_likelihood,
-    nll_gradient,
-    nll_value_and_gradient,
-)
-from repro.estimation.batch import (
-    estimate_ml_covariance_batch,
-    soft_threshold_eigenvalues_batch,
-)
-from repro.estimation.ls_covariance import LsCovarianceEstimator
-from repro.estimation.music import music_beam_ranking, music_spectrum, noise_subspace
-from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
-from repro.estimation.sample_covariance import BackProjectionEstimator
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.estimation.base import CovarianceEstimator
+    from repro.estimation.eigenbeam import (
+        best_codebook_beam,
+        eigen_beamformer,
+        quantization_loss_db,
+        select_probe_beams,
+    )
+    from repro.estimation.likelihood import (
+        expected_powers,
+        negative_log_likelihood,
+        nll_gradient,
+        nll_value_and_gradient,
+    )
+    from repro.estimation.batch import (
+        estimate_ml_covariance_batch,
+        soft_threshold_eigenvalues_batch,
+    )
+    from repro.estimation.ls_covariance import LsCovarianceEstimator
+    from repro.estimation.music import (
+        music_beam_ranking,
+        music_spectrum,
+        noise_subspace,
+    )
+    from repro.estimation.ml_covariance import (
+        MlCovarianceEstimator,
+        estimate_ml_covariance,
+    )
+    from repro.estimation.sample_covariance import BackProjectionEstimator
 
 __all__ = [
     "CovarianceEstimator",
@@ -42,3 +54,37 @@ __all__ = [
     "soft_threshold_eigenvalues_batch",
     "BackProjectionEstimator",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.estimation.base": ("CovarianceEstimator",),
+        "repro.estimation.eigenbeam": (
+            "best_codebook_beam",
+            "eigen_beamformer",
+            "quantization_loss_db",
+            "select_probe_beams",
+        ),
+        "repro.estimation.likelihood": (
+            "expected_powers",
+            "negative_log_likelihood",
+            "nll_gradient",
+            "nll_value_and_gradient",
+        ),
+        "repro.estimation.batch": (
+            "estimate_ml_covariance_batch",
+            "soft_threshold_eigenvalues_batch",
+        ),
+        "repro.estimation.ls_covariance": ("LsCovarianceEstimator",),
+        "repro.estimation.music": (
+            "music_beam_ranking",
+            "music_spectrum",
+            "noise_subspace",
+        ),
+        "repro.estimation.ml_covariance": (
+            "MlCovarianceEstimator",
+            "estimate_ml_covariance",
+        ),
+        "repro.estimation.sample_covariance": ("BackProjectionEstimator",),
+    },
+)

@@ -1,56 +1,57 @@
 """Experiment registry and per-figure reproduction modules.
 
-Importing this package registers every experiment: ``fig5``–``fig8``
-(the paper's evaluation figures), the ``lowrank`` setup fact, the
-``abl-*`` ablations, and the MAC / matrix-completion substrate checks.
+The registry knows every experiment id up front: ``fig5``–``fig8`` (the
+paper's evaluation figures), the ``lowrank`` setup fact, the ``abl-*``
+ablations, the ``ext-*`` extensions and the MAC / matrix-completion
+substrate checks. An experiment's module is imported, and so registered,
+the first time :func:`get` or :func:`run` asks for its id.
 """
 
-from repro.experiments import ablations  # noqa: F401  (registers experiments)
-from repro.experiments import extensions  # noqa: F401
-from repro.experiments import fig5_singlepath_effectiveness  # noqa: F401
-from repro.experiments import fig6_multipath_effectiveness  # noqa: F401
-from repro.experiments import fig7_singlepath_cost  # noqa: F401
-from repro.experiments import fig8_multipath_cost  # noqa: F401
-from repro.experiments.common import (
-    DEFAULT_SEARCH_RATES,
-    DEFAULT_SEED,
-    DEFAULT_TARGET_LOSSES_DB,
-    DEFAULT_TRIALS,
-    build_scenario,
-)
-from repro.experiments.fig5_singlepath_effectiveness import run_fig5
-from repro.experiments.fig6_multipath_effectiveness import run_fig6
-from repro.experiments.fig7_singlepath_cost import run_fig7
-from repro.experiments.fig8_multipath_cost import run_fig8
-from repro.experiments.extensions import (
-    run_interference,
-    run_scheme_comparison,
-    run_tracking,
-)
-from repro.experiments.ablations import (
-    run_cell_search,
-    run_estimator_ablation,
-    run_floor_ablation,
-    run_j_ablation,
-    run_lowrank,
-    run_mac_overhead,
-    run_mc_recovery,
-    run_mu_ablation,
-)
-from repro.experiments.registry import (
-    Experiment,
-    ExperimentResult,
-    get,
-    list_ids,
-    register,
-    run,
-)
-from repro.experiments.report import collect_results, render_report
-from repro.experiments.render import (
-    render_cost_efficiency,
-    render_effectiveness,
-    render_table,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.experiments.common import (
+        DEFAULT_SEARCH_RATES,
+        DEFAULT_SEED,
+        DEFAULT_TARGET_LOSSES_DB,
+        DEFAULT_TRIALS,
+        build_scenario,
+    )
+    from repro.experiments.fig5_singlepath_effectiveness import run_fig5
+    from repro.experiments.fig6_multipath_effectiveness import run_fig6
+    from repro.experiments.fig7_singlepath_cost import run_fig7
+    from repro.experiments.fig8_multipath_cost import run_fig8
+    from repro.experiments.extensions import (
+        run_interference,
+        run_scheme_comparison,
+        run_tracking,
+    )
+    from repro.experiments.ablations import (
+        run_cell_search,
+        run_estimator_ablation,
+        run_floor_ablation,
+        run_j_ablation,
+        run_lowrank,
+        run_mac_overhead,
+        run_mc_recovery,
+        run_mu_ablation,
+    )
+    from repro.experiments.registry import (
+        Experiment,
+        ExperimentResult,
+        get,
+        list_ids,
+        register,
+        run,
+    )
+    from repro.experiments.report import collect_results, render_report
+    from repro.experiments.render import (
+        render_cost_efficiency,
+        render_effectiveness,
+        render_table,
+    )
 
 __all__ = [
     "DEFAULT_SEARCH_RATES",
@@ -85,3 +86,49 @@ __all__ = [
     "render_effectiveness",
     "render_table",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.experiments.common": (
+            "DEFAULT_SEARCH_RATES",
+            "DEFAULT_SEED",
+            "DEFAULT_TARGET_LOSSES_DB",
+            "DEFAULT_TRIALS",
+            "build_scenario",
+        ),
+        "repro.experiments.fig5_singlepath_effectiveness": ("run_fig5",),
+        "repro.experiments.fig6_multipath_effectiveness": ("run_fig6",),
+        "repro.experiments.fig7_singlepath_cost": ("run_fig7",),
+        "repro.experiments.fig8_multipath_cost": ("run_fig8",),
+        "repro.experiments.extensions": (
+            "run_interference",
+            "run_scheme_comparison",
+            "run_tracking",
+        ),
+        "repro.experiments.ablations": (
+            "run_cell_search",
+            "run_estimator_ablation",
+            "run_floor_ablation",
+            "run_j_ablation",
+            "run_lowrank",
+            "run_mac_overhead",
+            "run_mc_recovery",
+            "run_mu_ablation",
+        ),
+        "repro.experiments.registry": (
+            "Experiment",
+            "ExperimentResult",
+            "get",
+            "list_ids",
+            "register",
+            "run",
+        ),
+        "repro.experiments.report": ("collect_results", "render_report"),
+        "repro.experiments.render": (
+            "render_cost_efficiency",
+            "render_effectiveness",
+            "render_table",
+        ),
+    },
+)

@@ -2,19 +2,54 @@
 
 Every reproducible artifact (paper figure or ablation) registers itself
 under a stable id (``fig5`` ... ``fig8``, ``lowrank``, ``abl-*``,
-``mac-overhead``, ``mc-recovery``); the CLI and the benchmark suite both
-dispatch through this registry, so "the code that regenerates Figure N"
-has exactly one home.
+``ext-*``, ``mac-overhead``, ``mc-recovery``); the CLI and the benchmark
+suite both dispatch through this registry, so "the code that regenerates
+Figure N" has exactly one home.
+
+:data:`EXPERIMENT_MODULES` names that home for every id, so listing the
+ids imports nothing and :func:`get` imports only the module that
+registers the experiment asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import importlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exceptions import ExperimentError
 
-__all__ = ["ExperimentResult", "Experiment", "register", "get", "list_ids", "run"]
+__all__ = [
+    "EXPERIMENT_MODULES",
+    "ExperimentResult",
+    "Experiment",
+    "register",
+    "get",
+    "list_ids",
+    "run",
+]
+
+_ABLATIONS = "repro.experiments.ablations"
+_EXTENSIONS = "repro.experiments.extensions"
+
+#: Every experiment id and the module whose import registers it.
+EXPERIMENT_MODULES: Dict[str, str] = {
+    "fig5": "repro.experiments.fig5_singlepath_effectiveness",
+    "fig6": "repro.experiments.fig6_multipath_effectiveness",
+    "fig7": "repro.experiments.fig7_singlepath_cost",
+    "fig8": "repro.experiments.fig8_multipath_cost",
+    "lowrank": _ABLATIONS,
+    "abl-estimator": _ABLATIONS,
+    "abl-j": _ABLATIONS,
+    "abl-mu": _ABLATIONS,
+    "abl-floor": _ABLATIONS,
+    "mac-overhead": _ABLATIONS,
+    "cell-search": _ABLATIONS,
+    "mc-recovery": _ABLATIONS,
+    "ext-schemes": _EXTENSIONS,
+    "ext-tracking": _EXTENSIONS,
+    "ext-interference": _EXTENSIONS,
+}
 
 
 @dataclass
@@ -50,27 +85,37 @@ _REGISTRY: Dict[str, Experiment] = {}
 
 
 def register(experiment: Experiment) -> Experiment:
-    """Add an experiment to the registry (ids must be unique)."""
-    if experiment.experiment_id in _REGISTRY:
-        raise ExperimentError(f"duplicate experiment id {experiment.experiment_id!r}")
-    _REGISTRY[experiment.experiment_id] = experiment
+    """Add an experiment to the registry.
+
+    Ids must be unique and listed in :data:`EXPERIMENT_MODULES`.
+    """
+    experiment_id = experiment.experiment_id
+    if experiment_id in _REGISTRY:
+        raise ExperimentError(f"duplicate experiment id {experiment_id!r}")
+    if experiment_id not in EXPERIMENT_MODULES:
+        raise ExperimentError(
+            f"experiment id {experiment_id!r} has no entry in EXPERIMENT_MODULES"
+        )
+    _REGISTRY[experiment_id] = experiment
     return experiment
 
 
 def get(experiment_id: str) -> Experiment:
-    """Look up an experiment by id."""
-    try:
-        return _REGISTRY[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise ExperimentError(
-            f"unknown experiment {experiment_id!r}; known: {known}"
-        ) from None
+    """Look up an experiment by id, importing its module on first use."""
+    if experiment_id not in _REGISTRY:
+        module = EXPERIMENT_MODULES.get(experiment_id)
+        if module is None:
+            known = ", ".join(list_ids())
+            raise ExperimentError(
+                f"unknown experiment {experiment_id!r}; known: {known}"
+            )
+        importlib.import_module(module)
+    return _REGISTRY[experiment_id]
 
 
 def list_ids() -> List[str]:
-    """All registered experiment ids, sorted."""
-    return sorted(_REGISTRY)
+    """All experiment ids, sorted."""
+    return sorted(EXPERIMENT_MODULES)
 
 
 def run(experiment_id: str, **overrides: Any) -> ExperimentResult:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,8 +27,10 @@ from repro.arrays.codebook import Codebook
 from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.sim.config import ScenarioConfig
-from repro.sim.scenario import Scenario
 from repro.types import BeamPair
+
+if TYPE_CHECKING:
+    from repro.sim.scenario import Scenario
 
 __all__ = ["ScenarioContext", "get_context"]
 
@@ -116,4 +119,7 @@ def get_context(config: ScenarioConfig) -> ScenarioContext:
     return the same instance and pay the codebook construction exactly
     once per process.
     """
+    # Imported here: ``repro.sim.scenario`` imports this module.
+    from repro.sim.scenario import Scenario
+
     return ScenarioContext.build(Scenario(config))

@@ -10,6 +10,7 @@ from repro.channel.base import ClusteredChannel, Subpath
 from repro.channel.multipath import sample_nyc_channel
 from repro.channel.singlepath import sample_singlepath_channel
 from repro.sim.config import ChannelKind, ScenarioConfig
+from repro.sim.context import ScenarioContext
 
 __all__ = ["Scenario"]
 
@@ -65,15 +66,13 @@ class Scenario:
         """``T`` of Eq. (1)."""
         return self._tx_codebook.num_beams * self._rx_codebook.num_beams
 
-    def context(self):
+    def context(self) -> ScenarioContext:
         """The precomputed :class:`~repro.sim.context.ScenarioContext`.
 
         Built lazily on first use and cached on the scenario, so every
         trial run against this scenario shares one pair-index table.
         """
         if self._context is None:
-            from repro.sim.context import ScenarioContext
-
             self._context = ScenarioContext.build(self)
         return self._context
 

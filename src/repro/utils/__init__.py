@@ -1,33 +1,38 @@
 """Shared utilities: linear algebra, geometry, RNG, validation, serialization."""
 
-from repro.utils.geometry import (
-    Direction,
-    angle_distance,
-    angular_separation,
-    direction_cosines,
-    uniform_angle_grid,
-    uniform_sine_grid,
-    wrap_angle,
-)
-from repro.utils.linalg import (
-    db_to_linear,
-    dominant_eigenvector,
-    effective_rank,
-    eigh_sorted,
-    energy_fraction,
-    hermitian,
-    is_hermitian,
-    linear_to_db,
-    nuclear_norm,
-    project_psd,
-    quadratic_forms,
-    random_psd,
-    soft_threshold_eigenvalues,
-    spectral_norm,
-    unit_norm,
-)
-from repro.utils.rng import as_generator, complex_normal, spawn, trial_generator
-from repro.utils.serialization import dump, dumps, load, loads, to_jsonable
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_namespace
+
+if TYPE_CHECKING:
+    from repro.utils.geometry import (
+        Direction,
+        angle_distance,
+        angular_separation,
+        direction_cosines,
+        uniform_angle_grid,
+        uniform_sine_grid,
+        wrap_angle,
+    )
+    from repro.utils.linalg import (
+        db_to_linear,
+        dominant_eigenvector,
+        effective_rank,
+        eigh_sorted,
+        energy_fraction,
+        hermitian,
+        is_hermitian,
+        linear_to_db,
+        nuclear_norm,
+        project_psd,
+        quadratic_forms,
+        random_psd,
+        soft_threshold_eigenvalues,
+        spectral_norm,
+        unit_norm,
+    )
+    from repro.utils.rng import as_generator, complex_normal, spawn, trial_generator
+    from repro.utils.serialization import dump, dumps, load, loads, to_jsonable
 
 __all__ = [
     "Direction",
@@ -62,3 +67,42 @@ __all__ = [
     "loads",
     "to_jsonable",
 ]
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "repro.utils.geometry": (
+            "Direction",
+            "angle_distance",
+            "angular_separation",
+            "direction_cosines",
+            "uniform_angle_grid",
+            "uniform_sine_grid",
+            "wrap_angle",
+        ),
+        "repro.utils.linalg": (
+            "db_to_linear",
+            "dominant_eigenvector",
+            "effective_rank",
+            "eigh_sorted",
+            "energy_fraction",
+            "hermitian",
+            "is_hermitian",
+            "linear_to_db",
+            "nuclear_norm",
+            "project_psd",
+            "quadratic_forms",
+            "random_psd",
+            "soft_threshold_eigenvalues",
+            "spectral_norm",
+            "unit_norm",
+        ),
+        "repro.utils.rng": (
+            "as_generator",
+            "complex_normal",
+            "spawn",
+            "trial_generator",
+        ),
+        "repro.utils.serialization": ("dump", "dumps", "load", "loads", "to_jsonable"),
+    },
+)

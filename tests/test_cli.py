@@ -67,11 +67,57 @@ class TestCommands:
         assert payload["id"] == "mc-recovery"
         assert "data" in payload
 
-    def test_run_unknown_experiment(self):
-        from repro.exceptions import ExperimentError
+    def test_list_columns_align(self, capsys):
+        from repro.experiments.registry import get, list_ids
 
-        with pytest.raises(ExperimentError):
-            main(["run", "not-an-experiment"])
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        ids = list_ids()
+        assert len(lines) == len(ids)
+        offsets = set()
+        for line, experiment_id in zip(lines, ids):
+            experiment = get(experiment_id)
+            assert line.startswith(experiment_id + " ")
+            assert line.endswith(experiment.title)
+            offsets.add(len(line) - len(experiment.title))
+        assert len(offsets) == 1
+
+    def test_run_unknown_experiment(self, capsys):
+        from repro.experiments.registry import list_ids
+
+        assert main(["run", "not-an-experiment"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: unknown experiment 'not-an-experiment'")
+        assert "Traceback" not in err
+        for experiment_id in list_ids():
+            assert experiment_id in err
+
+    def test_run_bad_trials_errors(self, capsys):
+        assert main(["run", "fig6", "--trials", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert "Traceback" not in err
+
+    def test_debug_log_level_keeps_traceback(self):
+        # A fresh interpreter, so the debug handler does not outlive the test.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["--log-level", "debug", "run", "not-an-experiment"]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert done.returncode == 2
+        assert "Traceback" in done.stderr
+        assert "repro: error: unknown experiment" in done.stderr
 
     def test_align(self, capsys):
         assert (

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
+from dataclasses import replace
+
 import pytest
 
 import repro.experiments as experiments
 from repro.exceptions import ExperimentError
-from repro.experiments.registry import Experiment, ExperimentResult, get, list_ids, register
+from repro.experiments import registry
+from repro.experiments.registry import (
+    EXPERIMENT_MODULES,
+    ExperimentResult,
+    get,
+    list_ids,
+    register,
+)
 from repro.experiments.render import render_table
 from repro.sim.sweep import CostEfficiencyCurve, EffectivenessSweep
 
@@ -44,9 +54,39 @@ class TestRegistry:
         with pytest.raises(ExperimentError):
             register(experiment)
 
+    def test_unlisted_id_rejected(self):
+        experiment = replace(get("fig5"), experiment_id="fig99")
+        with pytest.raises(ExperimentError, match="EXPERIMENT_MODULES"):
+            register(experiment)
+
+    def test_unknown_id_error_lists_every_id(self):
+        with pytest.raises(ExperimentError) as excinfo:
+            get("fig99")
+        for experiment_id in EXPERIMENT_MODULES:
+            assert experiment_id in str(excinfo.value)
+
     def test_result_str_is_table(self):
         result = ExperimentResult("x", "t", {}, table="hello")
         assert str(result) == "hello"
+
+
+class TestRegistryTable:
+    """``EXPERIMENT_MODULES`` must agree with what the modules register."""
+
+    def test_covers_every_experiment(self):
+        assert len(EXPERIMENT_MODULES) == 15
+        assert list_ids() == sorted(EXPERIMENT_MODULES)
+
+    def test_home_modules_register_exactly_the_table(self):
+        for module in sorted(set(EXPERIMENT_MODULES.values())):
+            importlib.import_module(module)
+        assert sorted(registry._REGISTRY) == sorted(EXPERIMENT_MODULES)
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENT_MODULES))
+    def test_runner_lives_in_mapped_module(self, experiment_id):
+        experiment = get(experiment_id)
+        assert experiment.experiment_id == experiment_id
+        assert experiment.runner.__module__ == EXPERIMENT_MODULES[experiment_id]
 
 
 class TestRenderTable:
