@@ -112,8 +112,9 @@ def launch_campaign(
 ) -> LaunchReport:
     """Spawn ``num_workers`` lease-based workers and watch to completion.
 
-    The launcher's only jobs are to persist the plan manifest,
-    fork/spawn the workers, and poll the store for aggregate progress
+    The launcher's only jobs are to persist the plan manifest, compute
+    every shard digest before the workers inherit the plan, fork/spawn
+    the workers, and poll the store for aggregate progress
     every ``watch_interval_s``, waking early when a worker exits. It
     holds no campaign state, so killing the launcher mid-run leaves a
     resumable store exactly like killing a supervisor does. Workers
@@ -128,6 +129,11 @@ def launch_campaign(
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
     recorder = get_recorder()
     store.save_manifest(plan)
+    # Hash every shard spec once, here: the digests are memoized on the
+    # specs, so forked workers inherit them (and spawned ones unpickle
+    # them) instead of each re-hashing the whole plan.
+    for shard in plan.shards:
+        shard.digest
     method = start_method or (
         "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     )

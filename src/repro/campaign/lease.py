@@ -14,11 +14,12 @@ Claim files live in their own subtree of the shard store::
 
 The discipline mirrors shard artifacts:
 
-* **acquire** writes the whole claim to a temp file and hard-links it
-  into place — ``link`` fails if the claim exists, so the kernel
-  guarantees exactly one winner when several workers race for a free
-  shard, and no racer ever sees a half-written claim; the losers
-  observe the claim and move on;
+* **acquire** first reads the claim: a live foreign claim loses at the
+  cost of that read. Otherwise it writes the whole claim to a temp file
+  and hard-links it into place — ``link`` fails if the claim exists, so
+  the kernel guarantees exactly one winner when several workers race
+  for a free shard, and no racer ever sees a half-written claim; the
+  losers observe the claim and move on;
 * **renew** rewrites the claim through the same atomic
   tmp-file + ``os.replace`` path as artifacts, bumping
   ``renewed_unix_s`` so watchers can tell a live lease from a dead one;
@@ -274,17 +275,28 @@ class LeaseManager:
             ttl_s=self.ttl_s,
         )
 
+    def _live_foreign(self, current: Optional[LeaseRecord], now: float) -> bool:
+        """True when ``current`` is someone else's unexpired claim."""
+        return (
+            current is not None
+            and current.token != self.token
+            and not lease_expired(current, now)
+        )
+
     def acquire(self, shard_digest: str) -> bool:
         """Try to claim one shard; True when we hold the lease after this.
 
-        Free shard: the fully written claim is hard-linked into place,
-        which wins or loses atomically. Claim already ours: treated as a
-        renewal. Live foreign claim: lose. Expired or unreadable claim:
-        atomic takeover (``os.replace``).
+        The claim is read first, so losing to a live foreign claim costs
+        one read — no temp file, fsync or link. Free shard: the fully
+        written claim is hard-linked into place, which wins or loses
+        atomically. Claim already ours: treated as a renewal. Expired or
+        unreadable claim: atomic takeover (``os.replace``).
         """
+        now = time.time()
+        if self._live_foreign(self.peek(shard_digest), now):
+            return False
         path = self.path(shard_digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        now = time.time()
         record = self._record(shard_digest, acquired=now, now=now)
         try:
             _link_new_claim(record.to_payload(), path)
@@ -293,7 +305,7 @@ class LeaseManager:
             if current is not None and current.token == self.token:
                 self._held[shard_digest] = now
                 return True
-            if current is not None and not lease_expired(current, now):
+            if self._live_foreign(current, now):
                 return False
             # Expired, torn, or vanished: take over in one atomic write.
             dump(record.to_payload(), path)

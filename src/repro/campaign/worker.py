@@ -1,15 +1,16 @@
 """Lease-based campaign worker: the coordinator-free execution loop.
 
 :func:`run_worker` is one independent worker against one plan + store.
-It scans the plan in order, skips shards with valid artifacts, claims
-free shards through :class:`~repro.campaign.lease.LeaseManager`, executes
-them in-process (optionally through the batched engine), publishes each
-artifact through the zombie guard (:func:`publish_shard`), and releases
-the lease. Shards held by a live foreign lease are left alone; the
-worker re-scans until every shard is resolved, taking over leases whose
-workers crashed. N workers pointed at the same store therefore partition
-the plan dynamically with no coordinator process — the store *is* the
-coordinator.
+It scans the plan from a worker-specific start (:func:`_scan_start`),
+skips shards with valid artifacts, claims free shards through
+:class:`~repro.campaign.lease.LeaseManager`, executes them in-process
+(optionally through the batched engine), publishes each artifact through
+the zombie guard (:func:`publish_shard`), and releases the lease. Shards
+held by a live foreign lease are left alone; the worker re-scans until
+every shard is resolved, taking over leases whose workers crashed, and
+backs off between scans that find nothing to do. N workers pointed at
+the same store therefore partition the plan dynamically with no
+coordinator process — the store *is* the coordinator.
 
 Determinism makes this safe: every shard artifact is a pure function of
 its spec, so the worst a lease race can cost is duplicated CPU, never a
@@ -27,6 +28,7 @@ implementation across the single-supervisor and distributed modes.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import time
@@ -56,9 +58,17 @@ __all__ = [
 
 logger = get_logger("campaign.worker")
 
-#: How long a worker sleeps between scans when every pending shard is
+#: The longest a worker sleeps between scans when every pending shard is
 #: held by a live foreign lease.
 DEFAULT_POLL_S = 0.2
+
+#: The first such sleep; each further idle scan doubles it up to
+#: ``poll_s``, so a worker waiting on another's last shard wakes within
+#: milliseconds of it landing, while a long wait still polls at ``poll_s``.
+_FIRST_IDLE_S = 0.005
+
+#: 1/phi: successive lanes' scan starts land far apart on the plan.
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _shard_losses(
@@ -87,6 +97,20 @@ def _worker_lane(worker_id: str) -> Optional[int]:
     """
     match = re.search(r"(\d+)$", worker_id)
     return int(match.group(1)) if match else None
+
+
+def _scan_start(lane: Optional[int], num_shards: int) -> int:
+    """The plan index a worker's scans begin at: ``frac(lane / phi) * n``.
+
+    Workers that all scanned from index 0 would contend for the same
+    shard at every step. Offsetting lane ``k`` by the golden-ratio
+    fraction puts ``w0`` and ``w1`` ~62% of the plan apart, and every
+    further lane lands in one of the largest gaps left. Lane 0 and ids with no
+    trailing index start at 0, the plan's own order.
+    """
+    if not lane:
+        return 0
+    return int((lane * _INV_GOLDEN) % 1.0 * num_shards)
 
 
 def execute_shard_in_process(
@@ -190,6 +214,10 @@ def run_worker(
     failures don't poison the campaign. ``claim_batch`` claims up to
     that many free shards per scan before executing them, amortizing
     claim I/O on large plans (queued leases are renewed between shards).
+    When a scan finds every pending shard held by a live foreign lease,
+    the worker sleeps before the next one: 5 ms at first, doubling on
+    each further idle scan up to ``poll_s``, and back to 5 ms after any
+    progress.
     ``max_shards`` bounds how many shards this invocation executes —
     drain-style workers for tests and budgeted runs. Failures are
     reported in ``failed_digests``, never raised: another worker (or a
@@ -221,6 +249,12 @@ def run_worker(
     lease = LeaseManager(store, plan.digest, owner=wid, ttl_s=lease_ttl_s)
     reporter = ProgressReporter(plan.total_trials, progress, label=f"worker {wid}")
     collect = recorder.enabled and recorder.metrics is not None
+
+    start = _scan_start(lane, len(plan.shards))
+    scan_order = list(enumerate(plan.shards))
+    scan_order = scan_order[start:] + scan_order[:start]
+    first_idle_s = min(poll_s, _FIRST_IDLE_S)
+    idle_s = first_idle_s
 
     executed = skipped = retry_count = conflicts = discarded = 0
     done_trials = 0
@@ -394,7 +428,7 @@ def run_worker(
                         progressed = True
                     claimed.clear()
 
-                for index, shard in enumerate(plan.shards):
+                for index, shard in scan_order:
                     if max_shards is not None and executed >= max_shards:
                         budget_spent = True
                         break
@@ -428,10 +462,13 @@ def run_worker(
                 drain()
                 if len(resolved) >= len(plan.shards) or budget_spent:
                     break
-                if not progressed:
-                    if not contended:  # pragma: no cover - defensive
-                        break
-                    time.sleep(poll_s)
+                if progressed:
+                    idle_s = first_idle_s
+                    continue
+                if not contended:  # pragma: no cover - defensive
+                    break
+                time.sleep(idle_s)
+                idle_s = min(poll_s, 2.0 * idle_s)
         finally:
             lease.release_all()
         worker_span.annotate(

@@ -293,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_cmd.add_argument(
         "--poll", type=float, default=None, metavar="S",
-        help="sleep between scans while other workers hold every pending shard",
+        help=(
+            "longest sleep between scans while other workers hold every "
+            "pending shard"
+        ),
     )
     worker_cmd.add_argument(
         "--claim-batch", type=int, default=1, metavar="K",

@@ -198,6 +198,53 @@ class TestExpiryAndTakeover:
         assert manager.peek(SHARD).ttl_s == DEFAULT_LEASE_TTL_S
 
 
+class TestPeekFirstAcquire:
+    """A lost claim costs one read; takeovers still go through."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        import repro.campaign.lease as lease_module
+
+        calls = []
+        real_fsync = lease_module.os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(lease_module.os, "fsync", counting_fsync)
+        return calls
+
+    def test_live_foreign_claim_loses_without_writing(self, store, fsyncs):
+        holder, rival = _manager(store, owner="holder"), _manager(store, owner="rival")
+        assert holder.acquire(SHARD)
+        claim_bytes = holder.path(SHARD).read_bytes()
+        fsyncs.clear()
+        assert not rival.acquire(SHARD)
+        assert fsyncs == []
+        assert SHARD not in rival.held()
+        assert holder.path(SHARD).read_bytes() == claim_bytes
+        claim_dir = store.claim_dir(PLAN)
+        assert [p.name for p in claim_dir.iterdir()] == [holder.path(SHARD).name]
+
+    def test_free_claim_is_still_fsynced(self, store, fsyncs):
+        assert _manager(store).acquire(SHARD)
+        assert len(fsyncs) >= 1
+
+    def test_dead_pid_claim_is_taken_over(self, store):
+        import socket
+
+        manager = _manager(store, owner="survivor")
+        manager.path(SHARD).parent.mkdir(parents=True, exist_ok=True)
+        record = _expired_record(
+            host=socket.gethostname(), pid=_dead_pid(), renewed_unix_s=time.time()
+        )
+        dump(record.to_payload(), manager.path(SHARD))
+        assert manager.acquire(SHARD)
+        assert manager.takeovers == 1
+        assert manager.still_owns(SHARD)
+
+
 class TestRaces:
     ROUNDS = 60
 

@@ -24,7 +24,7 @@ from repro.campaign import (
 )
 from repro.campaign.distributed import _worker_entry
 from repro.campaign.lease import LeaseManager
-from repro.campaign.worker import execute_shard_in_process
+from repro.campaign.worker import _scan_start, execute_shard_in_process
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRecorder, get_recorder, use_recorder
 from repro.sim.parallel import SchemeSpec
@@ -227,6 +227,80 @@ class TestLeaseContention:
         # No artifact yet: determinism makes the stale write the right one.
         assert publish_shard(store, shard, losses, lease=zombie)
         assert store.has(shard)
+
+
+class TestScanOrder:
+    def test_scan_start_is_a_golden_ratio_offset(self):
+        assert _scan_start(None, 128) == 0
+        assert _scan_start(0, 128) == 0
+        assert _scan_start(1, 128) == 79  # frac(1 / phi) = 0.618...
+        assert _scan_start(7, 0) == 0
+        starts = [_scan_start(lane, 128) for lane in range(1, 65)]
+        assert all(0 <= start < 128 for start in starts)
+        assert len(set(starts)) == len(starts)
+
+    def test_indexed_worker_starts_away_from_the_plan_head(
+        self, plan, store, tmp_path
+    ):
+        report = run_worker(plan, store, worker_id="w1", max_shards=1)
+        assert report.executed == 1
+        done = [shard for shard in plan.shards if store.has(shard)]
+        assert len(done) == 1
+        assert done[0] is not plan.shards[0]
+        run_worker(plan, store, worker_id="w1")
+        assert _assembled_bytes(plan, store, tmp_path) == _reference_bytes(
+            plan, tmp_path
+        )
+
+    @pytest.mark.parametrize("worker_id", ["w0", "alpha"])
+    def test_lane_zero_and_unindexed_ids_keep_plan_order(
+        self, plan, store, worker_id
+    ):
+        run_worker(plan, store, worker_id=worker_id, max_shards=1)
+        assert [store.has(shard) for shard in plan.shards] == [True] + [False] * (
+            len(plan.shards) - 1
+        )
+
+
+class TestIdleBackoff:
+    def test_worker_wakes_soon_after_the_last_foreign_shard_lands(
+        self, plan, store
+    ):
+        """A worker idle on another's last shard must not sleep out a
+        whole ``poll_s`` once that shard is done."""
+        held = plan.shards[-1]
+        holder = LeaseManager(store, plan.digest, owner="holder")
+        assert holder.acquire(held.digest)
+        losses, _ = execute_shard_in_process(
+            held, None, None, get_recorder(), False
+        )
+        others = [shard for shard in plan.shards if shard is not held]
+        landed = []
+
+        def finish_held_shard() -> None:
+            # Complete the held shard only once the worker has run out of
+            # other work, so it is idle on this lease when the shard lands.
+            deadline = time.time() + 60.0
+            while not all(store.has(shard) for shard in others):
+                if time.time() > deadline:
+                    return
+                time.sleep(0.005)
+            time.sleep(0.05)
+            store.put(held, losses)
+            holder.release(held.digest)
+            landed.append(time.time())
+
+        thread = threading.Thread(target=finish_held_shard)
+        thread.start()
+        report = run_worker(plan, store, worker_id="w0", poll_s=2.0)
+        returned = time.time()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+        assert landed, "the worker never finished the other shards"
+        assert report.executed == len(plan.shards) - 1
+        assert report.skipped == 1
+        assert returned - landed[0] < 1.0
+        assert campaign_status(plan, store).complete
 
 
 def _hold_lease_and_hang(store_root: str, plan_digest: str, shard_digest: str) -> None:
