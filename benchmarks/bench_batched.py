@@ -12,27 +12,17 @@ All kernels are bit-identical to their serial counterparts (pinned by
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from benchmarks.conftest import timed_call
 
 from repro.channel.batch import mean_snr_matrices
-from repro.estimation.batch import soft_threshold_eigenvalues_batch
 from repro.measurement.measurer import MeasurementEngine
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.sim.scenario import Scenario
-from repro.utils.linalg import random_psd, soft_threshold_eigenvalues
 
 BATCH_SIZES = (1, 8, 32)
-
-#: Reduced-solver dimension for the prox benches: the subspace reduction
-#: hands the lockstep solver matrices of roughly probes+warm-rank size —
-#: single-digit dimensions for the early slots that dominate a trial —
-#: far below the 64-antenna ambient dimension.
-PROX_DIMENSION = 6
 
 
 @pytest.fixture(scope="module")
@@ -50,13 +40,6 @@ def primed_engine(scenario):
     # fused path benchmarks the steady-state (table-hit) cost.
     mean_snr_matrices([channel], context.tx_codebook, context.rx_codebook)
     return channel, context
-
-
-def _prox_stack(batch: int) -> np.ndarray:
-    rng = np.random.default_rng(11)
-    return np.stack(
-        [random_psd(PROX_DIMENSION, 4, rng) for _ in range(batch)]
-    )
 
 
 def _probe_pairs(context, batch: int):
@@ -124,76 +107,3 @@ def test_measurement_synthesis_serial(benchmark, primed_engine):
         ]
 
     benchmark(timed_call("batch-measure-serial32", serial))
-
-
-# ----------------------------------------------------------------------
-# ML prox (stacked eigenvalue soft-threshold)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("batch", BATCH_SIZES)
-def test_ml_prox_batched(benchmark, batch):
-    """B prox steps through one stacked eigh gufunc call."""
-    matrices = _prox_stack(batch)
-    thresholds = np.full(batch, 0.05)
-
-    benchmark(
-        timed_call(
-            f"batch-prox-b{batch}",
-            lambda: soft_threshold_eigenvalues_batch(matrices, thresholds),
-        )
-    )
-
-
-def test_ml_prox_serial(benchmark):
-    """The serial per-matrix prox loop the B=32 stacked call replaces.
-
-    The comparator is :func:`repro.utils.linalg.soft_threshold_eigenvalues`
-    — the public per-matrix prox a serial loop over problems goes
-    through.
-    """
-    matrices = _prox_stack(32)
-
-    def serial():
-        return [
-            soft_threshold_eigenvalues(matrices[index], 0.05) for index in range(32)
-        ]
-
-    benchmark(timed_call("batch-prox-serial32", serial))
-
-
-def test_ml_prox_batched_speedup_at_32():
-    """Acceptance gate: the stacked prox beats the serial loop >= 3x at B=32.
-
-    Timed inline rather than through pytest-benchmark so the two sides
-    run interleaved under identical load; best-of-rounds discards
-    scheduler contention, which only ever inflates a sample.
-    """
-    matrices = _prox_stack(32)
-    thresholds = np.full(32, 0.05)
-
-    def batched():
-        return soft_threshold_eigenvalues_batch(matrices, thresholds)
-
-    def serial():
-        return [
-            soft_threshold_eigenvalues(matrices[index], 0.05) for index in range(32)
-        ]
-
-    # Warm both code paths (lazy imports, LAPACK work buffers).
-    batched()
-    serial()
-    batched_samples = []
-    serial_samples = []
-    for _ in range(40):
-        start = time.perf_counter()
-        batched()
-        batched_samples.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        serial()
-        serial_samples.append(time.perf_counter() - start)
-    speedup = min(serial_samples) / min(batched_samples)
-    print(f"\nbatched ML prox speedup at B=32: {speedup:.1f}x")
-    assert speedup >= 3.0, (
-        f"stacked prox at B=32 is only {speedup:.2f}x the serial loop (need >= 3x)"
-    )

@@ -49,10 +49,9 @@ WORKLOAD = {
     "search_rates": [0.1, 0.3],
     "num_trials": 6,
     "base_seed": 2016,
-    # Routed through the batched engine so the gate exercises the
-    # dispatched kernels (repro.xp); under the numpy reference tier the
-    # batched path is bit-identical to serial, so this does not move the
-    # golden numbers.
+    # Routed through the batched engine so the gate exercises its
+    # stacked channel and measurement kernels; the batched path is
+    # bit-identical to serial, so this does not move the golden numbers.
     "batch_trials": 3,
 }
 

@@ -18,16 +18,7 @@ if TYPE_CHECKING:
         nll_gradient,
         nll_value_and_gradient,
     )
-    from repro.estimation.batch import (
-        estimate_ml_covariance_batch,
-        soft_threshold_eigenvalues_batch,
-    )
     from repro.estimation.ls_covariance import LsCovarianceEstimator
-    from repro.estimation.music import (
-        music_beam_ranking,
-        music_spectrum,
-        noise_subspace,
-    )
     from repro.estimation.ml_covariance import (
         MlCovarianceEstimator,
         estimate_ml_covariance,
@@ -45,13 +36,8 @@ __all__ = [
     "nll_gradient",
     "nll_value_and_gradient",
     "LsCovarianceEstimator",
-    "music_beam_ranking",
-    "music_spectrum",
-    "noise_subspace",
     "MlCovarianceEstimator",
     "estimate_ml_covariance",
-    "estimate_ml_covariance_batch",
-    "soft_threshold_eigenvalues_batch",
     "BackProjectionEstimator",
 ]
 
@@ -71,16 +57,7 @@ __getattr__, __dir__ = lazy_namespace(
             "nll_gradient",
             "nll_value_and_gradient",
         ),
-        "repro.estimation.batch": (
-            "estimate_ml_covariance_batch",
-            "soft_threshold_eigenvalues_batch",
-        ),
         "repro.estimation.ls_covariance": ("LsCovarianceEstimator",),
-        "repro.estimation.music": (
-            "music_beam_ranking",
-            "music_spectrum",
-            "noise_subspace",
-        ),
         "repro.estimation.ml_covariance": (
             "MlCovarianceEstimator",
             "estimate_ml_covariance",

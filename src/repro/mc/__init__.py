@@ -1,26 +1,18 @@
-"""Matrix-completion substrate: operators, SVT, FISTA, IALM-RPCA, OptSpace."""
+"""Matrix-completion substrate: operators, SVT, FISTA, OptSpace."""
 
 from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
-    from repro.mc.alm import RpcaResult, rpca_ialm, soft_threshold_entries
     from repro.mc.fista import fista_nuclear
     from repro.mc.metrics import numerical_rank, observed_rmse, relative_error
     from repro.mc.operators import EntryMask, QuadraticFormOperator
     from repro.mc.optspace import optspace_complete, spectral_initialization, trim_mask
     from repro.mc.result import SolverResult
-    from repro.mc.svt import (
-        shrink_singular_values,
-        shrink_singular_values_batch,
-        svt_complete,
-    )
+    from repro.mc.svt import shrink_singular_values, svt_complete
 
 __all__ = [
-    "RpcaResult",
-    "rpca_ialm",
-    "soft_threshold_entries",
     "fista_nuclear",
     "numerical_rank",
     "observed_rmse",
@@ -32,14 +24,12 @@ __all__ = [
     "trim_mask",
     "SolverResult",
     "shrink_singular_values",
-    "shrink_singular_values_batch",
     "svt_complete",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
-        "repro.mc.alm": ("RpcaResult", "rpca_ialm", "soft_threshold_entries"),
         "repro.mc.fista": ("fista_nuclear",),
         "repro.mc.metrics": ("numerical_rank", "observed_rmse", "relative_error"),
         "repro.mc.operators": ("EntryMask", "QuadraticFormOperator"),
@@ -49,10 +39,6 @@ __getattr__, __dir__ = lazy_namespace(
             "trim_mask",
         ),
         "repro.mc.result": ("SolverResult",),
-        "repro.mc.svt": (
-            "shrink_singular_values",
-            "shrink_singular_values_batch",
-            "svt_complete",
-        ),
+        "repro.mc.svt": ("shrink_singular_values", "svt_complete"),
     },
 )

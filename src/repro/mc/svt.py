@@ -20,7 +20,7 @@ from repro.exceptions import ValidationError
 from repro.mc.operators import EntryMask
 from repro.mc.result import SolverResult
 
-__all__ = ["shrink_singular_values", "shrink_singular_values_batch", "svt_complete"]
+__all__ = ["shrink_singular_values", "svt_complete"]
 
 
 def shrink_singular_values(matrix: np.ndarray, threshold: float) -> np.ndarray:
@@ -33,34 +33,6 @@ def shrink_singular_values(matrix: np.ndarray, threshold: float) -> np.ndarray:
     if not np.any(keep):
         return np.zeros_like(matrix)
     return (u[:, keep] * s[keep]) @ vh[keep, :]
-
-
-def shrink_singular_values_batch(matrices: np.ndarray, thresholds) -> np.ndarray:
-    """Soft-threshold singular values of a ``(B, n1, n2)`` stack.
-
-    ``thresholds`` is a scalar or a ``(B,)`` vector. One stacked SVD (the
-    ``svd`` gufunc) replaces B serial decompositions; the rank-truncated
-    reconstruction stays per-slice, so every slice of the result is
-    bit-identical to :func:`shrink_singular_values` on that matrix.
-    """
-    matrices = np.asarray(matrices)
-    if matrices.ndim != 3:
-        raise ValidationError(
-            f"matrices must be a (B, n1, n2) stack, got shape {matrices.shape}"
-        )
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(thresholds < 0):
-        raise ValidationError(f"thresholds must be >= 0, got {thresholds}")
-    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
-    s = np.clip(
-        s - (thresholds[:, None] if thresholds.ndim else thresholds), 0.0, None
-    )
-    out = np.zeros_like(matrices)
-    for index in range(matrices.shape[0]):
-        keep = s[index] > 0
-        if np.any(keep):
-            out[index] = (u[index][:, keep] * s[index][keep]) @ vh[index][keep, :]
-    return out
 
 
 def svt_complete(

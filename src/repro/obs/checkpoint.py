@@ -9,7 +9,7 @@ beam selection → trial metrics. Each checkpoint is one
 arrays (bytes + shape + dtype), coarse numeric stats, and the stage's
 scope — ``(search rate, trial index, per-trial sequence number)`` — so
 two runs can be compared event-for-event no matter which engine produced
-them (serial, batched, process-parallel, or a resumed campaign).
+them (serial, batched, a pooled campaign, or a resumed campaign).
 
 Like every recorder, a checkpoint recorder only *observes*: digests are
 computed over copies/read-only views, nothing feeds back into the
@@ -30,7 +30,7 @@ Three opt-in extras:
   checkpoint analogue of ``check_regression.py --inject-slowdown``.
 * **Worker transport**: :meth:`CheckpointRecorder.payload` /
   :meth:`absorb` move recorded events across process boundaries so the
-  parallel runner and campaign scheduler reproduce the exact sequence a
+  campaign scheduler's process pool reproduces the exact sequence a
   serial run would have recorded.
 """
 

@@ -5,8 +5,8 @@ layer: recorders feed it span durations and counter increments, and
 callers read back an order-independent :meth:`~MetricsRegistry.summary`
 (count / total / mean / p50 / p95 per timer). Registries are cheap plain
 containers, picklable through :meth:`~MetricsRegistry.snapshot`, and
-mergeable across process boundaries — the parallel trial runner collects
-one snapshot per worker and folds them into the parent registry.
+mergeable across process boundaries — the campaign scheduler collects
+one snapshot per pooled shard and folds it into the parent registry.
 """
 
 from __future__ import annotations

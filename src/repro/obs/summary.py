@@ -28,10 +28,9 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Aggregate parsed trace records into a summary dictionary.
 
     Returns ``{"spans", "counters", "gauges", "events", "solvers",
-    "parallel", "campaign"}``; ``spans`` maps span name to
+    "campaign", "checkpoints"}``; ``spans`` maps span name to
     :func:`~repro.obs.metrics.timer_stats` output, ``solvers`` maps
-    solver span name to iteration/convergence statistics, ``parallel``
-    digests the process-pool events (batches merged, pool breaks), and
+    solver span name to iteration/convergence statistics, and
     ``campaign`` digests the scheduler's spans/counters (shards executed,
     retries, fallbacks, attempts).
     """
@@ -82,15 +81,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             "converged_fraction": solver_converged.get(name, 0) / solves if solves else 0.0,
         }
 
-    parallel: Dict[str, float] = {}
-    parallel_runs = len(durations.get("run_trials_parallel", []))
-    if parallel_runs or any(name.startswith("parallel.") for name in events):
-        parallel = {
-            "runs": parallel_runs,
-            "batches_merged": events.get("parallel.batch_merged", 0),
-            "pool_breaks": events.get("parallel.pool_broken", 0),
-        }
-
     campaign: Dict[str, float] = {}
     has_campaign = any(
         name.startswith(CAMPAIGN_SPAN_PREFIX) for name in durations
@@ -123,7 +113,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
         "gauges": dict(sorted(gauges.items())),
         "events": dict(sorted(events.items())),
         "solvers": solvers,
-        "parallel": parallel,
         "campaign": campaign,
         "checkpoints": dict(sorted(checkpoint_stages.items())),
     }
@@ -182,16 +171,6 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
                 f"{name[:32]:32s} {stats['solves']:7d} {stats['mean_iterations']:8.1f}"
                 f" {stats['max_iterations']:7.0f} {100 * stats['converged_fraction']:6.1f}%"
             )
-        lines.append("")
-
-    parallel = summary.get("parallel", {})
-    if parallel:
-        lines.append("parallel execution")
-        lines.append(
-            f"  runs {parallel.get('runs', 0):d}"
-            f"  batches merged {parallel.get('batches_merged', 0):d}"
-            f"  pool breaks {parallel.get('pool_breaks', 0):d}"
-        )
         lines.append("")
 
     campaign = summary.get("campaign", {})

@@ -22,7 +22,6 @@ if TYPE_CHECKING:
         SCHEME_BUILDERS,
         ParallelOutcome,
         SchemeSpec,
-        run_trials_parallel,
     )
     from repro.sim.persistence import (
         load_cost_curve,
@@ -60,7 +59,6 @@ __all__ = [
     "SCHEME_BUILDERS",
     "ParallelOutcome",
     "SchemeSpec",
-    "run_trials_parallel",
     "load_cost_curve",
     "load_effectiveness_sweep",
     "save_cost_curve",
@@ -97,7 +95,6 @@ __getattr__, __dir__ = lazy_namespace(
             "SCHEME_BUILDERS",
             "ParallelOutcome",
             "SchemeSpec",
-            "run_trials_parallel",
         ),
         "repro.sim.persistence": (
             "load_cost_curve",

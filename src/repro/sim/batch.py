@@ -14,9 +14,10 @@ and every stacked kernel is per-slice bit-identical to its serial
 counterpart — seeded outcomes are bit-identical to ``run_trials`` for
 any batch size (pinned by ``tests/test_batch_engine.py``).
 
-Composition: ``run_trials_parallel(..., batch_trials=B)`` runs process
-workers that each execute their trial chunks through
-:func:`run_trial_block` — processes x in-process batches.
+Composition: ``--batch-trials`` runs this engine in-process; campaign
+shards reach it through ``_run_trial_batch(..., batch_trials=B)`` in
+:mod:`repro.sim.parallel`, so the scheduler's process pool and lease-loop
+workers run their trial chunks through :func:`run_trial_block`.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from repro.estimation.batch import estimate_ml_covariance_batch
 from repro.estimation.likelihood import expected_powers
+import repro.estimation.ml_covariance as ml_covariance
 from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
 from repro.exceptions import ValidationError
 from repro.mc.operators import QuadraticFormOperator
@@ -93,10 +93,6 @@ def _serial_solve(probes, powers, **controls):
     return estimate_ml_covariance(probes, powers, 0.01, **controls)
 
 
-def _batch_solve(probes, powers, **controls):
-    return estimate_ml_covariance_batch(probes[None], powers[None], 0.01, **controls)
-
-
 @contextmanager
 def _deadline(seconds):
     """Turn a hang into a failure: raise if the block runs past ``seconds``."""
@@ -113,9 +109,7 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize(
-    "solve", [_serial_solve, _batch_solve], ids=["serial", "batch"]
-)
+@pytest.mark.parametrize("solve", [_serial_solve], ids=["serial"])
 class TestStepControls:
     """Bad step controls fail once at entry instead of hanging or
     returning a solve that never took a step."""
@@ -158,6 +152,42 @@ class TestStepControls:
     def test_boundary_controls_accepted(self, rng, solve):
         probes, _, powers = _measurement_setup(rng, m=7)
         solve(probes, powers, max_iterations=1, tolerance=0.0, min_step=1.0)
+
+
+def _solver_fingerprint(result):
+    """Everything a SolverResult carries, hashable and byte-exact."""
+    eig = None
+    if result.solution_eig is not None:
+        values, vectors = result.solution_eig
+        eig = (values.tobytes(), vectors.tobytes())
+    return (
+        result.solution.tobytes(),
+        result.iterations,
+        result.converged,
+        result.objective,
+        tuple(result.history),
+        eig,
+    )
+
+
+class TestEighFallback:
+    def test_gufunc_absent_fallback(self, rng, monkeypatch):
+        """Without the numpy-internal eigh gufunc the prox falls back to
+        the public ``np.linalg.eigh``, bit-identically, cold and warm."""
+        probes, _, powers = _measurement_setup(rng, n=12, m=9, rank=2)
+        initial = random_psd(12, 3, rng)
+
+        def solves():
+            return [
+                _solver_fingerprint(estimate_ml_covariance(probes, powers, 0.01)),
+                _solver_fingerprint(
+                    estimate_ml_covariance(probes, powers, 0.01, initial=initial)
+                ),
+            ]
+
+        expected = solves()
+        monkeypatch.setattr(ml_covariance, "_EIGH_LOWER", None)
+        assert solves() == expected
 
 
 class TestEstimatorObject:

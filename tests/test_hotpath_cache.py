@@ -3,10 +3,9 @@
 The performance layer added around the simulation hot path — the
 codebook gain cache, the warm-started ML solves, and the batched
 trial engine — is only admissible because it is *exact*: with a fixed
-seed, results must be bit-identical whether the caches are on or off,
-whether trials run serially or across worker processes, and however the
-parallel trials are batched. This module pins those guarantees down,
-alongside unit tests of the cache bookkeeping itself.
+seed, results must be bit-identical whether the caches are on or off.
+This module pins that guarantee down, alongside unit tests of the cache
+bookkeeping itself.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from repro.arrays.codebook import (
     use_gain_cache,
 )
 from repro.estimation.ml_covariance import MlCovarianceEstimator
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.sim.context import ScenarioContext, get_context
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
 from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.linalg import quadratic_forms, random_psd
@@ -42,15 +40,6 @@ def _outcome_fingerprint(trials):
             outcome.result.measurements_used,
             outcome.result.selected_power,
         )
-        for trial in trials
-        for name, outcome in trial.items()
-    ]
-
-
-def _parallel_fingerprint(trials):
-    """The cross-process-safe subset of the outcome fingerprint."""
-    return [
-        (name, outcome.loss_db, outcome.selected, outcome.measurements_used)
         for trial in trials
         for name, outcome in trial.items()
     ]
@@ -312,12 +301,6 @@ class TestScenarioContext:
 
 
 class TestDeterminism:
-    SPECS = (
-        SchemeSpec.of("Random"),
-        SchemeSpec.of("Scan"),
-        SchemeSpec.of("Proposed", measurements_per_slot=4),
-    )
-
     def test_run_trials_cache_on_off_bit_identical(self, small_scenario):
         with use_gain_cache(True):
             cached = run_trials(
@@ -346,45 +329,3 @@ class TestDeterminism:
             base_seed=22,
         )
         assert _outcome_fingerprint(first) == _outcome_fingerprint(second)
-
-    def test_parallel_matches_serial_fallback(self, small_config):
-        serial = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=1
-        )
-        parallel = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=2
-        )
-        assert _parallel_fingerprint(serial) == _parallel_fingerprint(parallel)
-
-    @pytest.mark.parametrize("batch_size", [1, 3, None])
-    def test_batch_size_never_changes_outcomes(self, small_config, batch_size):
-        reference = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 4, base_seed=23, max_workers=1
-        )
-        batched = run_trials_parallel(
-            small_config,
-            self.SPECS,
-            0.3,
-            4,
-            base_seed=23,
-            max_workers=2,
-            batch_size=batch_size,
-        )
-        assert _parallel_fingerprint(reference) == _parallel_fingerprint(batched)
-
-    def test_batch_size_validation(self, small_config):
-        with pytest.raises(ConfigurationError):
-            run_trials_parallel(
-                small_config, self.SPECS, 0.3, 2, max_workers=2, batch_size=0
-            )
-
-    def test_parallel_cache_on_off_identical(self, small_config):
-        with use_gain_cache(True):
-            cached = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=29, max_workers=1
-            )
-        with use_gain_cache(False):
-            uncached = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=29, max_workers=1
-            )
-        assert _parallel_fingerprint(cached) == _parallel_fingerprint(uncached)

@@ -284,24 +284,6 @@ class TestSummarize:
         text = render_trace_summary(summarize_trace([]))
         assert "empty trace" in text
 
-    def test_summarize_parallel_section(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with TraceRecorder(path) as recorder:
-            with recorder.span("run_trials_parallel", workers=2):
-                recorder.event("parallel.batch_merged", worker=0)
-                recorder.event("parallel.batch_merged", worker=1)
-                recorder.event("parallel.pool_broken")
-        summary = summarize_trace(read_trace(path))
-        assert summary["parallel"] == {
-            "runs": 1,
-            "batches_merged": 2,
-            "pool_breaks": 1,
-        }
-        text = render_trace_summary(summary)
-        assert "parallel execution" in text
-        assert "batches merged 2" in text
-        assert "pool breaks 1" in text
-
     def test_summarize_campaign_section(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with TraceRecorder(path) as recorder:
@@ -332,7 +314,6 @@ class TestSummarize:
             with recorder.span("trial"):
                 pass
         summary = summarize_trace(read_trace(path))
-        assert summary["parallel"] == {}
         assert summary["campaign"] == {}
         text = render_trace_summary(summary)
         assert "parallel execution" not in text

@@ -2,7 +2,7 @@
 
 The core invariant: the checkpoint digest sequence is a function of the
 seeded computation only — every execution engine (serial, batched at any
-block size, process-parallel, killed-and-resumed campaign) records the
+block size, a campaign in- or out-of-process, killed-and-resumed) records the
 exact same events in the exact same order, and recording them changes no
 seeded outcome.
 """
@@ -37,7 +37,7 @@ from repro.obs import (
 )
 from repro.obs.checkpoint import CheckpointEvent, PerturbationSpec
 from repro.sim.batch import run_trials_batched
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
+from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trial, run_trials
 from repro.utils.rng import labeled_spawn, spawn, trial_generator
 
@@ -100,19 +100,21 @@ class TestEngineInvariance:
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_parallel_matches_serial(
-        self, small_config, serial_signature, max_workers
+        self, small_config, serial_signature, max_workers, tmp_path
     ):
+        """Campaign shards, in-process or in the scheduler's process pool,
+        absorb to the serial event sequence."""
+        plan = plan_effectiveness_sweep(
+            small_config, SPECS, RATES, TRIALS, base_seed=SEED, shard_trials=2
+        )
         recorder = CheckpointRecorder()
         with use_recorder(recorder):
-            for rate in RATES:
-                run_trials_parallel(
-                    small_config,
-                    SPECS,
-                    rate,
-                    TRIALS,
-                    base_seed=SEED,
-                    max_workers=max_workers,
-                )
+            run_campaign(
+                plan,
+                ShardStore(tmp_path / "store"),
+                max_workers=max_workers,
+                checkpoints=True,
+            )
         assert _signature(recorder.events) == serial_signature
 
     def test_killed_and_resumed_campaign_matches_serial(

@@ -8,17 +8,16 @@ produce bit-identical outcomes.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from repro.campaign import ShardStore, plan_effectiveness_sweep, run_campaign
 from repro.estimation.ml_covariance import MlCovarianceEstimator
-from repro.mc.alm import rpca_ialm
 from repro.obs import (
     MetricsRecorder,
     TraceRecorder,
     read_trace,
     use_recorder,
 )
-from repro.sim.parallel import SchemeSpec, run_trials_parallel
+from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trials, standard_schemes
 from repro.sim.sweep import effectiveness_sweep
 
@@ -135,49 +134,58 @@ class TestSweepInstrumentation:
 
 
 class TestParallelMetricsMerge:
+    """The campaign scheduler's process pool merges worker telemetry."""
+
     SPECS = (
         SchemeSpec.of("Random"),
         SchemeSpec.of("Proposed", measurements_per_slot=4),
     )
 
-    def test_worker_metrics_merge_across_processes(self, small_config):
-        recorder = MetricsRecorder()
-        with use_recorder(recorder):
-            trials = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=5, max_workers=2,
-                batch_size=1,
-            )
-        expected = sum(t["Proposed"].measurements_used for t in trials)
-        metrics = recorder.metrics
-        assert metrics.counter("scheme.Proposed.measurements") == expected
-        assert metrics.counter("scheme.Proposed.trials") == 3
+    def _plan(self, small_config, trials):
+        return plan_effectiveness_sweep(
+            small_config, self.SPECS, (0.3,), trials, base_seed=5, shard_trials=1
+        )
+
+    def test_worker_metrics_merge_across_processes(self, small_config, tmp_path):
+        plan = self._plan(small_config, 3)
+        counters = {}
+        for workers in (1, 2):
+            recorder = MetricsRecorder()
+            with use_recorder(recorder):
+                run_campaign(
+                    plan, ShardStore(tmp_path / f"w{workers}"), max_workers=workers
+                )
+            counters[workers] = {
+                name: recorder.metrics.counter(name)
+                for name in (
+                    "scheme.Proposed.trials",
+                    "scheme.Proposed.measurements",
+                    "estimator.ml.solves",
+                )
+            }
+        pooled = counters[2]
+        assert pooled["scheme.Proposed.trials"] == 3
         # worker-side solver telemetry survived the process boundary
-        assert metrics.counter("estimator.ml.solves") > 0
-        # per-batch merge events were recorded in the parent
-        assert metrics.counter("parallel.batch_merged") == 3
+        assert pooled["estimator.ml.solves"] > 0
+        assert pooled == counters[1]
 
-    def test_parallel_matches_serial_with_recorder(self, small_config):
-        plain = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=5, max_workers=1
-        )
+    def test_parallel_matches_serial_with_recorder(self, small_config, tmp_path):
+        plan = self._plan(small_config, 2)
+        plain = ShardStore(tmp_path / "plain")
+        recorded = ShardStore(tmp_path / "recorded")
+        run_campaign(plan, plain, max_workers=1)
         with use_recorder(MetricsRecorder()):
-            recorded = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 2, base_seed=5, max_workers=2
-            )
-        assert plain == recorded
+            run_campaign(plan, recorded, max_workers=2)
+        for shard in plan.shards:
+            assert plain.get(shard) == recorded.get(shard)
 
-    def test_parallel_progress(self, small_config):
+    def test_parallel_progress(self, small_config, tmp_path):
+        plan = self._plan(small_config, 2)
         events = []
-        run_trials_parallel(
-            small_config,
-            self.SPECS,
-            0.3,
-            2,
-            base_seed=5,
-            max_workers=1,
-            progress=events.append,
+        run_campaign(
+            plan, ShardStore(tmp_path / "store"), max_workers=2, progress=events.append
         )
-        assert events[-1].done == 2
+        assert (events[-1].done, events[-1].total) == (len(plan.shards),) * 2
 
 
 class TestSolverDiagnostics:
@@ -194,26 +202,6 @@ class TestSolverDiagnostics:
         estimator.estimate(probes, powers, 0.01)
         assert estimator.num_solves == 2
         assert estimator.num_converged <= 2
-
-    def test_rpca_residual_history(self, rng):
-        low_rank = rng.standard_normal((12, 12))
-        result = rpca_ialm(low_rank, max_iterations=50, tolerance=1e-6)
-        assert len(result.residual_history) == result.iterations
-        assert result.residual_history[-1] == pytest.approx(result.residual)
-
-    def test_rpca_iteration_events(self, rng, tmp_path):
-        path = tmp_path / "t.jsonl"
-        observed = rng.standard_normal((10, 10))
-        with TraceRecorder(path) as recorder, use_recorder(recorder):
-            rpca_ialm(observed, max_iterations=20)
-        records = read_trace(path)
-        events = [r for r in records if r["type"] == "event"]
-        assert events, "no iteration events recorded"
-        assert all(r["name"] == "solver.rpca_ialm.iteration" for r in events)
-        span = next(r for r in records if r["type"] == "span")
-        assert span["name"] == "solver.rpca_ialm"
-        assert "iterations" in span["attrs"]
-        assert "converged" in span["attrs"]
 
     def test_proposed_slots_carry_convergence(self, small_scenario):
         trials = run_trials(

@@ -1,23 +1,24 @@
-"""Tests for the process-parallel trial runner."""
+"""Picklable scheme specs, and pooled shard batches surviving a dead pool.
+
+Campaign shards carry their schemes as :class:`SchemeSpec` values and run
+through ``_run_trial_batch`` in the scheduler's process pool; a pool that
+breaks mid-flight must degrade to in-process execution with identical
+artifacts.
+"""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.baselines.random_search import RandomSearch
+from repro.campaign import ShardStore, plan_effectiveness_sweep, run_campaign
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRecorder, use_recorder
-from repro.sim.parallel import (
-    SCHEME_BUILDERS,
-    BrokenProcessPool,
-    ParallelOutcome,
-    SchemeSpec,
-    run_trials_parallel,
-)
-from repro.sim.runner import run_trials
+from repro.sim.parallel import SCHEME_BUILDERS, SchemeSpec
 
 
 class TestSchemeSpec:
@@ -48,80 +49,22 @@ class TestSchemeSpec:
         assert hash(SchemeSpec.of("Proposed", mu=0.1)) is not None
 
 
-class TestRunTrialsParallel:
-    SPECS = (
-        SchemeSpec.of("Random"),
-        SchemeSpec.of("Proposed", measurements_per_slot=4),
-    )
-
-    def test_inprocess_path(self, small_config):
-        trials = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 3, base_seed=5, max_workers=1
-        )
-        assert len(trials) == 3
-        for trial in trials:
-            assert set(trial) == {"Random", "Proposed"}
-            for outcome in trial.values():
-                assert isinstance(outcome, ParallelOutcome)
-                assert outcome.loss_db >= 0.0
-
-    def test_matches_serial_runner(self, small_config, small_scenario):
-        """Same seeds -> identical selections as the serial runner."""
-        parallel = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=9, max_workers=1
-        )
-        schemes = {spec.name: spec.build_factory() for spec in self.SPECS}
-        serial = run_trials(small_scenario, schemes, 0.3, 2, base_seed=9)
-        for par_trial, ser_trial in zip(parallel, serial):
-            for name in schemes:
-                assert par_trial[name].selected == ser_trial[name].result.selected
-                assert par_trial[name].loss_db == pytest.approx(ser_trial[name].loss_db)
-
-    def test_multiprocess_matches_inprocess(self, small_config):
-        solo = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=11, max_workers=1
-        )
-        pooled = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 2, base_seed=11, max_workers=2
-        )
-        for a, b in zip(solo, pooled):
-            for name in ("Random", "Proposed"):
-                assert a[name].selected == b[name].selected
-                assert a[name].loss_db == pytest.approx(b[name].loss_db)
-
-    def test_validation(self, small_config):
-        with pytest.raises(ConfigurationError):
-            run_trials_parallel(small_config, self.SPECS, 0.3, 0)
-        with pytest.raises(ConfigurationError):
-            run_trials_parallel(small_config, (), 0.3, 1)
-        with pytest.raises(ConfigurationError):
-            run_trials_parallel(
-                small_config,
-                (SchemeSpec.of("Random"), SchemeSpec.of("Random")),
-                0.3,
-                1,
-            )
-
-
 class _AlwaysBrokenFuture:
     def result(self, timeout=None):
-        raise BrokenProcessPool("worker died before the batch returned")
+        raise BrokenProcessPool("worker died before the shard returned")
 
 
 class _AlwaysBrokenPool:
-    """Stand-in executor whose every batch dies mid-flight."""
+    """Stand-in executor whose every shard dies mid-flight."""
 
     def __init__(self, *args, **kwargs):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
     def submit(self, fn, *args, **kwargs):
         return _AlwaysBrokenFuture()
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class _CrashInWorker(RandomSearch):
@@ -135,42 +78,49 @@ class _CrashInWorker(RandomSearch):
         return super().align(context, rng)
 
 
+def _artifacts(plan, store):
+    return [store.get(shard) for shard in plan.shards]
+
+
 class TestBrokenPoolFallback:
     SPECS = (SchemeSpec.of("Random"),)
 
-    def test_broken_pool_reruns_batches_in_process(self, small_config, monkeypatch):
-        monkeypatch.setattr(
-            "repro.sim.parallel.ProcessPoolExecutor", _AlwaysBrokenPool
+    def test_broken_pool_reruns_batches_in_process(
+        self, small_config, monkeypatch, tmp_path
+    ):
+        plan = plan_effectiveness_sweep(
+            small_config, self.SPECS, (0.3,), 3, base_seed=13, shard_trials=1
         )
+        reference = ShardStore(tmp_path / "reference")
+        run_campaign(plan, reference, max_workers=1)
+        monkeypatch.setattr(
+            "repro.campaign.scheduler.ProcessPoolExecutor", _AlwaysBrokenPool
+        )
+        fallback = ShardStore(tmp_path / "fallback")
         recorder = MetricsRecorder()
         with use_recorder(recorder):
-            fallback = run_trials_parallel(
-                small_config, self.SPECS, 0.3, 3, base_seed=13, max_workers=2
-            )
-        assert recorder.metrics.counter("parallel.pool_broken") >= 1.0
-        reference = run_trials_parallel(
-            small_config, self.SPECS, 0.3, 3, base_seed=13, max_workers=1
-        )
-        assert len(fallback) == 3
-        for a, b in zip(fallback, reference):
-            assert a["Random"].selected == b["Random"].selected
-            assert a["Random"].loss_db == b["Random"].loss_db
+            report = run_campaign(plan, fallback, max_workers=2)
+        assert recorder.metrics.counter("campaign.pool_broken") == len(plan.shards)
+        assert report.fallbacks == len(plan.shards)
+        assert _artifacts(plan, fallback) == _artifacts(plan, reference)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="needs fork so the patched registry reaches pool workers",
     )
-    def test_real_worker_crash_falls_back(self, small_config, monkeypatch):
+    def test_real_worker_crash_falls_back(self, small_config, monkeypatch, tmp_path):
         monkeypatch.setitem(SCHEME_BUILDERS, "Crash", _CrashInWorker)
         monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
-        specs = (SchemeSpec.of("Crash"),)
-        pooled = run_trials_parallel(
-            small_config, specs, 0.3, 2, base_seed=3, max_workers=2
+        plan = plan_effectiveness_sweep(
+            small_config,
+            (SchemeSpec.of("Crash"),),
+            (0.3,),
+            2,
+            base_seed=3,
+            shard_trials=1,
         )
-        solo = run_trials_parallel(
-            small_config, specs, 0.3, 2, base_seed=3, max_workers=1
-        )
-        assert len(pooled) == 2
-        for a, b in zip(pooled, solo):
-            assert a["Crash"].selected == b["Crash"].selected
-            assert a["Crash"].loss_db == b["Crash"].loss_db
+        pooled = ShardStore(tmp_path / "pooled")
+        solo = ShardStore(tmp_path / "solo")
+        run_campaign(plan, pooled, max_workers=2)
+        run_campaign(plan, solo, max_workers=1)
+        assert _artifacts(plan, pooled) == _artifacts(plan, solo)

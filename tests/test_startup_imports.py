@@ -76,8 +76,6 @@ def test_cli_import_skips_unused_subsystems():
         "repro.experiments.extensions",
         "repro.mac",
         "repro.mc",
-        "repro.estimation.music",
-        "repro.estimation.batch",
         "repro.campaign",
         "repro.cell",
     ):

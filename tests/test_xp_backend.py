@@ -5,10 +5,10 @@ as plain numpy. This suite pins:
 
 * **the stamp** — :func:`repro.xp.active_backend` always reports
   ``numpy``, and ``REPRO_BACKEND`` is no longer read;
-* **reference formulations** — the estimation kernels are bitwise the
-  stacked formulas they document, with or without the eigh gufunc;
-* **loop parity** — each stacked kernel agrees with a plain per-element
-  loop written out here;
+* **reference formulations** — the serial prox's eigh gufunc probe and
+  its ``np.linalg.eigh`` fallback are bitwise the formula they document;
+* **loop parity** — each kernel agrees with a plain per-element loop
+  written out here;
 * **host-array boundaries** — checkpoint digests see host ndarrays,
   passing ndarrays through untouched.
 """
@@ -26,15 +26,10 @@ import pytest
 from repro.arrays.steering import direction_unit_vector
 from repro.arrays.upa import UniformPlanarArray
 from repro.channel.batch import stacked_steering_matrices
-from repro.estimation import batch as estimation_batch
-from repro.estimation.batch import (
-    _batch_adjoint,
-    _batch_apply,
-    _batch_nll,
-    soft_threshold_eigenvalues_batch,
-)
-from repro.mc.alm import soft_threshold_entries
-from repro.mc.svt import shrink_singular_values_batch
+from repro.estimation import ml_covariance
+from repro.estimation.likelihood import negative_log_likelihood
+from repro.mc.operators import QuadraticFormOperator
+from repro.mc.svt import shrink_singular_values
 from repro.obs.checkpoint import _as_arrays, array_digest
 from repro.utils.geometry import Direction
 from repro.utils.linalg import quadratic_forms
@@ -150,7 +145,7 @@ class TestToNumpy:
 class TestCapabilities:
     def test_reference_probe(self):
         """The numpy-internal eigh gufunc is found and decomposes stacks."""
-        gufunc = estimation_batch._EIGH_LOWER
+        gufunc = ml_covariance._EIGH_LOWER
         if gufunc is None:  # pragma: no cover - numpy internals moved
             pytest.skip("numpy no longer exposes the eigh gufunc")
         matrices = _hermitian_stack(batch=3, size=4, seed=7)
@@ -166,134 +161,78 @@ class TestCapabilities:
 
 class TestReferenceKernels:
     def test_eigh_stack_matches_public_eigh(self, monkeypatch):
-        """Without the gufunc the prox is bitwise the public-eigh formula."""
-        monkeypatch.setattr(estimation_batch, "_EIGH_LOWER", None)
+        """Without the gufunc the serial prox is bitwise the public-eigh
+        formula, on every slice of a stack."""
+        monkeypatch.setattr(ml_covariance, "_EIGH_LOWER", None)
         matrices = _hermitian_stack()
         thresholds = np.linspace(0.1, 0.4, 4)
-        result = soft_threshold_eigenvalues_batch(matrices, thresholds)
-        values, vectors = np.linalg.eigh(matrices)
-        shrunk = np.clip(values - thresholds[:, None], 0.0, None)
-        expected = np.matmul(
-            vectors * shrunk[:, None, :], np.conj(vectors.transpose(0, 2, 1))
-        )
-        assert result.tobytes() == expected.tobytes()
+        for matrix, threshold in zip(matrices, thresholds):
+            result = ml_covariance._soft_threshold_hot(matrix, float(threshold))
+            values, vectors = np.linalg.eigh(matrix)
+            shrunk = np.maximum(values - threshold, 0.0)
+            expected = (vectors * shrunk) @ vectors.conj().T
+            assert result.tobytes() == expected.tobytes()
 
     def test_eigh_stack_sentinel_uses_probe(self, monkeypatch):
         """The default (gufunc) path agrees with the public fallback."""
         matrices = _hermitian_stack(seed=13)
-        default = soft_threshold_eigenvalues_batch(matrices, 0.2)
-        monkeypatch.setattr(estimation_batch, "_EIGH_LOWER", None)
-        fallback = soft_threshold_eigenvalues_batch(matrices, 0.2)
+        default = [ml_covariance._soft_threshold_hot(m, 0.2) for m in matrices]
+        monkeypatch.setattr(ml_covariance, "_EIGH_LOWER", None)
+        fallback = [ml_covariance._soft_threshold_hot(m, 0.2) for m in matrices]
         assert np.allclose(default, fallback, rtol=1e-12, atol=1e-12)
-
-    def test_batch_quadratic_forms_is_the_einsum(self):
-        rng = np.random.default_rng(17)
-        probes = _complex(rng, (3, 5, 4))
-        matrices = _hermitian_stack(batch=3, size=5, seed=19)
-        conj = np.conj(probes)
-        result = _batch_apply(conj, matrices, probes)
-        expected = np.real(np.einsum("bnm,bnk,bkm->bm", conj, matrices, probes))
-        assert result.tobytes() == expected.tobytes()
-
-    def test_nll_terms_reference(self):
-        rng = np.random.default_rng(23)
-        probes = _complex(rng, (3, 6, 5))
-        conj = np.conj(probes)
-        matrices = np.stack([np.eye(6, dtype=complex)] * 3)
-        powers = np.abs(rng.normal(size=(3, 5)))
-        offsets = np.full((3, 5), 0.1)
-        values, gradient = _batch_nll(probes, conj, matrices, powers, offsets)
-        lambdas = _batch_apply(conj, matrices, probes) + offsets
-        assert values.tobytes() == np.sum(
-            np.log(lambdas) + powers / lambdas, axis=1
-        ).tobytes()
-        weights = 1.0 / lambdas - powers / lambdas**2
-        assert gradient.tobytes() == _batch_adjoint(probes, conj, weights).tobytes()
 
 
 # ----------------------------------------------------------------------
-# Stacked kernels vs plain loops
+# Kernels vs plain loops
 # ----------------------------------------------------------------------
 
 
 class TestLoopKernels:
-    """Each stacked kernel against the same math written as loops."""
+    """Each kernel against the same math written as loops."""
 
     def test_nll_terms_loops(self):
         rng = np.random.default_rng(29)
-        batch, size, count = 2, 4, 5
-        probes = _complex(rng, (batch, size, count))
-        matrices = _hermitian_stack(batch=batch, size=size, seed=30)
-        matrices = matrices + 10.0 * np.eye(size)  # keep every lambda > 0
-        powers = np.abs(rng.normal(size=(batch, count)))
-        offsets = np.full((batch, count), 0.1)
-        values, _ = _batch_nll(probes, np.conj(probes), matrices, powers, offsets)
-        for b in range(batch):
-            total = 0.0
-            for j in range(count):
-                v = probes[b, :, j]
-                lam = float(np.real(np.vdot(v, matrices[b] @ v))) + offsets[b, j]
-                total += np.log(lam) + powers[b, j] / lam
-            assert np.isclose(values[b], total, rtol=1e-12)
-
-    def test_batch_adjoint_loops(self):
-        rng = np.random.default_rng(31)
-        probes = _complex(rng, (3, 5, 4))
-        weights = rng.normal(size=(3, 4))
-        result = _batch_adjoint(probes, np.conj(probes), weights)
-        for b in range(3):
-            expected = np.zeros((5, 5), dtype=complex)
-            for j in range(4):
-                v = probes[b, :, j]
-                expected += weights[b, j] * np.outer(v, np.conj(v))
-            expected = (expected + expected.conj().T) / 2.0
-            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-14)
-
-    def test_batch_quadratic_forms_loops(self):
-        rng = np.random.default_rng(37)
-        probes = _complex(rng, (2, 6, 5))
-        matrices = _hermitian_stack(batch=2, size=6, seed=41)
-        result = _batch_apply(np.conj(probes), matrices, probes)
-        for b in range(2):
-            for j in range(5):
-                v = probes[b, :, j]
-                expected = np.real(np.vdot(v, matrices[b] @ v))
-                assert np.isclose(result[b, j], expected, rtol=1e-12, atol=1e-12)
+        size, count = 4, 5
+        probes = _complex(rng, (size, count))
+        matrix = _hermitian_stack(batch=1, size=size, seed=30)[0]
+        matrix = matrix + 10.0 * np.eye(size)  # keep every lambda > 0
+        powers = np.abs(rng.normal(size=count))
+        offsets = np.full(count, 0.1)
+        value = negative_log_likelihood(
+            matrix, QuadraticFormOperator(probes), powers, 0.01, offsets=offsets
+        )
+        total = 0.0
+        for j in range(count):
+            v = probes[:, j]
+            lam = float(np.real(np.vdot(v, matrix @ v))) + offsets[j]
+            total += np.log(lam) + powers[j] / lam
+        assert np.isclose(value, total, rtol=1e-12)
 
     def test_eig_reconstruct_loops(self):
         matrices = _hermitian_stack(batch=3, size=5, seed=43)
         thresholds = np.linspace(0.05, 0.3, 3)
-        result = soft_threshold_eigenvalues_batch(matrices, thresholds)
-        for b in range(3):
-            values, vectors = np.linalg.eigh(matrices[b])
+        for matrix, threshold in zip(matrices, thresholds):
+            result = ml_covariance._soft_threshold_hot(matrix, float(threshold))
+            values, vectors = np.linalg.eigh(matrix)
             expected = np.zeros((5, 5), dtype=complex)
             for k in range(5):
-                shrunk = max(values[k] - thresholds[b], 0.0)
+                shrunk = max(values[k] - threshold, 0.0)
                 expected += shrunk * np.outer(vectors[:, k], np.conj(vectors[:, k]))
-            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-12)
+            assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)
 
     def test_svd_reconstruct_loops(self):
         rng = np.random.default_rng(47)
         matrices = _complex(rng, (3, 6, 4))
-        thresholds = np.array([0.2, 1.0, 50.0])  # last slice fully shrunk
-        result = shrink_singular_values_batch(matrices, thresholds)
-        for b in range(3):
-            u, s, vh = np.linalg.svd(matrices[b], full_matrices=False)
+        thresholds = (0.2, 1.0, 50.0)  # last matrix fully shrunk
+        for matrix, threshold in zip(matrices, thresholds):
+            result = shrink_singular_values(matrix, threshold)
+            u, s, vh = np.linalg.svd(matrix, full_matrices=False)
             expected = np.zeros((6, 4), dtype=complex)
             for k in range(len(s)):
-                shrunk = max(s[k] - thresholds[b], 0.0)
+                shrunk = max(s[k] - threshold, 0.0)
                 expected += shrunk * np.outer(u[:, k], vh[k, :])
-            assert np.allclose(result[b], expected, rtol=1e-12, atol=1e-12)
-        assert np.all(result[-1] == 0.0)
-
-    def test_soft_threshold_entries_loops(self):
-        rng = np.random.default_rng(53)
-        matrix = _complex(rng, (9, 7))
-        result = soft_threshold_entries(matrix, 0.6)
-        for index, value in np.ndenumerate(matrix):
-            magnitude = abs(value)
-            expected = 0.0 if magnitude <= 0.6 else value * (magnitude - 0.6) / magnitude
-            assert np.isclose(result[index], expected, rtol=1e-12, atol=1e-14)
+            assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)
+        assert np.all(result == 0.0)
 
     def test_steering_phase_exp_loops(self):
         array = UniformPlanarArray(2, 3)
