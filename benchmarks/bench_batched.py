@@ -42,10 +42,9 @@ def primed_engine(scenario):
     return channel, context
 
 
-def _probe_pairs(context, batch: int):
+def _probe_flats(context, batch: int) -> np.ndarray:
     rng = np.random.default_rng(13)
-    flats = rng.choice(context.total_pairs, size=batch, replace=False)
-    return [context.pair_of(int(flat)) for flat in flats]
+    return rng.choice(context.total_pairs, size=batch, replace=False)
 
 
 # ----------------------------------------------------------------------
@@ -85,11 +84,11 @@ def test_channel_generation_serial(benchmark, scenario):
 def test_measurement_synthesis_batched(benchmark, primed_engine, batch):
     """B beam-pair measurements in one fused RNG block + GEMM."""
     channel, context = primed_engine
-    pairs = _probe_pairs(context, batch)
+    flats = _probe_flats(context, batch)
 
     def batched():
         engine = MeasurementEngine(channel, np.random.default_rng(2), fading_blocks=8)
-        return engine.measure_pairs(context.tx_codebook, context.rx_codebook, pairs)
+        return engine.measure_pairs(context.tx_codebook, context.rx_codebook, flats)
 
     benchmark(timed_call(f"batch-measure-b{batch}", batched))
 
@@ -97,7 +96,7 @@ def test_measurement_synthesis_batched(benchmark, primed_engine, batch):
 def test_measurement_synthesis_serial(benchmark, primed_engine):
     """The serial per-pair loop the B=32 fused draw replaces."""
     channel, context = primed_engine
-    pairs = _probe_pairs(context, 32)
+    pairs = [context.pair_of(int(flat)) for flat in _probe_flats(context, 32)]
 
     def serial():
         engine = MeasurementEngine(channel, np.random.default_rng(2), fading_blocks=8)

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
 from repro.core.result import AlignmentResult
-from repro.types import BeamPair
 
 __all__ = ["RandomSearch"]
 
@@ -30,9 +29,5 @@ class RandomSearch(BeamAlignmentAlgorithm):
     ) -> AlignmentResult:
         total = context.total_pairs
         limit = context.budget.remaining
-        rx_beams = context.rx_codebook.num_beams
-        flat_choices = rng.choice(total, size=limit, replace=False)
-        context.measure_many(
-            [BeamPair(*divmod(int(flat), rx_beams)) for flat in flat_choices]
-        )
+        context.measure_many(rng.choice(total, size=limit, replace=False))
         return context.result(self.name)

@@ -80,5 +80,5 @@ class ScanSearch(BeamAlignmentAlgorithm):
             taken.add(flat)
             tx_step += 1
             rx_step += 1
-        context.measure_many([BeamPair(*divmod(flat, n_rx)) for flat in planned])
+        context.measure_many(np.array(planned, dtype=np.int64))
         return context.result(self.name)

@@ -14,7 +14,7 @@ if TYPE_CHECKING:
         TxBeamPolicy,
     )
     from repro.core.proposed import ProposedAlignment
-    from repro.core.result import AlignmentResult, SlotRecord
+    from repro.core.result import AlignmentResult, ProbeTrace, SlotRecord
 
 __all__ = [
     "AlignmentContext",
@@ -26,6 +26,7 @@ __all__ = [
     "TxBeamPolicy",
     "ProposedAlignment",
     "AlignmentResult",
+    "ProbeTrace",
     "SlotRecord",
 ]
 
@@ -41,6 +42,6 @@ __getattr__, __dir__ = lazy_namespace(
             "TxBeamPolicy",
         ),
         "repro.core.proposed": ("ProposedAlignment",),
-        "repro.core.result": ("AlignmentResult", "SlotRecord"),
+        "repro.core.result": ("AlignmentResult", "ProbeTrace", "SlotRecord"),
     },
 )

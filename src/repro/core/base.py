@@ -14,12 +14,12 @@ the paper's evaluation (Sec. V):
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
 from repro.arrays.codebook import Codebook
-from repro.core.result import AlignmentResult
+from repro.core.result import AlignmentResult, ProbeTrace
 from repro.exceptions import BudgetExhaustedError, ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import Measurement, MeasurementEngine
@@ -30,7 +30,15 @@ __all__ = ["AlignmentContext", "BeamAlignmentAlgorithm"]
 
 
 class AlignmentContext:
-    """Metered access to beam-pair measurements for one alignment run."""
+    """Metered access to beam-pair measurements for one alignment run.
+
+    Every measurement lands in one columnar probe log: per record, in
+    measurement order, the flat pair index ``tx * card(V) + rx`` (``-1``
+    for an off-codebook probe), the power statistic, the last sample
+    ``z`` and the slot. A flat → record array over the codebook product
+    serves dedup. :class:`Measurement` records are built only when read
+    (:meth:`measure`, :meth:`measure_vectors`, :attr:`trace`).
+    """
 
     def __init__(
         self,
@@ -50,12 +58,15 @@ class AlignmentContext:
         self._rx_codebook = rx_codebook
         self._engine = engine
         self._budget = budget
+        self._num_tx = tx_codebook.num_beams
         self._num_rx = rx_codebook.num_beams
-        # Measured codebook pairs keyed by flat index ``tx * |V| + rx``:
-        # dedup then hashes plain ints instead of BeamPair dataclasses.
-        self._measured: Dict[int, Measurement] = {}
-        self._measured_by_tx: Dict[int, Set[int]] = {}
-        self._trace: List[Measurement] = []
+        # Every record charges one budget unit, so the limit bounds the log.
+        capacity = budget.limit
+        self._flats = np.empty(capacity, dtype=np.int64)
+        self._powers = np.empty(capacity)
+        self._z = np.empty(capacity, dtype=complex)
+        self._slots: List[Optional[int]] = []
+        self._record_of = np.full(expected_total, -1, dtype=np.int64)
         # Flight-recorder hookup: contexts are built per trial inside the
         # active recorder's scope, so caching it here is safe and keeps
         # the per-measurement guard to one attribute load.
@@ -100,9 +111,20 @@ class AlignmentContext:
         return self._budget.total_pairs
 
     @property
-    def trace(self) -> List[Measurement]:
-        """All measurements taken so far, in order."""
-        return list(self._trace)
+    def trace(self) -> ProbeTrace:
+        """All measurements taken so far, in order.
+
+        A read-only view frozen at this call: later measurements do not
+        appear in it, and its records are built when it is read.
+        """
+        size = len(self._slots)
+        return ProbeTrace(
+            self._flats[:size],
+            self._powers[:size],
+            self._z[:size],
+            self._slots[:],
+            self._num_rx,
+        )
 
     @property
     def num_measurements(self) -> int:
@@ -112,43 +134,63 @@ class AlignmentContext:
     # -- measurement ----------------------------------------------------
 
     def is_measured(self, pair: BeamPair) -> bool:
-        """Whether a codebook pair was already measured in this run."""
-        return self._record(pair) is not None
+        """Whether a codebook pair was already measured in this run.
 
-    def _record(self, pair: BeamPair) -> Optional[Measurement]:
-        """The measurement of a codebook pair, or ``None`` if unmeasured."""
-        if pair.rx_index >= self._num_rx:
-            return None  # off the codebook: its flat index would alias
-        return self._measured.get(pair.tx_index * self._num_rx + pair.rx_index)
+        False for a pair outside the codebook product.
+        """
+        flat = self._flat(pair)
+        return flat is not None and bool(self._record_of[flat] >= 0)
+
+    def _flat(self, pair: BeamPair) -> Optional[int]:
+        """Flat index ``tx * |V| + rx``, or ``None`` off the codebook product."""
+        if pair.tx_index < self._num_tx and pair.rx_index < self._num_rx:
+            return pair.tx_index * self._num_rx + pair.rx_index
+        return None
 
     def measured_indices(self) -> Set[int]:
         """Flat indices ``tx * |V| + rx`` of every measured codebook pair.
 
         Returns a copy, so a planner may extend it with its own picks.
         """
-        return set(self._measured)
+        flats = self._flats[: len(self._slots)]
+        return set(flats[flats >= 0].tolist())
 
     def measured_rx_beams(self, tx_index: int) -> Set[int]:
         """RX beams already paired with ``tx_index`` (for dedup).
 
-        Served from an index maintained per measurement, so schemes that
-        consult it every slot pay O(measured for this TX) instead of
-        scanning every measured pair. Returns a copy; mutating it never
-        affects the context.
+        Read from the TX beam's row of the flat → record array, so it
+        costs O(card(V)) however many pairs were measured. Returns a
+        copy; mutating it never affects the context.
         """
-        return set(self._measured_by_tx.get(tx_index, ()))
+        if not 0 <= tx_index < self._num_tx:
+            return set()
+        start = tx_index * self._num_rx
+        row = self._record_of[start : start + self._num_rx]
+        return set(np.flatnonzero(row >= 0).tolist())
+
+    def measured_tx_beams(self, rx_index: int) -> Set[int]:
+        """TX beams already paired with ``rx_index``: the column twin of
+        :meth:`measured_rx_beams`, O(card(U)). Returns a copy."""
+        if not 0 <= rx_index < self._num_rx:
+            return set()
+        column = self._record_of[rx_index :: self._num_rx]
+        return set(np.flatnonzero(column >= 0).tolist())
 
     def measure(self, pair: BeamPair, slot: Optional[int] = None) -> Measurement:
         """Measure a codebook pair: charges budget, forbids repeats."""
-        if self.is_measured(pair):
+        flat = self._flat(pair)
+        if flat is None:
+            raise ValidationError(
+                f"pair {pair} is outside the {self._num_tx} x {self._num_rx}"
+                " codebook product"
+            )
+        if self._record_of[flat] >= 0:
             raise ValidationError(f"pair {pair} was already measured")
         self._budget.charge(1)
         measurement = self._engine.measure_pair(
             self._tx_codebook, self._rx_codebook, pair, slot=slot
         )
-        self._measured[pair.tx_index * self._num_rx + pair.rx_index] = measurement
-        self._measured_by_tx.setdefault(pair.tx_index, set()).add(pair.rx_index)
-        self._trace.append(measurement)
+        self._record_of[flat] = self._log(flat, measurement.power, measurement.z, slot)
         if self._recorder.checkpoints_enabled:
             self._recorder.checkpoint(
                 "measurement.probe",
@@ -163,10 +205,15 @@ class AlignmentContext:
 
     def measure_many(
         self,
-        pairs: List[BeamPair],
+        pairs: np.ndarray,
         slot: Optional[int] = None,
-    ) -> List[Measurement]:
+    ) -> np.ndarray:
         """Measure several codebook pairs through one fused engine call.
+
+        ``pairs`` holds flat pair indices ``tx * card(V) + rx``; the
+        result is the array of their power statistics, in order. No
+        :class:`Measurement` record is built; :attr:`trace` builds them
+        on read.
 
         Same dedup and metering semantics as calling :meth:`measure` per
         pair, with one deliberate difference: the budget is charged for
@@ -174,41 +221,46 @@ class AlignmentContext:
         allowance raises :class:`BudgetExhaustedError` *before* any of
         its measurements is taken (callers size batches to the remaining
         budget, as :meth:`measure` callers already size their loops).
-        Seeded results are bit-identical to the per-pair loop.
+        A rejected batch leaves the context untouched. Seeded results
+        are bit-identical to the per-pair loop.
         """
-        if not pairs:
-            return []
-        num_rx = self._num_rx
-        flats = [pair.tx_index * num_rx + pair.rx_index for pair in pairs]
-        measured = self._measured
-        if len(set(flats)) != len(flats) or not measured.keys().isdisjoint(flats):
-            # Rare path: walk the batch only to name the offending pair.
-            seen: Set[BeamPair] = set()
-            for pair in pairs:
-                if pair in seen:
-                    raise ValidationError("measure_many pairs must be distinct")
-                seen.add(pair)
-            for pair in pairs:
-                if self.is_measured(pair):
-                    raise ValidationError(f"pair {pair} was already measured")
+        pairs = np.asarray(pairs)
+        if not len(pairs):
+            return np.empty(0)
+        if pairs.ndim != 1 or pairs.dtype.kind not in "iu":
+            raise ValidationError("measure_many takes a 1-D array of flat pair indices")
+        # One sort serves the range check (its ends) and the distinctness
+        # check (equal neighbours).
+        ordered = np.sort(pairs)
+        total = self._budget.total_pairs
+        if ordered[0] < 0 or ordered[-1] >= total:
+            flat = int(pairs[(pairs < 0) | (pairs >= total)][0])
+            raise ValidationError(
+                f"pair index {flat} is outside the {self._num_tx} x {self._num_rx}"
+                " codebook product"
+            )
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValidationError("measure_many pairs must be distinct")
+        known = self._record_of[pairs]
+        if known.max() >= 0:
+            flat = int(pairs[known >= 0][0])
+            pair = BeamPair(*divmod(flat, self._num_rx))
+            raise ValidationError(f"pair {pair} was already measured")
         self._budget.charge(len(pairs))
-        measurements = self._engine.measure_pairs(
-            self._tx_codebook, self._rx_codebook, pairs, slot=slot
+        powers, z = self._engine.measure_pairs(
+            self._tx_codebook, self._rx_codebook, pairs
         )
-        measured.update(zip(flats, measurements))
-        by_tx = self._measured_by_tx
-        for pair in pairs:
-            by_tx.setdefault(pair.tx_index, set()).add(pair.rx_index)
-        self._trace.extend(measurements)
+        start = self._log(pairs, powers, z, slot)
+        self._record_of[pairs] = np.arange(start, start + len(pairs))
         if self._recorder.checkpoints_enabled:
             self._recorder.checkpoint(
                 "measurement.probe",
-                {"z": np.array([m.z for m in measurements], dtype=complex)},
+                {"z": z},
                 stream=self._stream,
-                pairs=[[pair.tx_index, pair.rx_index] for pair in pairs],
+                pairs=np.stack(np.divmod(pairs, self._num_rx), axis=1).tolist(),
                 slot=slot,
             )
-        return measurements
+        return powers
 
     def measure_vectors(
         self,
@@ -223,7 +275,7 @@ class AlignmentContext:
         """
         self._budget.charge(1)
         measurement = self._engine.measure_vectors(tx_beam, rx_beam, slot=slot)
-        self._trace.append(measurement)
+        self._log(-1, measurement.power, measurement.z, slot)
         if self._recorder.checkpoints_enabled:
             self._recorder.checkpoint(
                 "measurement.probe",
@@ -235,13 +287,33 @@ class AlignmentContext:
             )
         return measurement
 
+    def _log(self, flats, powers, z, slot: Optional[int]) -> int:
+        """Append records (scalars or arrays) to the probe log.
+
+        Returns the first record's index; the caller files codebook
+        records in the flat → record array.
+        """
+        start = len(self._slots)
+        stop = start + np.size(flats)
+        self._flats[start:stop] = flats
+        self._powers[start:stop] = powers
+        self._z[start:stop] = z
+        self._slots.extend([slot] * (stop - start))
+        return start
+
     # -- outcome --------------------------------------------------------
+
+    def _best_record(self) -> int:
+        """Log index of the first strongest codebook record (Eq. 28–30)."""
+        size = len(self._slots)
+        codebook = self._flats[:size] >= 0
+        if not codebook.any():
+            raise ValidationError("no codebook pair has been measured yet")
+        return int(np.argmax(np.where(codebook, self._powers[:size], -np.inf)))
 
     def best_measured(self) -> Measurement:
         """The strongest measured codebook pair (Eq. 28–30)."""
-        if not self._measured:
-            raise ValidationError("no codebook pair has been measured yet")
-        return max(self._measured.values(), key=lambda m: m.power)
+        return self.trace[self._best_record()]
 
     def result(
         self,
@@ -255,12 +327,13 @@ class AlignmentContext:
         that decide differently (e.g. the genie) may override it.
         """
         if selected is None:
-            best = self.best_measured()
-            selected = best.pair
-            power = best.power
+            record = self._best_record()
+            selected = BeamPair(*divmod(int(self._flats[record]), self._num_rx))
+            power = float(self._powers[record])
         else:
-            record = self._record(selected)
-            power = record.power if record is not None else float("nan")
+            flat = self._flat(selected)
+            record = -1 if flat is None else self._record_of[flat]
+            power = float(self._powers[record]) if record >= 0 else float("nan")
         return AlignmentResult(
             algorithm=algorithm,
             selected=selected,

@@ -157,11 +157,7 @@ class BidirectionalAlignment(BeamAlignmentAlgorithm):
     ) -> Set[int]:
         if forward:
             return context.measured_rx_beams(dwell)
-        return {
-            pair.tx_index
-            for pair in (m.pair for m in context.trace if m.pair is not None)
-            if pair.rx_index == dwell
-        }
+        return context.measured_tx_beams(dwell)
 
     def _pick_dwell_beam(
         self,

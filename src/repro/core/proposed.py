@@ -145,19 +145,17 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
             probe_beams = self._select_probe_beams(
                 rx_codebook, previous_estimate, probe_count, measured_rx, gain_floor, rng
             )
-            measurements = context.measure_many(
-                [BeamPair(tx_index, rx_index) for rx_index in probe_beams], slot=slot
+            powers = context.measure_many(
+                tx_index * rx_codebook.num_beams + np.array(probe_beams, dtype=np.int64),
+                slot=slot,
             )
-            powers = [measurement.power for measurement in measurements]
 
             decided_beam: Optional[int] = None
             estimate = previous_estimate
             estimator_converged: Optional[bool] = None
             if probe_beams:
                 probes = rx_codebook.vectors[:, probe_beams]
-                estimate = estimator.estimate(
-                    probes, np.asarray(powers), context.noise_variance
-                )
+                estimate = estimator.estimate(probes, powers, context.noise_variance)
                 last_result = getattr(estimator, "last_result", None)
                 if last_result is not None:
                     estimator_converged = bool(last_result.converged)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -163,10 +163,13 @@ class MeasurementEngine:
         self,
         tx_codebook: Codebook,
         rx_codebook: Codebook,
-        pairs: List[BeamPair],
-        slot: Optional[int] = None,
-    ) -> List[Measurement]:
+        pairs: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Measure several codebook beam pairs in one fused RNG block.
+
+        ``pairs`` holds flat pair indices ``tx * card(V) + rx``; the
+        result is the ``(powers, z)`` arrays of the dwells, in order —
+        no per-pair record is built. The caller validates the indices.
 
         This is bit-identical to calling
         :meth:`measure_pair` per pair in order: the serial path
@@ -185,17 +188,16 @@ class MeasurementEngine:
         as one batched call with the hit rows adjusted after,
         bit-identical to the serial loop.
         """
-        if not pairs:
-            return []
+        num_pairs = len(pairs)
+        if not num_pairs:
+            return np.empty(0), np.empty(0, dtype=complex)
         coupling = self._channel.codebook_couplings(tx_codebook, rx_codebook)
-        tx_indices = [pair.tx_index for pair in pairs]
-        rx_indices = [pair.rx_index for pair in pairs]
+        tx_indices, rx_indices = np.divmod(pairs, rx_codebook.num_beams)
         coefficients = coupling.rx_proj[rx_indices] * coupling.tx_proj[:, tx_indices].T
         count = self._fading_blocks
         num_subpaths = self._channel.num_subpaths
         gain_block = count * num_subpaths
         width = 2 * gain_block + 2 * count
-        num_pairs = len(pairs)
         hit_rows: List[int] = []
         hit_draws: List[np.ndarray] = []
         probability = self._interference_probability
@@ -217,20 +219,28 @@ class MeasurementEngine:
                     hit_draws.append(standard_normal(2 * count))
         else:
             block = self._rng.standard_normal((num_pairs, width))
+        # ``(s*x_re + 1j*(s*x_im)) * sqrt_powers`` promotes the real factor
+        # to complex, and its zero imaginary part contributes exact zeros:
+        # writing ``(s*x) * sqrt_powers`` into each half of one complex
+        # buffer gives the same bits without the temporaries.
         gain_scale = np.sqrt(0.5)
-        noise_scale = np.sqrt(self.noise_variance / 2.0)
-        gains = (
-            (gain_scale * block[:, :gain_block]).reshape(-1, count, num_subpaths)
-            + 1j
-            * (gain_scale * block[:, gain_block : 2 * gain_block]).reshape(
-                -1, count, num_subpaths
+        sqrt_powers = self._channel.sqrt_powers
+        gains = np.empty((num_pairs, count, num_subpaths), dtype=complex)
+        for half, start in ((gains.real, 0), (gains.imag, gain_block)):
+            np.multiply(
+                (gain_scale * block[:, start : start + gain_block]).reshape(
+                    -1, count, num_subpaths
+                ),
+                sqrt_powers,
+                out=half,
             )
-        ) * self._channel.sqrt_powers
-        faded = np.matmul(gains, coefficients[:, :, None])[..., 0]
-        noise = noise_scale * block[
-            :, 2 * gain_block : 2 * gain_block + count
-        ] + 1j * (noise_scale * block[:, 2 * gain_block + count :])
-        samples = faded + noise
+        # The same holds for the noise: adding each scaled half in place
+        # equals ``faded + (s*n_re + 1j*(s*n_im))``.
+        samples = np.matmul(gains, coefficients[:, :, None])[..., 0]
+        noise_scale = np.sqrt(self.noise_variance / 2.0)
+        noise_start = 2 * gain_block
+        samples.real += noise_scale * block[:, noise_start : noise_start + count]
+        samples.imag += noise_scale * block[:, noise_start + count :]
         powers = np.mean(np.abs(samples) ** 2, axis=1)
         if hit_rows:
             # Match the serial arithmetic exactly: (faded + noise) +
@@ -244,10 +254,7 @@ class MeasurementEngine:
                 samples[row] = samples[row] + interference
                 powers[row] = np.mean(np.abs(samples[row]) ** 2)
         self._count += num_pairs
-        return [
-            Measurement(power, z, pair, slot)
-            for power, z, pair in zip(powers.tolist(), samples[:, -1].tolist(), pairs)
-        ]
+        return powers, samples[:, -1]
 
     def _finish_measurement(
         self,

@@ -110,6 +110,10 @@ class TestMeasurePairs:
         # Stays inside the fixtures' 4 TX x 18 RX codebooks.
         return [BeamPair(index % 4, index + 1) for index in range(count)]
 
+    @staticmethod
+    def _flats(pairs):
+        return np.array([pair.tx_index * 18 + pair.rx_index for pair in pairs])
+
     def test_fused_matches_loop_and_stream_position(
         self, small_channel, tx_codebook, rx_codebook
     ):
@@ -122,17 +126,21 @@ class TestMeasurePairs:
         loop_engine = MeasurementEngine(
             small_channel, np.random.default_rng(5), fading_blocks=4
         )
-        fused = fused_engine.measure_pairs(tx_codebook, rx_codebook, pairs)
+        powers, z = fused_engine.measure_pairs(
+            tx_codebook, rx_codebook, self._flats(pairs)
+        )
         looped = [
             loop_engine.measure_pair(tx_codebook, rx_codebook, pair) for pair in pairs
         ]
-        assert [(m.pair, m.power, m.z) for m in fused] == [
-            (m.pair, m.power, m.z) for m in looped
+        assert list(zip(powers.tolist(), z.tolist())) == [
+            (m.power, m.z) for m in looped
         ]
         assert fused_engine._rng.standard_normal() == loop_engine._rng.standard_normal()
 
     def test_empty_pairs(self, engine, tx_codebook, rx_codebook):
-        assert engine.measure_pairs(tx_codebook, rx_codebook, []) == []
+        powers, z = engine.measure_pairs(tx_codebook, rx_codebook, np.array([], int))
+        assert powers.shape == z.shape == (0,)
+        assert engine.num_measurements == 0
 
     def test_interference_falls_back_to_loop(
         self, small_channel, tx_codebook, rx_codebook
@@ -150,11 +158,15 @@ class TestMeasurePairs:
         loop_engine = MeasurementEngine(
             small_channel, np.random.default_rng(9), **kwargs
         )
-        fused = fused_engine.measure_pairs(tx_codebook, rx_codebook, pairs)
+        powers, z = fused_engine.measure_pairs(
+            tx_codebook, rx_codebook, self._flats(pairs)
+        )
         looped = [
             loop_engine.measure_pair(tx_codebook, rx_codebook, pair) for pair in pairs
         ]
-        assert [(m.power, m.z) for m in fused] == [(m.power, m.z) for m in looped]
+        assert list(zip(powers.tolist(), z.tolist())) == [
+            (m.power, m.z) for m in looped
+        ]
         assert fused_engine.interference_hits == loop_engine.interference_hits
 
 
@@ -167,23 +179,24 @@ class TestMeasureMany:
     def test_records_like_measure(self, tx_codebook, rx_codebook, engine):
         context = self._context(tx_codebook, rx_codebook, engine)
         pairs = [BeamPair(0, 0), BeamPair(1, 3), BeamPair(2, 7)]
-        measurements = context.measure_many(pairs, slot=2)
-        assert [m.pair for m in measurements] == pairs
+        powers = context.measure_many(np.array([0, 21, 43]), slot=2)
         assert context.num_measurements == len(pairs)
         assert [m.pair for m in context.trace] == pairs
+        assert [m.power for m in context.trace] == powers.tolist()
+        assert {m.slot for m in context.trace} == {2}
         for pair in pairs:
             assert context.is_measured(pair)
 
     def test_duplicate_pairs_rejected(self, tx_codebook, rx_codebook, engine):
         context = self._context(tx_codebook, rx_codebook, engine)
         with pytest.raises(ValidationError):
-            context.measure_many([BeamPair(0, 0), BeamPair(0, 0)])
+            context.measure_many(np.array([0, 0]))
 
     def test_already_measured_rejected(self, tx_codebook, rx_codebook, engine):
         context = self._context(tx_codebook, rx_codebook, engine)
         context.measure(BeamPair(1, 1))
         with pytest.raises(ValidationError):
-            context.measure_many([BeamPair(0, 0), BeamPair(1, 1)])
+            context.measure_many(np.array([0, 19]))
 
     def test_budget_charged_before_any_measurement(
         self, tx_codebook, rx_codebook, engine
@@ -193,14 +206,14 @@ class TestMeasureMany:
         budget = MeasurementBudget(total_pairs=total, limit=2)
         context = AlignmentContext(tx_codebook, rx_codebook, engine, budget)
         with pytest.raises(BudgetExhaustedError):
-            context.measure_many([BeamPair(0, 0), BeamPair(1, 1), BeamPair(2, 2)])
+            context.measure_many(np.array([0, 19, 38]))
         assert context.num_measurements == 0
         assert context.trace == []
         assert not context.is_measured(BeamPair(0, 0))
 
     def test_empty_batch(self, tx_codebook, rx_codebook, engine):
         context = self._context(tx_codebook, rx_codebook, engine)
-        assert context.measure_many([]) == []
+        assert context.measure_many([]).shape == (0,)
         assert context.num_measurements == 0
 
 

@@ -61,6 +61,15 @@ class TestMeasurement:
         assert context.measured_rx_beams(2) == {5, 9}
         assert context.measured_rx_beams(0) == set()
 
+    def test_measured_tx_beams(self, context):
+        context.measure(BeamPair(2, 5))
+        context.measure(BeamPair(3, 5))
+        context.measure(BeamPair(1, 9))
+        assert context.measured_tx_beams(5) == {2, 3}
+        assert context.measured_tx_beams(0) == set()
+        assert context.measured_tx_beams(18) == set()
+        assert context.measured_tx_beams(-1) == set()
+
     def test_measure_vectors_charges_budget(self, context, tx_codebook, rx_codebook):
         context.measure_vectors(tx_codebook.beam(0), rx_codebook.beam(0))
         assert context.num_measurements == 1
@@ -68,9 +77,14 @@ class TestMeasurement:
         assert not context.is_measured(BeamPair(0, 0))
 
 
+def _flats(*pairs):
+    """Flat indices ``tx * |V| + rx`` over the fixtures' 18 RX beams."""
+    return np.array([pair.tx_index * 18 + pair.rx_index for pair in pairs])
+
+
 class TestMeasureMany:
     def test_repeated_pair_rejected_without_charge(self, context):
-        batch = [BeamPair(0, 1), BeamPair(2, 3), BeamPair(0, 1)]
+        batch = _flats(BeamPair(0, 1), BeamPair(2, 3), BeamPair(0, 1))
         with pytest.raises(ValidationError, match="pairs must be distinct"):
             context.measure_many(batch)
         assert context.num_measurements == 0
@@ -81,13 +95,13 @@ class TestMeasureMany:
     def test_measured_pair_rejected_without_charge(self, context):
         context.measure(BeamPair(1, 2))
         with pytest.raises(ValidationError, match=r"pair .* was already measured"):
-            context.measure_many([BeamPair(0, 0), BeamPair(1, 2)])
+            context.measure_many(_flats(BeamPair(0, 0), BeamPair(1, 2)))
         assert context.num_measurements == 1
         assert context.engine.num_measurements == 1
         assert not context.is_measured(BeamPair(0, 0))
 
     def test_batch_then_single_repeat_rejected(self, context):
-        context.measure_many([BeamPair(3, 4), BeamPair(0, 17)])
+        context.measure_many(_flats(BeamPair(3, 4), BeamPair(0, 17)))
         with pytest.raises(ValidationError, match="was already measured"):
             context.measure(BeamPair(0, 17))
         assert context.num_measurements == 2
@@ -97,13 +111,14 @@ class TestMeasureMany:
     ):
         context.measure(BeamPair(0, 0))
         batch = [BeamPair(1, 0), BeamPair(2, 5), BeamPair(2, 9)]
-        measurements = context.measure_many(batch)
+        powers = context.measure_many(_flats(*batch))
         context.measure_vectors(tx_codebook.beam(3), rx_codebook.beam(3))
         for pair in [BeamPair(0, 0)] + batch:
             assert context.is_measured(pair)
         assert not context.is_measured(BeamPair(3, 3))
-        assert [m.pair for m in measurements] == batch
-        assert context.trace[1:4] == measurements
+        assert [m.pair for m in context.trace[1:4]] == batch
+        assert [m.power for m in context.trace[1:4]] == powers.tolist()
+        assert context.trace[4].pair is None
         assert context.measured_rx_beams(2) == {5, 9}
         assert context.num_measurements == 5
 
@@ -111,6 +126,11 @@ class TestMeasureMany:
         # BeamPair(0, 18) would share flat index 18 with BeamPair(1, 0).
         context.measure(BeamPair(1, 0))
         assert not context.is_measured(BeamPair(0, 18))
+        # TX index 4 is past the 4-beam TX codebook: its flat index would
+        # land past the product, and it must not raise either.
+        assert not context.is_measured(BeamPair(4, 0))
+        assert not context.is_measured(BeamPair(7, 17))
+        assert context.measured_rx_beams(4) == set()
 
     @pytest.mark.parametrize(
         ("prior", "finishes"),
@@ -134,7 +154,7 @@ class TestMeasureMany:
             MeasurementBudget(total_pairs=total, limit=total),
         )
         context.measure(prior[0])
-        context.measure_many(prior[1:])
+        context.measure_many(_flats(*prior[1:]))
         result = ScanSearch().align(context, rng)
         pairs = [m.pair for m in result.trace]
         assert pairs[: len(prior)] == prior

@@ -10,6 +10,11 @@ from repro.measurement.measurer import MeasurementEngine
 from repro.types import BeamPair
 
 
+def _flats(pairs, rx_codebook):
+    """Flat pair indices ``tx * card(V) + rx``, as measure_pairs takes them."""
+    return np.array([p.tx_index * rx_codebook.num_beams + p.rx_index for p in pairs])
+
+
 class TestInterferenceConfig:
     def test_validation(self, small_channel, rng):
         with pytest.raises(ValidationError):
@@ -102,14 +107,15 @@ class TestFusedInterferencePath:
     ):
         fused_engine, serial_engine = self._engines(small_channel)
         pairs = [BeamPair(t, r) for t in range(4) for r in range(12)]
-        fused = fused_engine.measure_pairs(tx_codebook, rx_codebook, pairs, slot=3)
+        powers, z = fused_engine.measure_pairs(
+            tx_codebook, rx_codebook, _flats(pairs, rx_codebook)
+        )
         serial = [
-            serial_engine.measure_pair(tx_codebook, rx_codebook, pair, slot=3)
+            serial_engine.measure_pair(tx_codebook, rx_codebook, pair)
             for pair in pairs
         ]
-        assert [m.power for m in fused] == [m.power for m in serial]
-        assert [m.z for m in fused] == [m.z for m in serial]
-        assert [m.pair for m in fused] == [m.pair for m in serial]
+        assert powers.tolist() == [m.power for m in serial]
+        assert z.tolist() == [m.z for m in serial]
         assert fused_engine.interference_hits == serial_engine.interference_hits > 0
         assert fused_engine.num_measurements == len(pairs)
 
@@ -120,7 +126,7 @@ class TestFusedInterferencePath:
         # same stream position: the next draw agrees bitwise.
         fused_engine, serial_engine = self._engines(small_channel, seed=7)
         pairs = [BeamPair(t, r) for t in range(3) for r in range(6)]
-        fused_engine.measure_pairs(tx_codebook, rx_codebook, pairs)
+        fused_engine.measure_pairs(tx_codebook, rx_codebook, _flats(pairs, rx_codebook))
         for pair in pairs:
             serial_engine.measure_pair(tx_codebook, rx_codebook, pair)
         after_fused = fused_engine.measure_pair(
@@ -135,13 +141,15 @@ class TestFusedInterferencePath:
     def test_certain_hit_probability(self, small_channel, tx_codebook, rx_codebook):
         fused_engine, serial_engine = self._engines(small_channel, probability=1.0)
         pairs = [BeamPair(0, r) for r in range(10)]
-        fused = fused_engine.measure_pairs(tx_codebook, rx_codebook, pairs)
+        powers, _ = fused_engine.measure_pairs(
+            tx_codebook, rx_codebook, _flats(pairs, rx_codebook)
+        )
         serial = [
             serial_engine.measure_pair(tx_codebook, rx_codebook, pair)
             for pair in pairs
         ]
         assert fused_engine.interference_hits == len(pairs)
-        assert [m.power for m in fused] == [m.power for m in serial]
+        assert powers.tolist() == [m.power for m in serial]
 
 
 class TestInterferenceExperiment:

@@ -179,10 +179,8 @@ def probe_stream_digest() -> str:
     tx_codebook, rx_codebook = scenario.tx_codebook, scenario.rx_codebook
     channel = scenario.sample_channel(np.random.default_rng(SEED))
     num_rx = rx_codebook.num_beams
-    pairs = [
-        BeamPair(*divmod(flat, num_rx))
-        for flat in np.random.default_rng(SEED + 1).permutation(scenario.total_pairs)
-    ]
+    flats = np.random.default_rng(SEED + 1).permutation(scenario.total_pairs)
+    pairs = [BeamPair(*divmod(int(flat), num_rx)) for flat in flats]
     hasher = hashlib.blake2b(digest_size=16)
     for seed, probability in ((SEED, 0.0), (SEED + 2, 0.3)):
         engine = MeasurementEngine(
@@ -192,9 +190,11 @@ def probe_stream_digest() -> str:
             interference_probability=probability,
             interference_power=0.5,
         )
-        for batch in (pairs[:5], pairs[5:]):
-            measured = engine.measure_pairs(tx_codebook, rx_codebook, batch, slot=3)
-            _update_measurements(hasher, measured, engine)
+        for batch in (flats[:5], flats[5:]):
+            powers, z = engine.measure_pairs(tx_codebook, rx_codebook, batch)
+            hasher.update(powers.tobytes())
+            hasher.update(z.tobytes())
+            hasher.update(f"|{engine.interference_hits}|{engine.num_measurements}|".encode())
     engine = MeasurementEngine(
         channel,
         np.random.default_rng(SEED + 3),
