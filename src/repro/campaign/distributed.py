@@ -3,13 +3,15 @@
 :func:`launch_campaign` spawns N OS processes, each running the
 lease-based worker loop (:func:`repro.campaign.worker.run_worker`)
 against the same plan + store, and watches the store until the campaign
-resolves. There is no scheduler process and no IPC: the content-addressed
+resolves. There is no scheduler process: the content-addressed
 :class:`~repro.campaign.store.ShardStore` is the only shared state —
 workers partition the plan dynamically through atomic claim files, a
 SIGKILLed worker's leases expire (dead-pid fast path) and its shards are
 taken over by the survivors, and the assembled aggregate is byte-identical
 to a single-supervisor run because every shard artifact is a pure function
-of its spec.
+of its spec. The only IPC is one one-way pipe per worker, over which it
+sends its :class:`~repro.campaign.worker.WorkerReport` (and, when the
+launcher collects metrics, its metrics snapshot) as it exits.
 
 The same worker entry point backs ``repro campaign worker``, which is the
 multi-*host* form of this: point workers on several machines at one
@@ -23,15 +25,16 @@ import multiprocessing
 import sys
 import time
 from dataclasses import dataclass
-from multiprocessing.connection import wait
-from typing import Any, Dict, Optional, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.lease import DEFAULT_LEASE_TTL_S
 from repro.campaign.plan import CampaignPlan
 from repro.campaign.store import ShardStore
-from repro.campaign.worker import DEFAULT_POLL_S
+from repro.campaign.worker import DEFAULT_POLL_S, WorkerReport, check_worker_options
 from repro.exceptions import ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
+from repro.obs.checkpoint import find_checkpointer
 
 __all__ = ["LaunchReport", "launch_campaign", "worker_attribution"]
 
@@ -54,6 +57,9 @@ class LaunchReport:
     exit_codes: Tuple[Optional[int], ...]
     #: worker id -> shards whose *done* heartbeat credits that worker
     attribution: Dict[str, int]
+    #: per-worker reports, in spawn order (None: the worker died before
+    #: sending one, e.g. SIGKILL or ``os._exit``)
+    reports: Tuple[Optional[WorkerReport], ...]
 
 
 def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
@@ -73,7 +79,12 @@ def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
 
 
 def _worker_entry(
-    store_root: str, plan: CampaignPlan, worker_id: str, options: Dict[str, Any]
+    store_root: str,
+    plan: CampaignPlan,
+    worker_id: str,
+    options: Dict[str, Any],
+    collect: bool = False,
+    home: Optional[Connection] = None,
 ) -> None:
     """Child-process entry: work the plan the launcher was given.
 
@@ -82,15 +93,22 @@ def _worker_entry(
     a worker neither re-parses the store's manifests nor re-derives any
     content address. Runs under a fresh worker-local recorder so a
     forked child never writes into the parent's trace stream; progress
-    travels home through the store (artifacts + heartbeats), not the
-    process boundary.
+    travels home through the store (artifacts + heartbeats). On exit the
+    worker sends ``(report, metrics snapshot or None)`` over ``home``,
+    when it has one.
     """
     from repro.obs import MetricsRecorder, use_recorder
     from repro.campaign.worker import run_worker
 
     store = ShardStore(store_root)
-    with use_recorder(MetricsRecorder()):
+    recorder = MetricsRecorder()
+    with use_recorder(recorder):
         report = run_worker(plan, store, worker_id=worker_id, **options)
+    if home is not None:
+        try:
+            home.send((report, recorder.metrics.snapshot() if collect else None))
+        except OSError:  # the launcher is gone; the store holds the work
+            pass
     sys.exit(1 if report.failed_digests else 0)
 
 
@@ -108,35 +126,37 @@ def launch_campaign(
     checkpoints: bool = False,
     progress: Optional[ProgressCallback] = None,
     watch_interval_s: float = 0.2,
-    start_method: Optional[str] = None,
 ) -> LaunchReport:
     """Spawn ``num_workers`` lease-based workers and watch to completion.
 
     The launcher's only jobs are to persist the plan manifest, compute
-    every shard digest before the workers inherit the plan, fork/spawn
-    the workers, and poll the store for aggregate progress
-    every ``watch_interval_s``, waking early when a worker exits. It
-    holds no campaign state, so killing the launcher mid-run leaves a
-    resumable store exactly like killing a supervisor does. Workers
-    that crash are *not* respawned: their leases expire and the
-    surviving workers absorb the orphaned shards, which is the
-    reassignment path the kill-a-worker tests pin down.
+    every shard digest before the workers inherit the plan, fork (where
+    the platform has it, else spawn) the workers, poll the store for
+    aggregate progress every ``watch_interval_s``, and collect each
+    worker's report as it exits. It holds no campaign state, so killing
+    the launcher mid-run leaves a resumable store exactly like killing a
+    supervisor does. Workers that crash are *not* respawned: their
+    leases expire and the surviving workers absorb the orphaned shards,
+    which is the reassignment path the kill-a-worker tests pin down.
 
-    ``start_method`` overrides the multiprocessing start method (default:
-    ``fork`` where available for cheap startup, else ``spawn``).
+    Workers run their shards under this process's flight-recorder
+    configuration (perturbation included) when one is active, and send
+    their metrics snapshots home for merging when this process's
+    recorder collects metrics.
     """
     if num_workers < 1:
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
+    check_worker_options(retries, batch_trials, claim_batch)
     recorder = get_recorder()
+    checkpointer = find_checkpointer(recorder)
+    collect = recorder.enabled and recorder.metrics is not None
     store.save_manifest(plan)
     # Hash every shard spec once, here: the digests are memoized on the
     # specs, so forked workers inherit them (and spawned ones unpickle
     # them) instead of each re-hashing the whole plan.
     for shard in plan.shards:
         shard.digest
-    method = start_method or (
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    )
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     context = multiprocessing.get_context(method)
     options: Dict[str, Any] = {
         "batch_trials": batch_trials,
@@ -146,7 +166,9 @@ def launch_campaign(
         "poll_s": poll_s,
         "claim_batch": claim_batch,
         "heartbeats": heartbeats,
-        "checkpoints": checkpoints,
+        "checkpoints": (
+            checkpointer.spec_for_workers() if checkpointer is not None else checkpoints
+        ),
     }
     # Import here so the circular scheduler -> worker -> ... chain stays
     # one-directional at module-load time.
@@ -161,16 +183,22 @@ def launch_campaign(
         total_trials=plan.total_trials,
         start_method=method,
     ) as span:
-        workers = [
-            context.Process(
+        workers: List[Any] = []
+        #: read end of each worker's report pipe -> spawn index
+        homes: Dict[Any, int] = {}
+        for index in range(num_workers):
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(
                 target=_worker_entry,
-                args=(str(store.root), plan, f"w{index}", options),
+                args=(str(store.root), plan, f"w{index}", options, collect, writer),
                 name=f"repro-campaign-w{index}",
             )
-            for index in range(num_workers)
-        ]
-        for index, process in enumerate(workers):
             process.start()
+            # The child now holds the only write end, so its exit (with
+            # or without a report) makes the read end ready here.
+            writer.close()
+            workers.append(process)
+            homes[reader] = index
             recorder.event(
                 "campaign.worker_spawned", worker=index, pid=process.pid
             )
@@ -180,20 +208,34 @@ def launch_campaign(
             method,
             plan.digest[:12],
         )
+        reports: List[Optional[WorkerReport]] = [None] * num_workers
+        #: set once the store shows the campaign complete; from then on
+        #: the launcher only waits for the workers' reports
+        deadline: Optional[float] = None
         try:
-            while True:
-                # A worker that exits after this line leaves its sentinel
-                # ready, so the wait below returns at once instead of
-                # sleeping through the interval.
-                alive = [p.sentinel for p in workers if p.is_alive()]
-                if not alive:
+            # Read every pipe while waiting, never after join: a snapshot
+            # larger than the pipe buffer blocks its sender until read.
+            while homes:
+                if deadline is None:
+                    status = campaign_status(plan, store)
+                    reporter.report(status.done_trials)
+                    if status.complete:
+                        deadline = time.time() + _JOIN_GRACE_S
+                timeout = (
+                    watch_interval_s if deadline is None else deadline - time.time()
+                )
+                if timeout <= 0.0:  # pragma: no cover - hung worker
                     break
-                status = campaign_status(plan, store)
-                reporter.report(status.done_trials)
-                if status.complete:
-                    break
-                wait(alive, timeout=watch_interval_s)
-            deadline = time.time() + _JOIN_GRACE_S
+                for reader in wait(list(homes), timeout=timeout):
+                    index = homes.pop(reader)
+                    try:
+                        reports[index], snapshot = reader.recv()
+                    except (EOFError, OSError):  # died without reporting
+                        snapshot = None
+                    reader.close()
+                    if snapshot is not None:
+                        recorder.metrics.merge_snapshot(snapshot)
+            deadline = deadline or time.time() + _JOIN_GRACE_S
             for process in workers:
                 process.join(timeout=max(0.0, deadline - time.time()))
                 if process.is_alive():  # pragma: no cover - hung worker
@@ -201,6 +243,8 @@ def launch_campaign(
                     process.terminate()
                     process.join()
         finally:
+            for reader in homes:
+                reader.close()
             for process in workers:
                 if process.is_alive():  # pragma: no cover - abort path
                     process.terminate()
@@ -225,4 +269,5 @@ def launch_campaign(
         complete=status.complete,
         exit_codes=tuple(process.exitcode for process in workers),
         attribution=attribution,
+        reports=tuple(reports),
     )

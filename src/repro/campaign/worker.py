@@ -20,10 +20,10 @@ lost its lease mid-shard may still write when no artifact exists yet
 discard when one does (never clobber a completed artifact with a late
 write — artifacts stay strictly write-once from the store's viewpoint).
 
-This module also hosts the single-shard execution helpers the supervising
-scheduler (:mod:`repro.campaign.scheduler`) shares, so in-process shard
-execution, loss collapsing, and artifact publication have exactly one
-implementation across the single-supervisor and distributed modes.
+This loop is the only campaign executor:
+:func:`repro.campaign.scheduler.run_campaign` runs it in-process, and
+:func:`repro.campaign.distributed.launch_campaign` runs it in N child
+processes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.lease import (
     DEFAULT_LEASE_TTL_S,
@@ -70,6 +70,10 @@ _FIRST_IDLE_S = 0.005
 #: 1/phi: successive lanes' scan starts land far apart on the plan.
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Id prefix of the in-process worker
+#: :func:`~repro.campaign.scheduler.run_campaign` runs.
+SUPERVISOR_PREFIX = "supervisor-"
+
 
 def _shard_losses(
     outcomes: List[Dict[str, ParallelOutcome]], shard: ShardSpec
@@ -94,7 +98,10 @@ def _worker_lane(worker_id: str) -> Optional[int]:
     ``w3`` -> 3: the Chrome-trace exporter maps integer ``worker`` span
     attributes to per-worker lanes, so spawned workers with indexed ids
     get their own swimlane while arbitrary ids just skip the attribute.
+    ``supervisor-<pid>`` has no lane, so it scans in plan order.
     """
+    if worker_id.startswith(SUPERVISOR_PREFIX):
+        return None
     match = re.search(r"(\d+)$", worker_id)
     return int(match.group(1)) if match else None
 
@@ -111,6 +118,18 @@ def _scan_start(lane: Optional[int], num_shards: int) -> int:
     if not lane:
         return 0
     return int((lane * _INV_GOLDEN) % 1.0 * num_shards)
+
+
+def check_worker_options(
+    retries: int, batch_trials: Optional[int], claim_batch: int
+) -> None:
+    """Reject worker-loop options no worker could run with."""
+    if retries < 0:
+        raise ConfigurationError(f"retries must be >= 0, got {retries}")
+    if batch_trials is not None and batch_trials < 1:
+        raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
+    if claim_batch < 1:
+        raise ConfigurationError(f"claim_batch must be >= 1, got {claim_batch}")
 
 
 def execute_shard_in_process(
@@ -202,7 +221,7 @@ def run_worker(
     claim_batch: int = 1,
     max_shards: Optional[int] = None,
     heartbeats: bool = True,
-    checkpoints: bool = False,
+    checkpoints: Union[bool, CheckpointSpec] = False,
     fault_injector: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
 ) -> WorkerReport:
@@ -219,29 +238,30 @@ def run_worker(
     each further idle scan up to ``poll_s``, and back to 5 ms after any
     progress.
     ``max_shards`` bounds how many shards this invocation executes —
-    drain-style workers for tests and budgeted runs. Failures are
-    reported in ``failed_digests``, never raised: another worker (or a
-    resume) may still finish the campaign.
+    drain-style workers for tests and budgeted runs; the worker never
+    holds more claims than the budget has left. Failures are reported in
+    ``failed_digests``, never raised: another worker (or a resume) may
+    still finish the campaign.
 
-    Retry/backoff, heartbeat, and checkpoint semantics match
-    :func:`~repro.campaign.scheduler.run_campaign`; heartbeats and spans
-    additionally carry this worker's id for provenance and trace lanes.
+    Failing shards are retried with :func:`~repro.campaign.lease.backoff_delay`
+    between attempts. ``heartbeats`` publishes observational liveness
+    records under the store's ``heartbeats/``. ``checkpoints`` (``True``,
+    a :class:`~repro.obs.checkpoint.CheckpointSpec`, or an active flight
+    recorder) stores each shard's stage digests in its artifact; a flight
+    recorder also receives executed shards' digests and skipped shards'
+    stored manifests in scan order (plan order for lane 0). Heartbeats
+    and spans carry this worker's id for provenance and trace lanes.
     """
-    if retries < 0:
-        raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if batch_trials is not None and batch_trials < 1:
-        raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
-    if claim_batch < 1:
-        raise ConfigurationError(f"claim_batch must be >= 1, got {claim_batch}")
+    check_worker_options(retries, batch_trials, claim_batch)
     recorder = get_recorder()
     parent_checkpointer = find_checkpointer(recorder)
     checkpoint_spec: Optional[CheckpointSpec] = None
-    if checkpoints or parent_checkpointer is not None:
-        checkpoint_spec = (
-            parent_checkpointer.spec_for_workers()
-            if parent_checkpointer is not None
-            else CheckpointSpec()
-        )
+    if parent_checkpointer is not None:
+        checkpoint_spec = parent_checkpointer.spec_for_workers()
+    elif isinstance(checkpoints, CheckpointSpec):
+        checkpoint_spec = checkpoints
+    elif checkpoints:
+        checkpoint_spec = CheckpointSpec()
     store.save_manifest(plan)
     wid = worker_id or f"worker-{os.getpid()}"
     lane = _worker_lane(wid)
@@ -285,6 +305,18 @@ def run_worker(
         resolved.add(shard.digest)
         done_trials += shard.trial_count
         reporter.report(done_trials)
+
+    def skip(shard: ShardSpec) -> None:
+        """Resolve a shard someone already completed, replaying its
+        stored digest manifest into the flight recorder, if any."""
+        nonlocal skipped
+        skipped += 1
+        recorder.increment("campaign.shards_skipped")
+        if parent_checkpointer is not None:
+            manifest = store.digest_manifest(shard)
+            if manifest:
+                parent_checkpointer.absorb(manifest)
+        resolve(shard)
 
     def execute_one(index: int, shard: ShardSpec) -> None:
         """Claimed-shard execution: retries, publish guard, release."""
@@ -361,6 +393,9 @@ def run_worker(
                 store, shard, losses,
                 digests=shard_digests, lease=lease,
             )
+            if parent_checkpointer is not None and shard_digests:
+                # A discarded result's digests equal the published ones.
+                parent_checkpointer.absorb(shard_digests)
             if not published:
                 discarded += 1
                 recorder.increment("campaign.lease_discards")
@@ -368,8 +403,6 @@ def run_worker(
                 resolve(shard)
                 lease.release(shard.digest)
                 return
-            if parent_checkpointer is not None and shard_digests:
-                parent_checkpointer.absorb(shard_digests)
             if fault_injector is not None and fault_injector.corrupts(index):
                 _corrupt_artifact(store, shard)
             executed += 1
@@ -415,14 +448,12 @@ def run_worker(
                 claimed: List[Tuple[int, ShardSpec]] = []
 
                 def drain() -> None:
-                    nonlocal progressed, skipped
+                    nonlocal progressed
                     for index, shard in claimed:
                         lease.renew_due()
                         if store.has(shard):  # finished while queued
                             lease.release(shard.digest)
-                            skipped += 1
-                            recorder.increment("campaign.shards_skipped")
-                            resolve(shard)
+                            skip(shard)
                         else:
                             execute_one(index, shard)
                         progressed = True
@@ -435,9 +466,8 @@ def run_worker(
                     if shard.digest in resolved:
                         continue
                     if store.has(shard):
-                        skipped += 1
-                        recorder.increment("campaign.shards_skipped")
-                        resolve(shard)
+                        drain()  # earlier claims first: digests stay in scan order
+                        skip(shard)
                         progressed = True
                         continue
                     prior_takeovers = lease.takeovers
@@ -452,13 +482,11 @@ def run_worker(
                             "campaign.lease_takeover", digest=shard.digest
                         )
                     claimed.append((index, shard))
-                    if len(claimed) >= claim_batch:
+                    if len(claimed) >= claim_batch or (
+                        max_shards is not None
+                        and executed + len(claimed) >= max_shards
+                    ):
                         drain()
-                if budget_spent:
-                    # Claimed-but-unexecuted shards go back to the pool.
-                    for _, shard in claimed:
-                        lease.release(shard.digest)
-                    claimed.clear()
                 drain()
                 if len(resolved) >= len(plan.shards) or budget_spent:
                     break

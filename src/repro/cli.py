@@ -178,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
         verb_cmd = campaign_sub.add_parser(verb, help=help_text)
         _add_campaign_plan_arguments(verb_cmd)
         verb_cmd.add_argument(
-            "--workers", type=int, default=None, help="worker processes (default: in-process)"
+            "--workers", type=int, default=None,
+            help="lease-based worker processes to launch (default: in-process)",
         )
         verb_cmd.add_argument(
             "--retries", type=int, default=2, help="extra attempts per failing shard"
@@ -186,10 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         verb_cmd.add_argument(
             "--backoff", type=float, default=0.0, metavar="S",
             help="base retry backoff in seconds (doubles per attempt)",
-        )
-        verb_cmd.add_argument(
-            "--timeout", type=float, default=None, metavar="S",
-            help="per-shard pool timeout before in-process fallback",
         )
         verb_cmd.add_argument(
             "--batch-trials", type=int, default=None, metavar="B",
@@ -848,7 +845,6 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
             batch_trials=args.batch_trials,
             retries=args.retries,
             backoff_s=args.backoff,
-            timeout_s=args.timeout,
             progress=print_progress if args.progress else None,
             checkpoints=args.checkpoints,
         )
@@ -858,7 +854,6 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
     print(
         f"executed {report.executed} shards, skipped {report.skipped},"
         f" {report.retries} retries, {report.fallbacks} fallbacks"
-        + (f", {report.deferred} deferred to other workers" if report.deferred else "")
     )
     return _finish_campaign(args, config, plan, store)
 

@@ -9,7 +9,7 @@ beam selection → trial metrics. Each checkpoint is one
 arrays (bytes + shape + dtype), coarse numeric stats, and the stage's
 scope — ``(search rate, trial index, per-trial sequence number)`` — so
 two runs can be compared event-for-event no matter which engine produced
-them (serial, batched, a pooled campaign, or a resumed campaign).
+them (serial, batched, a multi-worker campaign, or a resumed campaign).
 
 Like every recorder, a checkpoint recorder only *observes*: digests are
 computed over copies/read-only views, nothing feeds back into the
@@ -29,9 +29,9 @@ Three opt-in extras:
   detector's self-test (CI asserts ``repro diff`` localizes it), the
   checkpoint analogue of ``check_regression.py --inject-slowdown``.
 * **Worker transport**: :meth:`CheckpointRecorder.payload` /
-  :meth:`absorb` move recorded events across process boundaries so the
-  campaign scheduler's process pool reproduces the exact sequence a
-  serial run would have recorded.
+  :meth:`absorb` move recorded events into shard artifacts and back, so
+  a campaign run by any number of workers, or resumed, replays the exact
+  sequence a serial run would have recorded.
 """
 
 from __future__ import annotations

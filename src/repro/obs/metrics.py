@@ -5,8 +5,8 @@ layer: recorders feed it span durations and counter increments, and
 callers read back an order-independent :meth:`~MetricsRegistry.summary`
 (count / total / mean / p50 / p95 per timer). Registries are cheap plain
 containers, picklable through :meth:`~MetricsRegistry.snapshot`, and
-mergeable across process boundaries — the campaign scheduler collects
-one snapshot per pooled shard and folds it into the parent registry.
+mergeable across process boundaries — a campaign launcher folds each
+launched worker's snapshot into its own registry.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def timer_stats(samples: Sequence[float]) -> Dict[str, float]:
 class MetricsRegistry:
     """Monotonic timers, counters, and gauges with snapshot/merge support.
 
-    Not thread-safe by design: each process (and each worker in the
-    process pool) owns its registry, and cross-process aggregation goes
+    Not thread-safe by design: each process (and each launched campaign
+    worker) owns its registry, and cross-process aggregation goes
     through :meth:`snapshot` / :meth:`merge_snapshot`.
     """
 

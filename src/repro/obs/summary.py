@@ -94,8 +94,6 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             "shards_failed": counters.get("campaign.shards_failed", 0.0),
             "retries": counters.get("campaign.retries", 0.0),
             "fallbacks": counters.get("campaign.fallbacks", 0.0),
-            "timeouts": events.get("campaign.shard_timeout", 0),
-            "pool_breaks": events.get("campaign.pool_broken", 0),
             "heartbeats": counters.get("campaign.heartbeats", 0.0),
             "workers": len(durations.get("campaign.worker", [])),
             "lease_conflicts": counters.get("campaign.lease_conflicts", 0.0),
@@ -185,8 +183,6 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
         lines.append(
             f"  retries {campaign.get('retries', 0):.0f}"
             f"  fallbacks {campaign.get('fallbacks', 0):.0f}"
-            f"  timeouts {campaign.get('timeouts', 0):d}"
-            f"  pool breaks {campaign.get('pool_breaks', 0):d}"
         )
         lines.append(
             f"  mean shard {_format_seconds(campaign.get('mean_shard_s', 0.0)).strip()}"

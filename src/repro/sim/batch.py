@@ -16,8 +16,8 @@ any batch size (pinned by ``tests/test_batch_engine.py``).
 
 Composition: ``--batch-trials`` runs this engine in-process; campaign
 shards reach it through ``_run_trial_batch(..., batch_trials=B)`` in
-:mod:`repro.sim.parallel`, so the scheduler's process pool and lease-loop
-workers run their trial chunks through :func:`run_trial_block`.
+:mod:`repro.sim.parallel`, so lease-loop workers, in-process or
+launched, run their trial chunks through :func:`run_trial_block`.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ schemes across process boundaries and into content addresses.
 
 :func:`_run_trial_batch` runs a contiguous block of trials from specs and
 returns light :class:`ParallelOutcome` records (no measurement traces).
-It is the one trial executor behind campaign shards — in-process, in the
-scheduler's process pool (with :func:`_worker_init` as the initializer)
-and in lease-loop workers — and behind :mod:`repro.obs.diff` replays.
+It is the one trial executor behind campaign shards — run by the lease
+loop in-process or in launched worker processes — and behind
+:mod:`repro.obs.diff` replays.
 
 Determinism: trial ``k`` uses exactly the same per-trial generator as the
 serial runner, so a batch reproduces :func:`repro.sim.runner.run_trials`
@@ -115,16 +115,6 @@ def _scenario_for(config: ScenarioConfig) -> Scenario:
     return scenario
 
 
-def _worker_init(config: ScenarioConfig) -> None:
-    """Pool initializer: build the scenario context before any task runs.
-
-    Codebook construction is the dominant per-process setup cost; doing
-    it in the initializer moves it off the first task's critical path and
-    guarantees every task — batched or not — hits a warm cache.
-    """
-    _scenario_for(config)
-
-
 def _worker_aux(
     inner: Optional[MetricsRecorder], checkpointer: Optional[Any]
 ) -> Optional[Dict[str, Any]]:
@@ -152,14 +142,13 @@ def _run_trial_batch(
     batch_trials: Optional[int] = None,
     checkpoints: Optional[CheckpointSpec] = None,
 ) -> Tuple[List[Dict[str, ParallelOutcome]], Optional[Dict[str, Any]]]:
-    """Worker entry point: several trials amortizing one task dispatch.
+    """Run one block of trials (a campaign shard) from picklable specs.
 
-    Batching cuts the per-task pickling/dispatch overhead (config, specs,
-    and results cross the process boundary once per batch instead of once
-    per trial) while determinism is untouched: trial ``k`` still draws
-    from ``trial_generator(base_seed, k)`` no matter which batch — or
-    process — it lands in. Metrics snapshots and flight-recorder
-    checkpoint payloads are likewise merged once per batch.
+    Determinism: trial ``k`` draws from ``trial_generator(base_seed, k)``
+    no matter which block — or process — it lands in. With
+    ``collect_metrics`` or ``checkpoints`` the block runs under its own
+    recorder, whose metrics snapshot and flight-recorder checkpoint
+    payloads come back once per block for the caller to merge.
 
     ``batch_trials`` additionally routes the worker's trials through the
     in-process batched engine (:func:`repro.sim.batch.run_trial_block`)

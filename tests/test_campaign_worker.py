@@ -104,9 +104,11 @@ class TestRunWorker:
         assert all(record["worker"] == "w5" for record in beats.values())
         assert worker_attribution(store, plan) == {"w5": len(plan.shards)}
 
-    def test_max_shards_budget(self, plan, store):
-        report = run_worker(plan, store, max_shards=1)
+    @pytest.mark.parametrize("claim_batch", [1, 4])
+    def test_max_shards_budget(self, plan, store, claim_batch):
+        report = run_worker(plan, store, max_shards=1, claim_batch=claim_batch)
         assert report.executed == 1
+        assert sum(store.has(shard) for shard in plan.shards) == 1
         assert store.read_claims(plan.digest) == {}  # nothing left claimed
         rest = run_worker(plan, store)
         assert rest.executed == len(plan.shards) - 1
@@ -384,6 +386,31 @@ class TestLaunchCampaign:
     def test_launch_validation(self, plan, store):
         with pytest.raises(ConfigurationError):
             launch_campaign(plan, store, num_workers=0)
+
+    def test_reports_and_large_snapshots_come_home(self, plan, store, monkeypatch):
+        """Every worker's report reaches the launcher, and a metrics
+        snapshot larger than a pipe buffer neither blocks its worker nor
+        is lost: the launcher reads each pipe while it waits."""
+        from repro.obs.metrics import MetricsRegistry
+
+        snapshot = MetricsRegistry.snapshot
+
+        def padded(self):
+            raw = snapshot(self)
+            raw["gauges"].update({f"pad.{i}": float(i) for i in range(20000)})
+            return raw
+
+        monkeypatch.setattr(MetricsRegistry, "snapshot", padded)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            report = launch_campaign(plan, store, num_workers=2, poll_s=0.05)
+        assert report.exit_codes == (0, 0)
+        assert [r.worker_id for r in report.reports] == ["w0", "w1"]
+        assert sum(r.executed for r in report.reports) == len(plan.shards)
+        assert recorder.metrics.gauges["pad.19999"] == 19999.0
+        assert recorder.metrics.counter("campaign.shards_executed") == len(
+            plan.shards
+        )
 
     def test_launch_skips_completed_campaign_quickly(self, plan, store):
         run_campaign(plan, store)

@@ -294,19 +294,21 @@ class TestSummarize:
                 recorder.increment("campaign.shards_executed", 2)
                 recorder.increment("campaign.retries", 2)
                 recorder.increment("campaign.heartbeats", 6)
-                recorder.event("campaign.shard_timeout")
+                recorder.increment("campaign.fallbacks", 1)
         summary = summarize_trace(read_trace(path))
         campaign = summary["campaign"]
         assert campaign["runs"] == 1
         assert campaign["shards_executed"] == 2.0
         assert campaign["retries"] == 2.0
         assert campaign["heartbeats"] == 6.0
-        assert campaign["timeouts"] == 1
+        assert campaign["fallbacks"] == 1.0
+        assert "timeouts" not in campaign and "pool_breaks" not in campaign
         assert campaign["mean_attempts"] == pytest.approx(2.0)
         text = render_trace_summary(summary)
         assert "campaign scheduler" in text
         assert "executed 2" in text
         assert "heartbeats 6" in text
+        assert "fallbacks 1" in text and "pool breaks" not in text
 
     def test_summarize_plain_trace_omits_sections(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -20,6 +20,7 @@ from repro.campaign import (
     assemble_effectiveness_sweep,
     plan_effectiveness_sweep,
     run_campaign,
+    run_worker,
 )
 from repro.exceptions import CampaignAborted, CampaignError, ConfigurationError
 from repro.obs import (
@@ -117,8 +118,9 @@ class TestEngineInvariance:
             )
         assert _signature(recorder.events) == serial_signature
 
+    @pytest.mark.parametrize("resume_with", ["run_campaign", "run_worker"])
     def test_killed_and_resumed_campaign_matches_serial(
-        self, small_config, serial_signature, tmp_path
+        self, small_config, serial_signature, tmp_path, resume_with
     ):
         plan = plan_effectiveness_sweep(
             small_config, SPECS, RATES, TRIALS, base_seed=SEED, shard_trials=2
@@ -136,7 +138,10 @@ class TestEngineInvariance:
         # live — the merged sequence must equal an uninterrupted serial run.
         recorder = CheckpointRecorder()
         with use_recorder(recorder):
-            run_campaign(plan, store, checkpoints=True)
+            if resume_with == "run_campaign":
+                run_campaign(plan, store, checkpoints=True)
+            else:
+                run_worker(plan, store, worker_id="w0", checkpoints=True)
         assert _signature(recorder.events) == serial_signature
 
     def test_checkpointing_does_not_change_outcomes(self, small_scenario):

@@ -1,16 +1,14 @@
-"""Picklable scheme specs, and pooled shard batches surviving a dead pool.
+"""Picklable scheme specs, and campaigns surviving crashed workers.
 
 Campaign shards carry their schemes as :class:`SchemeSpec` values and run
-through ``_run_trial_batch`` in the scheduler's process pool; a pool that
-breaks mid-flight must degrade to in-process execution with identical
-artifacts.
+through ``_run_trial_batch`` in lease-loop workers; shards a launched
+worker dies on must finish in-process with identical artifacts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -49,24 +47,6 @@ class TestSchemeSpec:
         assert hash(SchemeSpec.of("Proposed", mu=0.1)) is not None
 
 
-class _AlwaysBrokenFuture:
-    def result(self, timeout=None):
-        raise BrokenProcessPool("worker died before the shard returned")
-
-
-class _AlwaysBrokenPool:
-    """Stand-in executor whose every shard dies mid-flight."""
-
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        return _AlwaysBrokenFuture()
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class _CrashInWorker(RandomSearch):
     """Hard-kills the process unless it is the test's parent process."""
 
@@ -83,32 +63,13 @@ def _artifacts(plan, store):
 
 
 class TestBrokenPoolFallback:
-    SPECS = (SchemeSpec.of("Random"),)
-
-    def test_broken_pool_reruns_batches_in_process(
-        self, small_config, monkeypatch, tmp_path
-    ):
-        plan = plan_effectiveness_sweep(
-            small_config, self.SPECS, (0.3,), 3, base_seed=13, shard_trials=1
-        )
-        reference = ShardStore(tmp_path / "reference")
-        run_campaign(plan, reference, max_workers=1)
-        monkeypatch.setattr(
-            "repro.campaign.scheduler.ProcessPoolExecutor", _AlwaysBrokenPool
-        )
-        fallback = ShardStore(tmp_path / "fallback")
-        recorder = MetricsRecorder()
-        with use_recorder(recorder):
-            report = run_campaign(plan, fallback, max_workers=2)
-        assert recorder.metrics.counter("campaign.pool_broken") == len(plan.shards)
-        assert report.fallbacks == len(plan.shards)
-        assert _artifacts(plan, fallback) == _artifacts(plan, reference)
-
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="needs fork so the patched registry reaches pool workers",
+        reason="needs fork so the patched registry reaches launched workers",
     )
     def test_real_worker_crash_falls_back(self, small_config, monkeypatch, tmp_path):
+        """Every launched worker dies on its first shard; the in-process
+        pass finishes them all, byte-identical to a ``max_workers=1`` run."""
         monkeypatch.setitem(SCHEME_BUILDERS, "Crash", _CrashInWorker)
         monkeypatch.setenv("REPRO_TEST_PARENT_PID", str(os.getpid()))
         plan = plan_effectiveness_sweep(
@@ -121,6 +82,10 @@ class TestBrokenPoolFallback:
         )
         pooled = ShardStore(tmp_path / "pooled")
         solo = ShardStore(tmp_path / "solo")
-        run_campaign(plan, pooled, max_workers=2)
+        recorder = MetricsRecorder()
+        with use_recorder(recorder):
+            report = run_campaign(plan, pooled, max_workers=2)
         run_campaign(plan, solo, max_workers=1)
+        assert report.fallbacks == len(plan.shards)
+        assert recorder.metrics.counter("campaign.fallbacks") == len(plan.shards)
         assert _artifacts(plan, pooled) == _artifacts(plan, solo)
