@@ -215,6 +215,11 @@ class Codebook:
         self._vectors = vectors
         self._vectors.setflags(write=False)
         self._gain_cache: Optional[CodebookGainCache] = None
+        self._snake_path: Tuple[int, ...] = tuple(
+            row * cols + col
+            for row in range(rows)
+            for col in (range(cols) if row % 2 == 0 else range(cols - 1, -1, -1))
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -356,16 +361,13 @@ class Codebook:
 
         Consecutive entries are spatial neighbors except for at most one
         wrap-around jump when ``start`` is not a grid corner; the order is
-        the natural single sweep of a planar sector.
+        the natural single sweep of a planar sector. The path is built once
+        per codebook and rotated to ``start`` per call.
         """
         start = check_index(start, self.num_beams, "start")
-        rows, cols = self._grid_shape
-        path: List[int] = []
-        for row in range(rows):
-            cols_range = range(cols) if row % 2 == 0 else range(cols - 1, -1, -1)
-            path.extend(row * cols + col for col in cols_range)
+        path = self._snake_path
         offset = path.index(start)
-        return path[offset:] + path[:offset]
+        return list(path[offset:] + path[:offset])
 
     # ------------------------------------------------------------------
     # Beam-quality evaluation

@@ -21,7 +21,12 @@ import numpy as np
 from repro.arrays.geometry import ArrayGeometry
 from repro.utils.geometry import Direction
 
-__all__ = ["direction_unit_vector", "steering_vector", "steering_matrix"]
+__all__ = [
+    "direction_unit_vector",
+    "steering_vector",
+    "steering_matrix",
+    "angle_phases",
+]
 
 
 def direction_unit_vector(direction: Direction) -> np.ndarray:
@@ -42,6 +47,30 @@ def steering_vector(array: ArrayGeometry, direction: Direction) -> np.ndarray:
     return np.exp(1j * phases) / np.sqrt(array.num_elements)
 
 
+def angle_phases(
+    array: ArrayGeometry,
+    azimuths: np.ndarray,
+    elevations: np.ndarray,
+) -> np.ndarray:
+    """Element phases ``2 * pi * p_m . d_hat`` toward every direction column.
+
+    ``azimuths`` / ``elevations`` are equal-length angle columns; the
+    result has shape ``(num_elements, K)``. The unit vectors are built
+    with elementwise array kernels and meet the element positions in one
+    GEMM; each entry equals what :func:`direction_unit_vector` gives for
+    that direction.
+    """
+    cos_elevation = np.cos(elevations)
+    units = np.stack(
+        [
+            np.sin(azimuths) * cos_elevation,
+            np.cos(azimuths) * cos_elevation,
+            np.sin(elevations),
+        ]
+    )
+    return 2.0 * np.pi * (array.positions @ units)
+
+
 def steering_matrix(
     array: ArrayGeometry,
     directions: Sequence[Direction],
@@ -54,6 +83,7 @@ def steering_matrix(
     """
     if len(directions) == 0:
         return np.zeros((array.num_elements, 0), dtype=complex)
-    units = np.stack([direction_unit_vector(d) for d in directions], axis=1)
-    phases = 2.0 * np.pi * (array.positions @ units)
+    azimuths = np.array([d.azimuth for d in directions], dtype=float)
+    elevations = np.array([d.elevation for d in directions], dtype=float)
+    phases = angle_phases(array, azimuths, elevations)
     return np.exp(1j * phases) / np.sqrt(array.num_elements)

@@ -27,6 +27,7 @@ import numpy as np
 from repro.channel.base import ClusteredChannel
 from repro.channel.batch import mean_snr_matrices
 from repro.core.base import AlignmentContext
+from repro.exceptions import ConfigurationError
 from repro.cell.config import CellConfig
 from repro.cell.scheduler import UESchedule
 from repro.measurement.measurer import MeasurementEngine
@@ -40,6 +41,7 @@ __all__ = [
     "UEOutcome",
     "ue_streams",
     "interference_probability",
+    "check_batch_users",
     "execute_ues",
 ]
 
@@ -116,6 +118,12 @@ def _align_ue(
     )
 
 
+def check_batch_users(batch_users: Optional[int]) -> None:
+    """Reject a negative ``batch_users`` (``None`` and ``0`` mean serial)."""
+    if batch_users is not None and batch_users < 0:
+        raise ConfigurationError(f"batch_users must be >= 0, got {batch_users}")
+
+
 def execute_ues(
     scenario: Scenario,
     config: CellConfig,
@@ -130,6 +138,7 @@ def execute_ues(
     many UEs. Both paths consume
     identical per-UE streams, so outcomes are bit-identical.
     """
+    check_batch_users(batch_users)
     entries = list(entries)
     if not entries:
         return []

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.cell.config import CellConfig
+from repro.cell.engine import check_batch_users
 from repro.cell.metrics import UERecord, summarize_records
 from repro.cell.scheduler import CellSchedule, build_schedule
 from repro.cell.shards import (
@@ -109,6 +110,7 @@ def serve_cell(
     resumable (per-shard artifacts + heartbeats); ``summary_path``
     receives the deterministic summary artifact.
     """
+    check_batch_users(batch_users)
     registry = registry if registry is not None else MetricsRegistry()
     plan = plan_cell(config, shard_ues=shard_ues)
     schedule = build_schedule(config)

@@ -29,20 +29,20 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.geometry import ArrayGeometry
 from repro.arrays.codebook import Codebook
-from repro.arrays.steering import steering_matrix
+from repro.arrays.steering import angle_phases
 from repro.exceptions import ValidationError
 from repro.utils.geometry import Direction
 from repro.utils.linalg import hermitian
 from repro.utils.rng import complex_normal
 from repro.utils.validation import check_positive, check_unit_norm
 
-__all__ = ["Subpath", "CodebookCoupling", "ClusteredChannel"]
+__all__ = ["Subpath", "CodebookCoupling", "ClusteredChannel", "subpaths_from_columns"]
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,71 @@ class Subpath:
             raise ValidationError(f"subpath power must be >= 0, got {self.power}")
 
 
+def subpaths_from_columns(powers: np.ndarray, angles: np.ndarray) -> List[Subpath]:
+    """:class:`Subpath` objects for powers ``(K,)`` and angles ``(K, 4)``."""
+    return [
+        Subpath(
+            power=power,
+            tx_direction=Direction(tx_az, tx_el),
+            rx_direction=Direction(rx_az, rx_el),
+        )
+        for power, (tx_az, tx_el, rx_az, rx_el) in zip(powers.tolist(), angles.tolist())
+    ]
+
+
+#: Largest ``|angle|`` per angle column: azimuths in ``[-pi, pi]``,
+#: elevations in ``[-pi/2, pi/2]`` (the :class:`Direction` ranges).
+_ANGLE_LIMITS = np.array([np.pi, np.pi / 2, np.pi, np.pi / 2])
+
+
+def _check_columns(powers: np.ndarray, angles: np.ndarray) -> None:
+    """Vectorised :class:`Subpath` / :class:`Direction` validation.
+
+    Raises the :class:`ValidationError` that building the first invalid
+    subpath's directions (then the subpath itself) would raise; a NaN
+    angle is out of range, a NaN power is not negative.
+    """
+    if powers.ndim != 1 or angles.shape != (powers.shape[0], 4):
+        raise ValidationError(
+            f"need powers (K,) and angles (K, 4), got {powers.shape} and {angles.shape}"
+        )
+    in_range = np.abs(angles) <= _ANGLE_LIMITS
+    if not in_range.all():
+        row, column = np.argwhere(~in_range)[0]
+        value = float(angles[row, column])
+        if column % 2 == 0:
+            raise ValidationError(f"azimuth must lie in [-pi, pi], got {value!r}")
+        raise ValidationError(f"elevation must lie in [-pi/2, pi/2], got {value!r}")
+    negative = powers < 0
+    if negative.any():
+        power = float(powers[negative][0])
+        raise ValidationError(f"subpath power must be >= 0, got {power}")
+
+
+def _steering(
+    array: ArrayGeometry,
+    azimuths: np.ndarray,
+    elevations: np.ndarray,
+    given: Optional[np.ndarray],
+    side: str,
+) -> np.ndarray:
+    """The injected steering matrix after a shape check, else a fresh one."""
+    expected = (array.num_elements, len(azimuths))
+    if given is None:
+        phases = angle_phases(array, azimuths, elevations)
+        return np.exp(1j * phases) / np.sqrt(array.num_elements)
+    if given.shape != expected:
+        raise ValidationError(f"{side}_steering must be {expected}, got {given.shape}")
+    return given
+
+
 class ClusteredChannel:
     """A fixed-geometry, block-fading clustered channel.
+
+    The geometry is held as columns: subpath powers ``(K,)`` and angles
+    ``(K, 4)`` (TX azimuth, TX elevation, RX azimuth, RX elevation, in
+    radians). :attr:`subpaths` builds the equivalent :class:`Subpath`
+    tuple only when read.
 
     Parameters
     ----------
@@ -93,6 +156,7 @@ class ClusteredChannel:
     subpaths:
         The discrete subpaths. Their powers need not be normalized;
         ``total_power`` rescales them so that ``sum_k P_k == total_power``.
+        :meth:`from_columns` takes the same geometry as arrays.
     snr:
         The pre-beamforming SNR scale ``gamma = Es / N0`` (linear) that a
         unit-power path would produce; it multiplies every mean-SNR value
@@ -121,13 +185,72 @@ class ClusteredChannel:
         tx_steering: Optional[np.ndarray] = None,
         rx_steering: Optional[np.ndarray] = None,
     ) -> None:
-        if len(subpaths) == 0:
+        powers = np.array([path.power for path in subpaths], dtype=float)
+        angles = np.array(
+            [
+                (
+                    path.tx_direction.azimuth,
+                    path.tx_direction.elevation,
+                    path.rx_direction.azimuth,
+                    path.rx_direction.elevation,
+                )
+                for path in subpaths
+            ],
+            dtype=float,
+        ).reshape(len(subpaths), 4)
+        self._setup(
+            tx_array, rx_array, powers, angles, snr, total_power, tx_steering, rx_steering
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        tx_array: ArrayGeometry,
+        rx_array: ArrayGeometry,
+        powers: np.ndarray,
+        angles: np.ndarray,
+        snr: float = 100.0,
+        total_power: Optional[float] = 1.0,
+        *,
+        tx_steering: Optional[np.ndarray] = None,
+        rx_steering: Optional[np.ndarray] = None,
+    ) -> "ClusteredChannel":
+        """A channel from subpath powers ``(K,)`` and angles ``(K, 4)``.
+
+        Validated like the :class:`Subpath` form (same errors) and
+        equal to it in every array; no per-subpath object is built.
+        """
+        channel = cls.__new__(cls)
+        channel._setup(
+            tx_array,
+            rx_array,
+            np.asarray(powers, dtype=float),
+            np.asarray(angles, dtype=float),
+            snr,
+            total_power,
+            tx_steering,
+            rx_steering,
+        )
+        return channel
+
+    def _setup(
+        self,
+        tx_array: ArrayGeometry,
+        rx_array: ArrayGeometry,
+        powers: np.ndarray,
+        angles: np.ndarray,
+        snr: float,
+        total_power: Optional[float],
+        tx_steering: Optional[np.ndarray],
+        rx_steering: Optional[np.ndarray],
+    ) -> None:
+        if len(powers) == 0:
             raise ValidationError("a channel needs at least one subpath")
+        _check_columns(powers, angles)
         self._tx_array = tx_array
         self._rx_array = rx_array
         self._snr = check_positive(snr, "snr")
 
-        powers = np.array([path.power for path in subpaths], dtype=float)
         if total_power is not None:
             total_power = check_positive(total_power, "total_power")
             current = float(powers.sum())
@@ -135,32 +258,10 @@ class ClusteredChannel:
                 raise ValidationError("subpath powers sum to zero; cannot normalize")
             powers = powers * (total_power / current)
         self._powers = powers
-        self._subpaths = tuple(
-            Subpath(power=float(p), tx_direction=s.tx_direction, rx_direction=s.rx_direction)
-            for p, s in zip(powers, subpaths)
-        )
-        if tx_steering is not None:
-            if tx_steering.shape != (tx_array.num_elements, len(self._subpaths)):
-                raise ValidationError(
-                    f"tx_steering must be {(tx_array.num_elements, len(self._subpaths))},"
-                    f" got {tx_steering.shape}"
-                )
-            self._tx_steering = tx_steering
-        else:
-            self._tx_steering = steering_matrix(
-                tx_array, [path.tx_direction for path in self._subpaths]
-            )
-        if rx_steering is not None:
-            if rx_steering.shape != (rx_array.num_elements, len(self._subpaths)):
-                raise ValidationError(
-                    f"rx_steering must be {(rx_array.num_elements, len(self._subpaths))},"
-                    f" got {rx_steering.shape}"
-                )
-            self._rx_steering = rx_steering
-        else:
-            self._rx_steering = steering_matrix(
-                rx_array, [path.rx_direction for path in self._subpaths]
-            )
+        self._angles = angles
+        self._subpaths: Optional[Tuple[Subpath, ...]] = None
+        self._tx_steering = _steering(tx_array, angles[:, 0], angles[:, 1], tx_steering, "tx")
+        self._rx_steering = _steering(rx_array, angles[:, 2], angles[:, 3], rx_steering, "rx")
         self._sqrt_powers = np.sqrt(self._powers)
         # Codebook-coupling tables, keyed by codebook identity. Codebooks
         # are immutable and long-lived (they belong to the scenario), so
@@ -186,13 +287,15 @@ class ClusteredChannel:
 
     @property
     def subpaths(self) -> Tuple[Subpath, ...]:
-        """The (power-normalized) subpaths."""
+        """The (power-normalized) subpaths, built on first read."""
+        if self._subpaths is None:
+            self._subpaths = tuple(subpaths_from_columns(self._powers, self._angles))
         return self._subpaths
 
     @property
     def num_subpaths(self) -> int:
         """Number of discrete subpaths (the rank of the covariance)."""
-        return len(self._subpaths)
+        return len(self._powers)
 
     @property
     def powers(self) -> np.ndarray:

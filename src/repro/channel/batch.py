@@ -1,16 +1,21 @@
 """Batched channel realization: whole-batch steering, coupling, and SNR.
 
-Monte-Carlo trials are i.i.d. over channel realizations, so the per-trial
-linear algebra of :class:`~repro.channel.base.ClusteredChannel` stacks:
+A realization's geometry arrives as columns — subpath powers ``(K,)``
+and angles ``(K, 4)`` (TX azimuth, TX elevation, RX azimuth, RX
+elevation) from the kernel of :mod:`repro.channel.clusters` — and no
+per-subpath object is built on the way to a channel. Monte-Carlo trials
+are i.i.d. over realizations, so the per-trial linear algebra of
+:class:`~repro.channel.base.ClusteredChannel` stacks:
 
 * steering matrices of every trial come out of **one** concatenated
-  ``positions @ units`` GEMM (sliced per trial);
+  ``positions @ units`` GEMM per array side, fed straight from the
+  concatenated angle columns (sliced per trial);
 * codebook-coupling tables (``a^H u`` projections) and mean-SNR matrices
   come out of stacked ``(B, ., .)`` GEMMs, grouped by subpath count ``K``
   (cluster counts are Poisson, so ``K`` varies per trial).
 
 Bit-identity contract: every per-trial slice equals, bit for bit, what
-the serial code path computes for the same realization. Concatenating
+a channel built alone computes for the same realization. Concatenating
 columns of a GEMM, batching the matmul over a leading axis, and applying
 elementwise kernels to contiguous slices all preserve per-element
 floating-point results on the BLAS/ufunc paths NumPy uses here; the
@@ -19,15 +24,14 @@ floating-point results on the BLAS/ufunc paths NumPy uses here; the
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.codebook import Codebook
 from repro.arrays.geometry import ArrayGeometry
-from repro.arrays.steering import direction_unit_vector
-from repro.channel.base import ClusteredChannel, CodebookCoupling, Subpath
-from repro.utils.geometry import Direction
+from repro.arrays.steering import angle_phases
+from repro.channel.base import ClusteredChannel, CodebookCoupling
 
 __all__ = [
     "stacked_steering_matrices",
@@ -39,23 +43,21 @@ __all__ = [
 
 def stacked_steering_matrices(
     array: ArrayGeometry,
-    direction_lists: Sequence[Sequence[Direction]],
+    angle_blocks: Sequence[np.ndarray],
 ) -> List[np.ndarray]:
-    """Per-group steering matrices from one concatenated GEMM.
+    """Per-block steering matrices from one concatenated GEMM.
 
-    Equivalent to ``[steering_matrix(array, ds) for ds in
-    direction_lists]`` — the phase GEMM runs once over the concatenated
-    direction columns, and each group's contiguous phase slice goes
-    through the same ``exp`` / normalization as the serial path.
+    Each block is a ``(K, 2)`` array of (azimuth, elevation) rows; block
+    ``i`` yields the ``(num_elements, K_i)`` steering matrix of its
+    directions. The phase GEMM runs once over the concatenated angle
+    columns, and each block's contiguous phase slice goes through the
+    same ``exp`` / normalization as a channel built alone.
     """
-    counts = [len(directions) for directions in direction_lists]
-    flat = [d for directions in direction_lists for d in directions]
-    if not flat:
-        return [
-            np.zeros((array.num_elements, 0), dtype=complex) for _ in direction_lists
-        ]
-    units = np.stack([direction_unit_vector(d) for d in flat], axis=1)
-    phases = 2.0 * np.pi * (array.positions @ units)
+    counts = [len(block) for block in angle_blocks]
+    if not sum(counts):
+        return [np.zeros((array.num_elements, 0), dtype=complex) for _ in counts]
+    flat = np.concatenate(angle_blocks)
+    phases = angle_phases(array, flat[:, 0], flat[:, 1])
     scale = np.sqrt(array.num_elements)
     matrices: List[np.ndarray] = []
     offset = 0
@@ -69,34 +71,31 @@ def stacked_steering_matrices(
 def build_channels(
     tx_array: ArrayGeometry,
     rx_array: ArrayGeometry,
-    subpath_lists: Sequence[Sequence[Subpath]],
+    columns: Sequence[Tuple[np.ndarray, np.ndarray]],
     snr: float = 100.0,
     total_power: float = 1.0,
 ) -> List[ClusteredChannel]:
-    """Construct one :class:`ClusteredChannel` per subpath list.
+    """One :class:`ClusteredChannel` per ``(powers, angles)`` realization.
 
     Steering for the whole batch is built by
     :func:`stacked_steering_matrices` and injected, so channel
     construction does no per-trial GEMM. Results are bit-identical to
     constructing each channel individually.
     """
-    tx_mats = stacked_steering_matrices(
-        tx_array, [[s.tx_direction for s in subs] for subs in subpath_lists]
-    )
-    rx_mats = stacked_steering_matrices(
-        rx_array, [[s.rx_direction for s in subs] for subs in subpath_lists]
-    )
+    tx_mats = stacked_steering_matrices(tx_array, [angles[:, 0:2] for _, angles in columns])
+    rx_mats = stacked_steering_matrices(rx_array, [angles[:, 2:4] for _, angles in columns])
     return [
-        ClusteredChannel(
+        ClusteredChannel.from_columns(
             tx_array,
             rx_array,
-            list(subs),
+            powers,
+            angles,
             snr=snr,
             total_power=total_power,
             tx_steering=tx_steering,
             rx_steering=rx_steering,
         )
-        for subs, tx_steering, rx_steering in zip(subpath_lists, tx_mats, rx_mats)
+        for (powers, angles), tx_steering, rx_steering in zip(columns, tx_mats, rx_mats)
     ]
 
 

@@ -13,6 +13,13 @@ that generative recipe:
 * cluster centers uniform in sine space over the sector field of view;
 * subpaths spread around the center with a wrapped-Gaussian angular
   offset of a few degrees rms, equal power split within the cluster.
+
+One column kernel draws a realization: :func:`sample_cluster_columns`
+(and :func:`sample_singlepath_columns` for the one-path family) returns
+subpath powers ``(K,)`` and angles ``(K, 4)`` — TX azimuth, TX
+elevation, RX azimuth, RX elevation — with wrap and clip applied as
+array operations. The object-returning helpers below are thin wrappers
+over the same draws and consume the generator identically.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.channel.base import Subpath
+from repro.channel.base import Subpath, subpaths_from_columns
 from repro.exceptions import ValidationError
-from repro.utils.geometry import Direction, wrap_angle
+from repro.utils.geometry import Direction
 
 __all__ = [
     "ClusterParams",
@@ -32,6 +39,8 @@ __all__ = [
     "random_sector_direction",
     "sample_cluster_specs",
     "specs_to_subpaths",
+    "sample_cluster_columns",
+    "sample_singlepath_columns",
 ]
 
 
@@ -83,13 +92,81 @@ class PathClusterSpec:
             )
 
 
+def _sector_angles(
+    rng: np.random.Generator, params: ClusterParams, rows: int, directions: int
+) -> np.ndarray:
+    """Angles uniform in sine space over the sector: ``(rows, 2 * directions)``.
+
+    Per row, ``directions`` (azimuth, elevation) pairs, each drawn as two
+    scalar uniforms in that order; a 2-direction row is a TX center then
+    an RX center.
+    """
+    bounds = (params.azimuth_sine_range, params.elevation_sine_range) * directions
+    sines = [rng.uniform(low, high) for _ in range(rows) for low, high in bounds]
+    return np.arcsin(np.array(sines).reshape(rows, 2 * directions))
+
+
 def random_sector_direction(rng: np.random.Generator, params: ClusterParams) -> Direction:
     """Cluster center uniform in sine space over the configured sector."""
-    az_low, az_high = params.azimuth_sine_range
-    el_low, el_high = params.elevation_sine_range
-    azimuth = float(np.arcsin(rng.uniform(az_low, az_high)))
-    elevation = float(np.arcsin(rng.uniform(el_low, el_high)))
+    azimuth, elevation = _sector_angles(rng, params, 1, 1)[0].tolist()
     return Direction(azimuth=azimuth, elevation=elevation)
+
+
+def _cluster_centers(
+    rng: np.random.Generator, params: ClusterParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cluster count, power fractions ``(C,)`` and centers ``(C, 4)``."""
+    count = int(min(params.max_clusters, max(1, rng.poisson(params.mean_clusters))))
+    uniforms = rng.uniform(size=count)
+    shadowing = rng.normal(scale=params.power_shadowing_db, size=count)
+    raw = uniforms ** (params.power_decay_exponent - 1.0) * 10.0 ** (-0.1 * shadowing)
+    return raw / raw.sum(), _sector_angles(rng, params, count, 2)
+
+
+def _spread_subpaths(
+    fractions: np.ndarray,
+    centers: np.ndarray,
+    rng: np.random.Generator,
+    params: ClusterParams,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Equal-power subpaths around each center: powers ``(K,)``, angles ``(K, 4)``.
+
+    One Gaussian draw gives every offset (per subpath: TX azimuth, TX
+    elevation, RX azimuth, RX elevation); azimuths wrap to ``[-pi, pi)``
+    and elevations clip to ``[-pi/2, pi/2]``.
+    """
+    per_cluster = params.subpaths_per_cluster
+    az_spread = np.deg2rad(params.azimuth_spread_deg)
+    el_spread = np.deg2rad(params.elevation_spread_deg)
+    offsets = rng.normal(
+        scale=[az_spread, el_spread, az_spread, el_spread],
+        size=(len(fractions) * per_cluster, 4),
+    )
+    angles = np.repeat(centers, per_cluster, axis=0) + offsets
+    angles[:, 0::2] = (angles[:, 0::2] + np.pi) % (2 * np.pi) - np.pi
+    angles[:, 1::2] = np.minimum(np.maximum(angles[:, 1::2], -np.pi / 2), np.pi / 2)
+    return np.repeat(fractions / per_cluster, per_cluster), angles
+
+
+def sample_cluster_columns(
+    rng: np.random.Generator,
+    params: ClusterParams = ClusterParams(),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One NYC multipath realization as subpath powers and angles.
+
+    Draws the cluster count, powers and centers, then every subpath
+    offset; the powers sum to one.
+    """
+    fractions, centers = _cluster_centers(rng, params)
+    return _spread_subpaths(fractions, centers, rng, params)
+
+
+def sample_singlepath_columns(
+    rng: np.random.Generator,
+    params: ClusterParams = ClusterParams(),
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One single-path realization: unit power, sector-uniform TX/RX angles."""
+    return np.ones(1), _sector_angles(rng, params, 1, 2)
 
 
 def sample_cluster_specs(
@@ -97,34 +174,17 @@ def sample_cluster_specs(
     params: ClusterParams = ClusterParams(),
 ) -> List[PathClusterSpec]:
     """Draw the cluster count, powers, and center directions."""
-    count = int(min(params.max_clusters, max(1, rng.poisson(params.mean_clusters))))
-    uniforms = rng.uniform(size=count)
-    shadowing = rng.normal(scale=params.power_shadowing_db, size=count)
-    raw = uniforms ** (params.power_decay_exponent - 1.0) * 10.0 ** (-0.1 * shadowing)
-    fractions = raw / raw.sum()
+    fractions, centers = _cluster_centers(rng, params)
     return [
         PathClusterSpec(
-            power_fraction=float(fraction),
-            tx_center=random_sector_direction(rng, params),
-            rx_center=random_sector_direction(rng, params),
+            power_fraction=fraction,
+            tx_center=Direction(tx_az, tx_el),
+            rx_center=Direction(rx_az, rx_el),
         )
-        for fraction in fractions
+        for fraction, (tx_az, tx_el, rx_az, rx_el) in zip(
+            fractions.tolist(), centers.tolist()
+        )
     ]
-
-
-def _offset_direction(
-    center: Direction,
-    rng: np.random.Generator,
-    azimuth_spread_rad: float,
-    elevation_spread_rad: float,
-) -> Direction:
-    """Perturb a center direction by a Gaussian angular offset (clipped)."""
-    azimuth = wrap_angle(center.azimuth + rng.normal(scale=azimuth_spread_rad))
-    elevation = min(
-        max(center.elevation + rng.normal(scale=elevation_spread_rad), -np.pi / 2),
-        np.pi / 2,
-    )
-    return Direction(azimuth=azimuth, elevation=elevation)
 
 
 def specs_to_subpaths(
@@ -135,17 +195,17 @@ def specs_to_subpaths(
     """Expand cluster specs into discrete equal-power-per-cluster subpaths."""
     if not specs:
         raise ValidationError("need at least one cluster spec")
-    az_spread = np.deg2rad(params.azimuth_spread_deg)
-    el_spread = np.deg2rad(params.elevation_spread_deg)
-    subpaths: List[Subpath] = []
-    for spec in specs:
-        per_path = spec.power_fraction / params.subpaths_per_cluster
-        for _ in range(params.subpaths_per_cluster):
-            subpaths.append(
-                Subpath(
-                    power=per_path,
-                    tx_direction=_offset_direction(spec.tx_center, rng, az_spread, el_spread),
-                    rx_direction=_offset_direction(spec.rx_center, rng, az_spread, el_spread),
-                )
+    fractions = np.array([spec.power_fraction for spec in specs], dtype=float)
+    centers = np.array(
+        [
+            (
+                spec.tx_center.azimuth,
+                spec.tx_center.elevation,
+                spec.rx_center.azimuth,
+                spec.rx_center.elevation,
             )
-    return subpaths
+            for spec in specs
+        ],
+        dtype=float,
+    )
+    return subpaths_from_columns(*_spread_subpaths(fractions, centers, rng, params))

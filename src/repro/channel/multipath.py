@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.arrays.geometry import ArrayGeometry
 from repro.channel.base import ClusteredChannel
-from repro.channel.clusters import ClusterParams, sample_cluster_specs, specs_to_subpaths
+from repro.channel.clusters import ClusterParams, sample_cluster_columns
 
 __all__ = ["sample_nyc_channel"]
 
@@ -31,7 +31,5 @@ def sample_nyc_channel(
     spread, giving the low-rank covariance the proposed alignment scheme
     exploits (Sec. IV-A1).
     """
-    params = params or ClusterParams()
-    specs = sample_cluster_specs(rng, params)
-    subpaths = specs_to_subpaths(specs, rng, params)
-    return ClusteredChannel(tx_array, rx_array, subpaths, snr=snr, total_power=1.0)
+    powers, angles = sample_cluster_columns(rng, params or ClusterParams())
+    return ClusteredChannel.from_columns(tx_array, rx_array, powers, angles, snr=snr)

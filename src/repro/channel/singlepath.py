@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from repro.arrays.geometry import ArrayGeometry
-from repro.channel.base import ClusteredChannel, Subpath
-from repro.channel.clusters import ClusterParams, random_sector_direction
+from repro.channel.base import ClusteredChannel
+from repro.channel.clusters import ClusterParams, sample_singlepath_columns
 
 __all__ = ["sample_singlepath_channel"]
 
@@ -32,10 +32,5 @@ def sample_singlepath_channel(
     ``params`` only contributes the sector field of view (its sine
     ranges); spreads and cluster counts are irrelevant for one path.
     """
-    params = params or ClusterParams()
-    subpath = Subpath(
-        power=1.0,
-        tx_direction=random_sector_direction(rng, params),
-        rx_direction=random_sector_direction(rng, params),
-    )
-    return ClusteredChannel(tx_array, rx_array, [subpath], snr=snr, total_power=1.0)
+    powers, angles = sample_singlepath_columns(rng, params or ClusterParams())
+    return ClusteredChannel.from_columns(tx_array, rx_array, powers, angles, snr=snr)

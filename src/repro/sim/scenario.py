@@ -6,9 +6,13 @@ import numpy as np
 
 from repro.arrays.codebook import Codebook
 from repro.arrays.upa import UniformPlanarArray
-from repro.channel.base import ClusteredChannel, Subpath
-from repro.channel.multipath import sample_nyc_channel
-from repro.channel.singlepath import sample_singlepath_channel
+from repro.channel.base import ClusteredChannel
+from repro.channel.batch import build_channels
+from repro.channel.clusters import (
+    ClusterParams,
+    sample_cluster_columns,
+    sample_singlepath_columns,
+)
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.sim.context import ScenarioContext
 
@@ -78,60 +82,26 @@ class Scenario:
 
     def sample_channel(self, rng: np.random.Generator) -> ClusteredChannel:
         """Draw a channel realization of the configured family."""
-        if self._config.channel is ChannelKind.SINGLEPATH:
-            return sample_singlepath_channel(
-                self._tx_array,
-                self._rx_array,
-                rng,
-                snr=self._config.snr_linear,
-                params=self._config.cluster_params,
-            )
-        return sample_nyc_channel(
-            self._tx_array,
-            self._rx_array,
-            rng,
-            snr=self._config.snr_linear,
-            params=self._config.cluster_params,
-        )
+        return self.sample_channel_batch([rng])[0]
 
     def sample_channel_batch(self, rngs) -> "list[ClusteredChannel]":
         """Draw one channel realization per generator, batched.
 
-        Subpath geometry is drawn per trial from its own generator in the
-        exact call order of :meth:`sample_channel`, then the steering
-        linear algebra for the whole batch is built through the stacked
-        GEMMs of :mod:`repro.channel.batch` — realizations are
-        bit-identical to serial per-trial sampling.
+        Each generator feeds the column kernel of
+        :mod:`repro.channel.clusters` (subpath powers and angles), then
+        the steering for the whole batch is built through the stacked
+        GEMMs of :mod:`repro.channel.batch`. A realization depends only
+        on its own generator, whatever batch it is drawn in.
         """
-        from repro.channel.batch import build_channels
-        from repro.channel.clusters import (
-            ClusterParams,
-            random_sector_direction,
-            sample_cluster_specs,
-            specs_to_subpaths,
-        )
-
         params = self._config.cluster_params or ClusterParams()
-        subpath_lists = []
         if self._config.channel is ChannelKind.SINGLEPATH:
-            for rng in rngs:
-                subpath_lists.append(
-                    [
-                        Subpath(
-                            power=1.0,
-                            tx_direction=random_sector_direction(rng, params),
-                            rx_direction=random_sector_direction(rng, params),
-                        )
-                    ]
-                )
+            draw = sample_singlepath_columns
         else:
-            for rng in rngs:
-                specs = sample_cluster_specs(rng, params)
-                subpath_lists.append(specs_to_subpaths(specs, rng, params))
+            draw = sample_cluster_columns
         return build_channels(
             self._tx_array,
             self._rx_array,
-            subpath_lists,
+            [draw(rng, params) for rng in rngs],
             snr=self._config.snr_linear,
             total_power=1.0,
         )

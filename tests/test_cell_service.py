@@ -185,6 +185,24 @@ class TestServe:
         assert "latency (ms)" in rendered
         assert report.plan.digest in rendered
 
+    def test_negative_batch_users_rejected_before_scheduling(self, monkeypatch):
+        import repro.cell.service as service
+
+        def no_schedule(config):
+            raise AssertionError("the schedule must not be built")
+
+        monkeypatch.setattr(service, "build_schedule", no_schedule)
+        with pytest.raises(ConfigurationError, match=r"^batch_users must be >= 0, got -4$"):
+            serve_cell(small_cell(), batch_users=-4)
+
+    def test_execute_ues_rejects_negative_batch_users(self):
+        from repro.cell.engine import execute_ues
+        from repro.sim.scenario import Scenario
+
+        config = small_cell()
+        with pytest.raises(ConfigurationError, match=r"^batch_users must be >= 0, got -1$"):
+            execute_ues(Scenario(config.scenario), config, [], batch_users=-1)
+
     def test_summary_payload_has_no_wallclock(self):
         report = serve_cell(small_cell(), batch_users=8)
         payload = summary_payload(report)

@@ -554,3 +554,9 @@ class TestCellCli:
     def test_bad_scheme_errors(self, capsys):
         assert main(["cell", "serve", "--quick", "--scheme", "NoSuch"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_negative_batch_users_rejected_up_front(self, capsys):
+        assert main(self.QUICK + ["--batch-users", "-4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "repro: error: batch_users must be >= 0, got -4\n"
+        assert "cell plan" not in captured.out

@@ -240,7 +240,10 @@ class TestLoopKernels:
             [Direction(0.1, 0.2), Direction(-0.7, 0.0)],
             [Direction(1.2, -0.3)],
         ]
-        matrices = stacked_steering_matrices(array, groups)
+        matrices = stacked_steering_matrices(
+            array,
+            [np.array([(d.azimuth, d.elevation) for d in ds]) for ds in groups],
+        )
         scale = np.sqrt(array.num_elements)
         for matrix, directions in zip(matrices, groups):
             assert matrix.shape == (array.num_elements, len(directions))
