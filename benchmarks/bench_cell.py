@@ -4,8 +4,8 @@ One batched ``serve_cell`` run per cell size on the paper-scale arrays'
 smaller sibling (the scheduler and record plumbing cost scales with the
 UE count; the per-UE alignment cost with the codebook product — this
 suite isolates the former while keeping a realistic alignment inside).
-The emitted ``BENCH_cell-serve-<N>.json`` labels carry wall-clock stats
-per size, so the trajectory tracks cell-scale throughput across PRs.
+One ``cell-serve-<N>`` wall-clock label per size feeds the printed
+throughput table.
 
 Every run is verified to cover all admitted UEs and the smallest size is
 re-served at the end and required to reproduce identical records, so the

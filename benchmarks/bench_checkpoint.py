@@ -8,10 +8,10 @@ digests on stays within **10%** of the digest-free run, and with the
 default :class:`~repro.obs.NullRecorder` the instrumentation is a no-op
 behind a single ``checkpoints_enabled`` attribute check.
 
-The ``checkpoint-off`` / ``checkpoint-on`` labels land in
-``BENCH_*.json`` and the ``check_regression.py`` baseline, so a
-regression in either the simulation or the digest hot path is caught in
-absolute terms; the explicit gate below holds the *ratio* to the budget.
+The ``checkpoint-off`` / ``checkpoint-on`` benchmarks time both arms
+once; the gate below holds the *ratio* to the budget, which stays
+meaningful on any machine. End-to-end speed is tracked by
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def test_checkpoint_off(benchmark, scenario):
 
     Every instrumented stage still evaluates its ``checkpoints_enabled``
     guard — this label *is* the "~0% with NullRecorder" half of the
-    budget, pinned in absolute terms by the regression baseline.
+    budget.
     """
     run_once(benchmark, _run, scenario, bench_label="checkpoint-off")
 

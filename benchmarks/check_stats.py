@@ -1,7 +1,7 @@
 """Statistical golden gate: fixed-seed sweep stats vs the committed golden.
 
-The perf gate (``check_regression.py``) catches the code getting slower;
-this gate catches it getting *wrong*. It reruns a small, fully seeded
+``perfbench/`` catches the code getting slower; this gate catches it
+getting *wrong*. It reruns a small, fully seeded
 effectiveness sweep and compares each scheme's per-search-rate SNR-loss
 statistics (mean / p50 / p95 over trials, in dB) against
 ``benchmarks/golden_stats.json``. Any statistic drifting by more than the

@@ -9,7 +9,6 @@
     repro run fig6 --batch-trials 32            # batched trial engine
     repro run fig6 --store results/c6           # checkpointed (resumable) run
     repro run fig6 --trace out.jsonl --progress  # JSONL trace + ETA lines
-    repro run fig6 --profile                    # cProfile hotspot tables
     repro run fig6 --trace t.jsonl --openmetrics m.prom  # scrapeable metrics
     repro run fig6 --trace a.jsonl --checkpoints  # stage-digest flight recorder
     repro run fig6 --trace a.jsonl --checkpoints --spill tensors/  # + full tensors
@@ -50,7 +49,7 @@ import sys
 from contextlib import ExitStack
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.obs.log import configure_logging, get_logger
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.version import __version__
@@ -93,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument(
         "--trace", default=None, help="write a structured JSONL trace to this path"
     )
-    _add_profile_arguments(run_cmd)
     run_cmd.add_argument(
         "--openmetrics",
         default=None,
@@ -492,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     align_cmd.add_argument(
         "--trace", default=None, help="write a structured JSONL trace to this path"
     )
-    _add_profile_arguments(align_cmd)
     align_cmd.set_defaults(handler=_handle_align)
 
     trace_cmd = commands.add_parser("trace", help="inspect structured JSONL traces")
@@ -537,28 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_export_cmd.set_defaults(handler=_handle_metrics_export)
 
     return parser
-
-
-def _add_profile_arguments(parser: argparse.ArgumentParser) -> None:
-    """The profiling options shared by ``run`` and ``align``."""
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile the run and print hotspot tables (composes with --trace)",
-    )
-    parser.add_argument(
-        "--profile-mode",
-        choices=["cprofile", "sample"],
-        default="cprofile",
-        help="deterministic cProfile or low-overhead wall-clock stack sampling",
-    )
-    parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=15,
-        metavar="N",
-        help="rows per hotspot table (default 15)",
-    )
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -617,39 +592,30 @@ def _accepts_kwarg(func, name: str) -> bool:
 
 
 def _build_recorder_stack(args: argparse.Namespace, stack: ExitStack, run_meta=None):
-    """The recorder implied by --trace/--openmetrics/--profile/--checkpoints.
+    """The recorder implied by --trace/--openmetrics/--checkpoints.
 
-    Returns ``(recorder, profiler)`` where ``recorder`` is the outermost
-    recorder to install (or ``None`` when no diagnostics were requested)
-    and ``profiler`` is the :class:`ProfilingRecorder` when --profile is
-    on (it may also *be* the recorder). With ``--checkpoints`` the stack
-    is additionally wrapped (outermost) in a
-    :class:`~repro.obs.CheckpointRecorder` streaming stage digests into
-    the trace; ``run_meta`` lands in the trace header so ``repro diff``
-    can replay the run. Raises ``OSError`` when the trace file cannot be
-    opened.
+    Returns the outermost recorder to install, or ``None`` when no
+    diagnostics were requested. With ``--checkpoints`` the stack is
+    wrapped (outermost) in a :class:`~repro.obs.CheckpointRecorder`
+    streaming stage digests into the trace; ``run_meta`` lands in the
+    trace header so ``repro diff`` can replay the run. Raises
+    :class:`~repro.exceptions.ConfigurationError` when the trace file
+    cannot be opened.
     """
-    from repro.obs import MetricsRecorder, TraceRecorder
+    from repro.obs import MetricsRecorder
 
     trace_path = getattr(args, "trace", None)
     openmetrics_path = getattr(args, "openmetrics", None)
     checkpoints = getattr(args, "checkpoints", False) and trace_path
     if trace_path:
-        recorder = stack.enter_context(
-            TraceRecorder(
-                trace_path, openmetrics_path=openmetrics_path, run_meta=run_meta
-            )
+        trace = _open_trace(
+            trace_path, openmetrics_path=openmetrics_path, run_meta=run_meta
         )
-    elif openmetrics_path or args.profile:
+        recorder = stack.enter_context(trace)
+    elif openmetrics_path:
         recorder = MetricsRecorder()
     else:
-        return None, None
-    profiler = None
-    if args.profile:
-        from repro.obs import ProfilingRecorder
-
-        profiler = ProfilingRecorder(inner=recorder, mode=args.profile_mode)
-        recorder = profiler
+        return None
     if checkpoints:
         from repro.obs import CheckpointRecorder
 
@@ -660,16 +626,21 @@ def _build_recorder_stack(args: argparse.Namespace, stack: ExitStack, run_meta=N
             spill="all" if spill_dir else "off",
             perturb=getattr(args, "inject_perturbation", None),
         )
-    return recorder, profiler
+    return recorder
 
 
-def _finish_diagnostics(args: argparse.Namespace, recorder, profiler) -> None:
-    """Post-run output for --profile/--openmetrics (non-trace path)."""
-    if profiler is not None:
-        from repro.obs import render_profile
+def _open_trace(path: str, **kwargs):
+    """A :class:`~repro.obs.TraceRecorder` on ``path``, or a one-line CLI error."""
+    from repro.obs import TraceRecorder
 
-        print()
-        print(render_profile(profiler, top=args.profile_top))
+    try:
+        return TraceRecorder(path, **kwargs)
+    except OSError as error:
+        raise ConfigurationError(f"cannot write trace {path}: {error}") from error
+
+
+def _finish_diagnostics(args: argparse.Namespace, recorder) -> None:
+    """Post-run output for --openmetrics (non-trace path)."""
     openmetrics_path = getattr(args, "openmetrics", None)
     if openmetrics_path and not getattr(args, "trace", None):
         from repro.obs import write_openmetrics
@@ -694,15 +665,12 @@ def _handle_run(args: argparse.Namespace) -> int:
     experiment = registry.get(args.experiment)
     runner = experiment.runner
     if args.checkpoints and not args.trace and not args.store:
-        print(
-            "error: --checkpoints needs --trace (to stream digests) and/or"
-            " --store (to persist them in shard artifacts)",
-            file=sys.stderr,
+        raise ConfigurationError(
+            "--checkpoints needs --trace (to stream digests) and/or"
+            " --store (to persist them in shard artifacts)"
         )
-        return 2
     if args.spill and not args.checkpoints:
-        print("error: --spill needs --checkpoints", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--spill needs --checkpoints")
     run_meta = None
     if args.checkpoints and args.trace and experiment.replay_meta is not None:
         run_meta = experiment.replay_meta(
@@ -743,18 +711,14 @@ def _handle_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     with ExitStack() as stack:
-        try:
-            recorder, profiler = _build_recorder_stack(args, stack, run_meta=run_meta)
-        except OSError as error:
-            print(f"error: cannot write trace {args.trace}: {error}", file=sys.stderr)
-            return 2
+        recorder = _build_recorder_stack(args, stack, run_meta=run_meta)
         if recorder is not None:
             stack.enter_context(use_recorder(recorder))
         if args.trace:
             logger.info("tracing %s to %s", args.experiment, args.trace)
         result = registry.run(args.experiment, **overrides)
     print(result.table)
-    _finish_diagnostics(args, recorder, profiler)
+    _finish_diagnostics(args, recorder)
     if recorder is not None:
         from repro.obs import find_checkpointer
 
@@ -1264,7 +1228,7 @@ def _handle_report(args: argparse.Namespace) -> int:
 def _handle_align(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.obs import MetricsRecorder, TraceRecorder, use_recorder
+    from repro.obs import MetricsRecorder, use_recorder
     from repro.sim.runner import run_trial, standard_schemes
     from repro.sim.scenario import Scenario
 
@@ -1273,20 +1237,12 @@ def _handle_align(args: argparse.Namespace) -> int:
     )
     print(scenario)
     with ExitStack() as stack:
-        if args.trace:
-            try:
-                recorder = stack.enter_context(TraceRecorder(args.trace))
-            except OSError as error:
-                print(f"error: cannot write trace {args.trace}: {error}", file=sys.stderr)
-                return 2
-        else:
-            recorder = MetricsRecorder()
-        profiler = None
-        if args.profile:
-            from repro.obs import ProfilingRecorder
-
-            profiler = ProfilingRecorder(inner=recorder, mode=args.profile_mode)
-        stack.enter_context(use_recorder(profiler if profiler is not None else recorder))
+        recorder = (
+            stack.enter_context(_open_trace(args.trace))
+            if args.trace
+            else MetricsRecorder()
+        )
+        stack.enter_context(use_recorder(recorder))
         outcomes = run_trial(
             scenario,
             standard_schemes(),
@@ -1301,11 +1257,6 @@ def _handle_align(args: argparse.Namespace) -> int:
             f" {outcome.loss_db:8.2f} {outcome.result.measurements_used:9d}"
         )
     _print_solver_diagnostics(recorder)
-    if profiler is not None:
-        from repro.obs import render_profile
-
-        print()
-        print(render_profile(profiler, top=args.profile_top))
     if args.trace:
         print(f"\nwrote trace {args.trace} (inspect with `repro trace summarize`)")
     return 0

@@ -245,14 +245,14 @@ class MeasurementEngine:
         if hit_rows:
             # Match the serial arithmetic exactly: (faded + noise) +
             # interference, then the power statistic over the final
-            # samples — per row, so the mean reduction order is the
-            # serial one.
+            # samples. A row-wise ``axis=1`` mean reduces each row in the
+            # same order as the serial 1-D mean.
             self._interference_hits += len(hit_rows)
             scale = np.sqrt(self._interference_power / 2.0)
-            for row, draws in zip(hit_rows, hit_draws):
-                interference = scale * draws[:count] + 1j * (scale * draws[count:])
-                samples[row] = samples[row] + interference
-                powers[row] = np.mean(np.abs(samples[row]) ** 2)
+            draws = np.stack(hit_draws)
+            hits = np.asarray(hit_rows)
+            samples[hits] += scale * draws[:, :count] + 1j * (scale * draws[:, count:])
+            powers[hits] = np.mean(np.abs(samples[hits]) ** 2, axis=1)
         self._count += num_pairs
         return powers, samples[:, -1]
 

@@ -54,7 +54,6 @@ if TYPE_CHECKING:
         render_openmetrics,
         write_openmetrics,
     )
-    from repro.obs.profile import PROFILE_MODES, ProfilingRecorder, render_profile
     from repro.obs.progress import (
         ProgressCallback,
         ProgressEvent,
@@ -122,9 +121,6 @@ __all__ = [
     "summarize_trace",
     "summarize_trace_file",
     "render_trace_summary",
-    "ProfilingRecorder",
-    "PROFILE_MODES",
-    "render_profile",
     "chrome_trace",
     "chrome_trace_from_file",
     "write_chrome_trace",
@@ -176,7 +172,6 @@ __getattr__, __dir__ = lazy_namespace(
             "render_openmetrics",
             "write_openmetrics",
         ),
-        "repro.obs.profile": ("PROFILE_MODES", "ProfilingRecorder", "render_profile"),
         "repro.obs.progress": (
             "ProgressCallback",
             "ProgressEvent",

@@ -26,8 +26,7 @@ Three opt-in extras:
   the ``REPRO_CHECKPOINT_PERTURB`` environment variable): bumps one
   element of the recorder's *copy* of one stage's array by one ULP
   before digesting. The simulation itself is untouched — this is the
-  detector's self-test (CI asserts ``repro diff`` localizes it), the
-  checkpoint analogue of ``check_regression.py --inject-slowdown``.
+  detector's self-test: CI asserts ``repro diff`` localizes it.
 * **Worker transport**: :meth:`CheckpointRecorder.payload` /
   :meth:`absorb` move recorded events into shard artifacts and back, so
   a campaign run by any number of workers, or resumed, replays the exact
@@ -398,7 +397,7 @@ class CheckpointRecorder(Recorder):
 
     All ordinary recorder traffic (spans, events, counters, gauges) is
     forwarded unchanged to ``inner``, so checkpointing composes with
-    tracing, metrics, and profiling. Checkpoint events accumulate in
+    tracing and metrics. Checkpoint events accumulate in
     :attr:`events` and — when a JSONL tracer is anywhere in the inner
     chain — are additionally streamed as ``{"type": "checkpoint"}``
     records under trace schema ``repro.obs/2``.
@@ -578,9 +577,8 @@ class CheckpointRecorder(Recorder):
 def _find_checkpoint_sink(recorder: Recorder) -> Optional[Any]:
     """The innermost recorder's ``checkpoint_record`` method, if any.
 
-    Walks the ``inner`` chain (profiling and checkpoint recorders expose
-    ``inner``; the profiler uses ``_inner``) looking for a backend that
-    can persist checkpoint records — the JSONL tracer.
+    Walks the ``inner`` chain of wrapping recorders looking for a
+    backend that can persist checkpoint records — the JSONL tracer.
     """
     seen: Set[int] = set()
     current: Optional[Any] = recorder
@@ -589,7 +587,7 @@ def _find_checkpoint_sink(recorder: Recorder) -> Optional[Any]:
         sink = getattr(current, "checkpoint_record", None)
         if callable(sink):
             return sink
-        current = getattr(current, "inner", None) or getattr(current, "_inner", None)
+        current = getattr(current, "inner", None)
     return None
 
 
@@ -601,5 +599,5 @@ def find_checkpointer(recorder: Recorder) -> Optional[CheckpointRecorder]:
         seen.add(id(current))
         if isinstance(current, CheckpointRecorder):
             return current
-        current = getattr(current, "inner", None) or getattr(current, "_inner", None)
+        current = getattr(current, "inner", None)
     return None

@@ -3,12 +3,18 @@
 Folds the records of one JSONL trace (see :mod:`repro.obs.trace`) into
 per-span timing statistics, counter totals, and a convergence digest of
 every solver span — then renders the lot as fixed-width tables.
+
+Each span name also gets its **self time**: a span's duration minus the
+union of its children's ``[t0_s, t0_s + dur_s]`` intervals, children
+found by ``parent_id``. Self times are exclusive, so over all names
+they sum to the wall time of the root spans (those whose parent is not
+in the trace) — the table says where the time went, layer by layer.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Sequence, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Union
 
 from repro.obs.metrics import timer_stats
 from repro.obs.trace import read_trace_tolerant
@@ -19,22 +25,63 @@ __all__ = ["summarize_trace", "render_trace_summary", "summarize_trace_file"]
 #: convergence digest (their attrs carry ``iterations``/``converged``).
 SOLVER_SPAN_PREFIX = "solver."
 
-#: Span-name prefix of the campaign scheduler's spans
+#: Span-name prefix of the campaign executor's spans
 #: (``campaign.run``, ``campaign.shard``).
 CAMPAIGN_SPAN_PREFIX = "campaign."
+
+
+def _covered(intervals: List[Tuple[float, float]], start: float, end: float) -> float:
+    """Length of ``[start, end]`` covered by the union of ``intervals``."""
+    total = 0.0
+    reach = start
+    for a, b in sorted(intervals):
+        a, b = max(a, reach), min(b, end)
+        if b > a:
+            total += b - a
+            reach = b
+    return total
+
+
+#: One span as the self-time pass sees it: ``(name, t0, dur, span_id, parent_id)``.
+_SpanRow = Tuple[str, float, float, Any, Any]
+
+
+def _self_times(spans: List[_SpanRow]) -> Tuple[Dict[str, float], float]:
+    """Self time per span name, and the root spans' total duration.
+
+    A span whose parent never made it into the trace (a truncated run's open
+    ancestors) is a root: it still gets its own self time, and its
+    duration counts toward the total the self times add up to.
+    """
+    children: Dict[Any, List[Tuple[float, float]]] = {}
+    for _, t0, dur, _, parent in spans:
+        if parent is not None:
+            children.setdefault(parent, []).append((t0, t0 + dur))
+    recorded = {span_id for _, _, _, span_id, _ in spans}
+    own: Dict[str, float] = {}
+    root_s = 0.0
+    for name, t0, dur, span_id, parent in spans:
+        covered = _covered(children.get(span_id, []), t0, t0 + dur)
+        own[name] = own.get(name, 0.0) + dur - covered
+        if parent is None or parent not in recorded:
+            root_s += dur
+    return own, root_s
 
 
 def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Aggregate parsed trace records into a summary dictionary.
 
-    Returns ``{"spans", "counters", "gauges", "events", "solvers",
-    "campaign", "checkpoints"}``; ``spans`` maps span name to
-    :func:`~repro.obs.metrics.timer_stats` output, ``solvers`` maps
-    solver span name to iteration/convergence statistics, and
-    ``campaign`` digests the scheduler's spans/counters (shards executed,
-    retries, fallbacks, attempts).
+    Returns ``{"spans", "root_s", "counters", "gauges", "events",
+    "solvers", "campaign", "checkpoints"}``; ``spans`` maps span name to
+    :func:`~repro.obs.metrics.timer_stats` output plus its summed
+    ``self_s``, ``root_s`` is the root spans' total duration (what the
+    self times sum to), ``solvers`` maps solver span name to
+    iteration/convergence statistics, and ``campaign`` digests the
+    campaign spans/counters (shards executed, retries, fallbacks,
+    attempts).
     """
     durations: Dict[str, List[float]] = {}
+    span_rows: List[_SpanRow] = []
     counters: Dict[str, float] = {}
     gauges: Dict[str, float] = {}
     events: Dict[str, int] = {}
@@ -51,7 +98,12 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             stage = str(record.get("stage", "?"))
             checkpoint_stages[stage] = checkpoint_stages.get(stage, 0) + 1
         elif kind == "span":
-            durations.setdefault(name, []).append(float(record.get("dur_s", 0.0)))
+            duration = float(record.get("dur_s", 0.0))
+            durations.setdefault(name, []).append(duration)
+            t0 = float(record.get("t0_s", 0.0))
+            span_rows.append(
+                (name, t0, duration, record.get("span_id"), record.get("parent_id"))
+            )
             if name.startswith(SOLVER_SPAN_PREFIX):
                 attrs = record.get("attrs") or {}
                 solver_total[name] = solver_total.get(name, 0) + 1
@@ -105,8 +157,13 @@ def summarize_trace(records: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
             ),
         }
 
+    self_s, root_s = _self_times(span_rows)
     return {
-        "spans": {name: timer_stats(samples) for name, samples in sorted(durations.items())},
+        "spans": {
+            name: {**timer_stats(samples), "self_s": self_s[name]}
+            for name, samples in sorted(durations.items())
+        },
+        "root_s": root_s,
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
         "events": dict(sorted(events.items())),
@@ -146,18 +203,22 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
 
     spans = summary.get("spans", {})
     if spans:
+        root_s = float(summary.get("root_s", 0.0))
         lines.append(
-            f"{'span':32s} {'count':>7s} {'total':>11s}"
+            f"{'span':32s} {'count':>7s} {'total':>11s} {'self':>11s} {'self %':>7s}"
             f" {'mean':>11s} {'p50':>11s} {'p95':>11s}"
         )
         for name, stats in spans.items():
+            share = 100 * stats["self_s"] / root_s if root_s > 0 else 0.0
             lines.append(
                 f"{name[:32]:32s} {stats['count']:7d}"
                 f" {_format_seconds(stats['total_s']):>11s}"
+                f" {_format_seconds(stats['self_s']):>11s} {share:6.1f}%"
                 f" {_format_seconds(stats['mean_s']):>11s}"
                 f" {_format_seconds(stats['p50_s']):>11s}"
                 f" {_format_seconds(stats['p95_s']):>11s}"
             )
+        lines.append(f"self % is of the root spans' {_format_seconds(root_s).strip()} wall time")
         lines.append("")
 
     solvers = summary.get("solvers", {})
@@ -173,7 +234,7 @@ def render_trace_summary(summary: Mapping[str, Any], title: str = "Trace summary
 
     campaign = summary.get("campaign", {})
     if campaign:
-        lines.append("campaign scheduler")
+        lines.append("campaign")
         lines.append(
             f"  runs {campaign.get('runs', 0):d}"
             f"  executed {campaign.get('shards_executed', 0):.0f}"

@@ -98,6 +98,22 @@ class TestCommands:
         assert err.startswith("repro: error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "fig6", "--quick", "--checkpoints"], "--checkpoints needs --trace"),
+            (["run", "fig6", "--quick", "--spill", "{tmp}/s"], "--spill needs --checkpoints"),
+            (["run", "fig6", "--quick", "--trace", "{tmp}/no/t.jsonl"], "cannot write trace"),
+            (["align", "--rate", "0.3", "--trace", "{tmp}/no/t.jsonl"], "cannot write trace"),
+        ],
+    )
+    def test_run_and_align_option_errors(self, capsys, tmp_path, argv, message):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: error: {message}")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_debug_log_level_keeps_traceback(self):
         # A fresh interpreter, so the debug handler does not outlive the test.
         import os
@@ -281,14 +297,6 @@ class TestTracing:
 
 
 class TestDiagnosticsCli:
-    def test_profile_parser_options(self):
-        args = build_parser().parse_args(
-            ["run", "fig6", "--profile", "--profile-mode", "sample", "--profile-top", "5"]
-        )
-        assert args.profile
-        assert args.profile_mode == "sample"
-        assert args.profile_top == 5
-
     def test_trace_export_parser_options(self):
         args = build_parser().parse_args(
             ["trace", "export", "t.jsonl", "--format", "chrome", "--out", "t.json"]
@@ -304,12 +312,6 @@ class TestDiagnosticsCli:
         assert args.campaign_command == "watch"
         assert args.once
         assert args.interval == 0.5
-
-    def test_run_with_profile_prints_hotspots(self, capsys):
-        assert main(["run", "fig6", "--quick", "--trials", "2", "--profile"]) == 0
-        output = capsys.readouterr().out
-        assert "Profile hotspots" in output
-        assert "mode=cprofile" in output
 
     def test_run_with_openmetrics_writes_exposition(self, capsys, tmp_path: Path):
         from repro.obs import parse_openmetrics

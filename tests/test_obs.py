@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from repro.cli import main
 from repro.obs import (
     NULL_RECORDER,
     MetricsRecorder,
@@ -19,6 +20,7 @@ from repro.obs import (
     read_trace,
     render_trace_summary,
     summarize_trace,
+    summarize_trace_file,
     timer_stats,
     use_recorder,
 )
@@ -305,7 +307,7 @@ class TestSummarize:
         assert "timeouts" not in campaign and "pool_breaks" not in campaign
         assert campaign["mean_attempts"] == pytest.approx(2.0)
         text = render_trace_summary(summary)
-        assert "campaign scheduler" in text
+        assert "\ncampaign\n" in text
         assert "executed 2" in text
         assert "heartbeats 6" in text
         assert "fallbacks 1" in text and "pool breaks" not in text
@@ -319,7 +321,85 @@ class TestSummarize:
         assert summary["campaign"] == {}
         text = render_trace_summary(summary)
         assert "parallel execution" not in text
-        assert "campaign scheduler" not in text
+        assert "\ncampaign\n" not in text
+
+
+
+def _span(span_id, name, start, end, parent=None):
+    """One span record as :class:`TraceRecorder` writes it."""
+    return {
+        "type": "span",
+        "name": name,
+        "t0_s": start,
+        "dur_s": end - start,
+        "span_id": span_id,
+        "parent_id": parent,
+    }
+
+
+class TestSelfTime:
+    def test_self_time_subtracts_the_union_of_children(self):
+        # The same five spans perfbench's tracer tests use.
+        summary = summarize_trace(
+            [
+                _span(1, "root", 0.0, 10.0),
+                _span(2, "a", 1.0, 4.0, parent=1),
+                _span(3, "b", 3.0, 6.0, parent=1),  # overlaps a: union is [1, 6]
+                _span(4, "c", 2.0, 3.0, parent=2),
+                _span(5, "d", 9.0, 12.0, parent=1),  # runs past the root's end
+            ]
+        )
+        spans = summary["spans"]
+        assert spans["root"]["self_s"] == pytest.approx(10.0 - 5.0 - 1.0)
+        assert spans["a"]["self_s"] == pytest.approx(2.0)
+        assert spans["b"]["self_s"] == pytest.approx(3.0)
+        assert spans["c"]["self_s"] == pytest.approx(1.0)
+        assert summary["root_s"] == pytest.approx(10.0)
+
+    def test_self_time_sums_per_name(self):
+        summary = summarize_trace(
+            [
+                _span(1, "root", 0.0, 4.0),
+                _span(2, "leaf", 0.0, 1.0, parent=1),
+                _span(3, "leaf", 2.0, 3.0, parent=1),
+            ]
+        )
+        assert summary["spans"]["leaf"]["self_s"] == pytest.approx(2.0)
+        assert summary["spans"]["root"]["self_s"] == pytest.approx(2.0)
+
+    def test_truncated_trace_keeps_orphan_self_time(self, tmp_path):
+        # A killed run: the outer span never closed, and the last line
+        # is cut mid-record.
+        path = tmp_path / "trace.jsonl"
+        recorder = TraceRecorder(path)
+        outer = recorder.span("outer")
+        outer.__enter__()
+        with recorder.span("inner"):
+            with recorder.span("leaf"):
+                pass
+        recorder.close()
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"type": "span", "name": "cut')
+        summary = summarize_trace_file(path)
+        assert summary["skipped_lines"] == 1
+        spans = summary["spans"]
+        assert "outer" not in spans
+        inner, leaf = spans["inner"], spans["leaf"]
+        assert 0.0 <= inner["self_s"] <= inner["total_s"]
+        assert leaf["self_s"] == pytest.approx(leaf["total_s"])
+        assert summary["root_s"] == pytest.approx(inner["total_s"])
+        assert inner["self_s"] + leaf["self_s"] == pytest.approx(summary["root_s"])
+        assert "self %" in render_trace_summary(summary)
+
+    def test_traced_fig6_self_times_sum_to_root_wall_time(self, tmp_path, capsys):
+        path = tmp_path / "fig6.jsonl"
+        assert main(["run", "fig6", "--quick", "--trials", "2", "--trace", str(path)]) == 0
+        summary = summarize_trace_file(path)
+        total_self = sum(stats["self_s"] for stats in summary["spans"].values())
+        assert summary["root_s"] > 0.0
+        assert abs(total_self - summary["root_s"]) < 1e-3
+        text = render_trace_summary(summary)
+        assert "self %" in text.splitlines()[3]
 
 
 class TestProgressReporter:
@@ -399,5 +479,5 @@ class TestSummarizeDistributedCampaign:
             with recorder.span("campaign.run"):
                 recorder.increment("campaign.shards_executed", 1)
         text = render_trace_summary(summarize_trace(read_trace(path)))
-        assert "campaign scheduler" in text
+        assert "\ncampaign\n" in text
         assert "lease conflicts" not in text
