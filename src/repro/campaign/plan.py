@@ -97,6 +97,11 @@ class ShardSpec:
         """The global trial indices this shard covers."""
         return tuple(range(self.trial_start, self.trial_start + self.trial_count))
 
+    @property
+    def scenario_config(self) -> ScenarioConfig:
+        """The scenario the lease loop primes before claiming anything."""
+        return self.config
+
     def scheme_names(self) -> List[str]:
         """Scheme names in execution order."""
         return [spec.name for spec in self.schemes]

@@ -22,14 +22,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.campaign.distributed import LaunchReport, launch_campaign
 from repro.campaign.plan import CampaignPlan
 from repro.campaign.store import ShardStore
-# _shard_losses/_corrupt_artifact are re-exported: they lived here before
-# moving to the shared worker module, and tests import them from here.
-from repro.campaign.worker import (  # noqa: F401
-    SUPERVISOR_PREFIX,
-    _corrupt_artifact,
-    _shard_losses,
-    run_worker,
-)
+from repro.campaign.worker import SUPERVISOR_PREFIX, run_worker
 from repro.exceptions import CampaignAborted, ConfigurationError, ShardExecutionError
 from repro.obs import ProgressCallback, get_logger, get_recorder
 
@@ -162,24 +155,29 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute every pending shard of ``plan``; skip completed ones.
 
+    ``plan`` is a campaign plan or a cell plan (``repro cell serve``).
+
     ``max_workers=None`` or ``1`` runs the lease loop in this process as
-    ``supervisor-<pid>``. ``max_workers=N > 1`` first launches N lease
-    workers, then makes the same in-process pass: it finishes any shard
-    a crashed worker left behind (counted as ``fallbacks``) and replays
-    every shard's stored digest manifest into an active flight recorder,
-    in plan order. The ``fault_injector`` acts in this process only, so
-    it needs ``max_workers`` None or 1. ``batch_trials``, ``retries``,
-    ``backoff_s``, ``heartbeats`` and ``checkpoints`` are
-    :func:`~repro.campaign.worker.run_worker`'s. A shard still failing
-    after ``retries`` extra attempts does not stop the others;
-    :class:`ShardExecutionError` is raised at the end instead.
+    ``supervisor-<pid>``, and a value below 1 raises
+    :class:`~repro.exceptions.ConfigurationError`. ``max_workers=N > 1``
+    first launches N lease workers, then makes the same in-process pass:
+    it finishes any shard a crashed worker left behind (counted as
+    ``fallbacks``) and replays every shard's stored digest manifest into
+    an active flight recorder, in plan order. The ``fault_injector`` acts
+    in this process only, so it needs ``max_workers`` None or 1.
+    ``batch_trials``, ``retries``, ``backoff_s``, ``heartbeats`` and
+    ``checkpoints`` are :func:`~repro.campaign.worker.run_worker`'s. A
+    shard still failing after ``retries`` extra attempts does not stop
+    the others; :class:`ShardExecutionError` is raised at the end instead.
 
     Shards are claimed through the store's lease protocol, so this can
     share a store with ``repro campaign worker`` processes. Safe to call
     repeatedly with the same arguments: completed shards are skipped, so
     this is also the *resume* entry point.
     """
-    num_workers = max_workers if max_workers is not None and max_workers > 1 else 1
+    if max_workers is not None and max_workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {max_workers}")
+    num_workers = max_workers or 1
     if num_workers > 1 and fault_injector is not None:
         raise ConfigurationError(
             "a fault injector acts in the calling process only;"

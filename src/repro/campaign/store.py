@@ -9,7 +9,8 @@ Layout under the store root::
 
 A shard artifact carries a provenance header (schema, code version, base
 seed, scenario config), the full shard spec, and the per-scheme loss
-series. Artifacts are written through the atomic
+series; a cell shard's artifact (:mod:`repro.cell.shards`) carries its
+spec and per-UE records instead. Artifacts are written through the atomic
 :func:`repro.utils.serialization.dump`, so a crash mid-write leaves no
 partial file; a corrupted or truncated artifact (e.g. injected by
 :class:`~repro.campaign.scheduler.FaultInjector`) is detected on read,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.campaign.plan import PLAN_SCHEMA, SHARD_SCHEMA, CampaignPlan, ShardSpec
 from repro.obs import get_logger
@@ -69,16 +70,13 @@ class ShardStore:
 
     # -- shard artifacts -----------------------------------------------
 
-    def put(
-        self,
-        shard: ShardSpec,
-        losses: Dict[str, List[float]],
-        digests: Optional[List[dict]] = None,
-    ) -> Path:
+    def put(self, shard, losses: Any, digests: Optional[List[dict]] = None) -> Path:
         """Atomically write one shard result; returns the artifact path.
 
-        ``losses`` maps scheme name to the per-trial loss series (dB) for
-        the shard's trial range, in trial order. ``digests``, when given,
+        For a campaign :class:`ShardSpec`, ``losses`` maps scheme name to
+        the per-trial loss series (dB) for the shard's trial range, in
+        trial order. Any other shard kind (a cell UE range) encodes its
+        own result through ``shard.artifact_payload``. ``digests``, when given,
         is the shard's flight-recorder checkpoint payload list (see
         :mod:`repro.obs.checkpoint`) and is stored as an *additive*
         ``digests`` manifest block — artifacts written without it are
@@ -86,6 +84,10 @@ class ShardStore:
         older versions may carry a ``provenance["backend"]`` field;
         loaders ignore it.
         """
+        if not isinstance(shard, ShardSpec):
+            path = self.shard_path(shard.digest)
+            dump(shard.artifact_payload(losses), path)
+            return path
         expected = {name: shard.trial_count for name in shard.scheme_names()}
         actual = {name: len(series) for name, series in losses.items()}
         if actual != expected:
@@ -114,8 +116,17 @@ class ShardStore:
         dump(payload, path)
         return path
 
-    def get(self, shard: ShardSpec) -> Optional[Dict[str, List[float]]]:
-        """The shard's loss series, or ``None`` if absent or invalid."""
+    def get(self, shard) -> Any:
+        """The shard's stored result, or ``None`` if absent or invalid.
+
+        A campaign :class:`ShardSpec`'s result is its loss series; any
+        other shard kind reads and checks its own artifact through
+        ``shard.result_from_artifact``. This is the validity check behind
+        :meth:`has` and :meth:`classify` for every shard kind.
+        """
+        if not isinstance(shard, ShardSpec):
+            payload = self._read_artifact(shard.digest, kind=shard.ARTIFACT_KIND)
+            return None if payload is None else shard.result_from_artifact(payload)
         payload = self._read_artifact(shard.digest)
         if payload is None:
             return None
@@ -146,11 +157,11 @@ class ShardStore:
             return None
         return list(block["events"])
 
-    def has(self, shard: ShardSpec) -> bool:
+    def has(self, shard) -> bool:
         """True when a valid artifact exists for ``shard``."""
         return self.get(shard) is not None
 
-    def classify(self, shard: ShardSpec) -> ShardArtifactStatus:
+    def classify(self, shard) -> ShardArtifactStatus:
         """``done`` (valid artifact), ``pending`` (absent), or ``failed``
         (an artifact file exists but is corrupt or inconsistent)."""
         if not self.shard_path(shard.digest).exists():
@@ -197,31 +208,6 @@ class ShardStore:
             and payload.get("digest") == digest
             and isinstance(payload.get("result"), dict)
         )
-
-    # -- generic artifacts (non-campaign shard kinds) ------------------
-
-    def put_artifact(self, payload: dict) -> Path:
-        """Atomically write one generic shard artifact.
-
-        ``payload`` must carry string ``kind`` and ``digest`` fields and
-        a ``result`` dict — the invariants :meth:`get_artifact` checks on
-        read. Used by non-campaign shard producers (e.g. the cell-scale
-        workload of :mod:`repro.cell`) that share this store's
-        content-addressed layout, heartbeats, and claims.
-        """
-        if (
-            not isinstance(payload.get("kind"), str)
-            or not isinstance(payload.get("digest"), str)
-            or not isinstance(payload.get("result"), dict)
-        ):
-            raise ValueError("artifact payload needs kind/digest/result fields")
-        path = self.shard_path(payload["digest"])
-        dump(payload, path)
-        return path
-
-    def get_artifact(self, digest: str, kind: str) -> Optional[dict]:
-        """One generic artifact's payload, or ``None`` if absent/invalid."""
-        return self._read_artifact(digest, kind=kind)
 
     def list_digests(self) -> List[str]:
         """Digests of every artifact file present (valid or not)."""

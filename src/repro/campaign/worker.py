@@ -20,10 +20,13 @@ lost its lease mid-shard may still write when no artifact exists yet
 discard when one does (never clobber a completed artifact with a late
 write — artifacts stay strictly write-once from the store's viewpoint).
 
-This loop is the only campaign executor:
+This loop is the only shard executor:
 :func:`repro.campaign.scheduler.run_campaign` runs it in-process, and
 :func:`repro.campaign.distributed.launch_campaign` runs it in N child
-processes.
+processes. It runs campaign :class:`ShardSpec` trial ranges and cell UE
+ranges (:class:`repro.cell.shards.CellShard`) alike: the store's
+``get``/``put`` read and write either kind's artifact, and execution is
+the one place the loop tells them apart.
 """
 
 from __future__ import annotations
@@ -163,8 +166,8 @@ def execute_shard_in_process(
 
 def publish_shard(
     store: ShardStore,
-    shard: ShardSpec,
-    losses: Dict[str, List[float]],
+    shard: Any,
+    result: Any,
     digests: Optional[List[dict]] = None,
     lease: Optional[LeaseManager] = None,
 ) -> bool:
@@ -186,7 +189,7 @@ def publish_shard(
                 shard.digest[:12],
             )
             return False
-    store.put(shard, losses, digests=digests)
+    store.put(shard, result, digests=digests)
     return True
 
 
@@ -226,6 +229,10 @@ def run_worker(
     progress: Optional[ProgressCallback] = None,
 ) -> WorkerReport:
     """Run one lease-based worker until every shard of ``plan`` resolves.
+
+    ``plan`` is a campaign plan or a cell plan
+    (:func:`repro.cell.shards.plan_cell`); ``batch_trials`` is either
+    kind's block size (trials, or UEs per batched channel block).
 
     The loop terminates when each shard is either done (by anyone) or
     permanently failed *by this worker*; shards failed by other workers
@@ -281,7 +288,7 @@ def run_worker(
     resolved: set = set()  # digests done/absorbed (by anyone) or failed here
     failed: List[str] = []
 
-    def beat(shard: ShardSpec, index: int, status: str, **extra: Any) -> None:
+    def beat(shard: Any, index: int, status: str, **extra: Any) -> None:
         """Publish one liveness record; never let it fail the worker."""
         if not heartbeats:
             return
@@ -300,13 +307,13 @@ def run_worker(
         except OSError as error:  # pragma: no cover - disk-full/permissions
             logger.warning("heartbeat write failed for shard %d: %s", index, error)
 
-    def resolve(shard: ShardSpec) -> None:
+    def resolve(shard: Any) -> None:
         nonlocal done_trials
         resolved.add(shard.digest)
         done_trials += shard.trial_count
         reporter.report(done_trials)
 
-    def skip(shard: ShardSpec) -> None:
+    def skip(shard: Any) -> None:
         """Resolve a shard someone already completed, replaying its
         stored digest manifest into the flight recorder, if any."""
         nonlocal skipped
@@ -318,7 +325,7 @@ def run_worker(
                 parent_checkpointer.absorb(manifest)
         resolve(shard)
 
-    def execute_one(index: int, shard: ShardSpec) -> None:
+    def execute_one(index: int, shard: Any) -> None:
         """Claimed-shard execution: retries, publish guard, release."""
         nonlocal executed, retry_count, discarded
         shard_started = time.time()
@@ -332,16 +339,19 @@ def run_worker(
             worker_id=wid,
             **lane_attrs,
         ) as shard_span:
-            losses: Optional[Dict[str, List[float]]] = None
+            result: Any = None
             shard_digests: Optional[List[dict]] = None
             attempt = 0
-            while losses is None:
+            while result is None:
                 try:
                     if fault_injector is not None:
                         fault_injector.before_attempt(index)
-                    losses, shard_digests = execute_shard_in_process(
-                        shard, batch_trials, checkpoint_spec, recorder, collect
-                    )
+                    if isinstance(shard, ShardSpec):
+                        result, shard_digests = execute_shard_in_process(
+                            shard, batch_trials, checkpoint_spec, recorder, collect
+                        )
+                    else:
+                        result = shard.execute(batch_trials)
                 except CampaignAborted:
                     raise
                 except Exception as error:  # noqa: BLE001 - retried
@@ -390,7 +400,7 @@ def run_worker(
                         time.sleep(delay)
                     lease.renew(shard.digest)
             published = publish_shard(
-                store, shard, losses,
+                store, shard, result,
                 digests=shard_digests, lease=lease,
             )
             if parent_checkpointer is not None and shard_digests:
@@ -439,13 +449,13 @@ def run_worker(
         if plan.shards:
             # Prime the scenario context *before* claiming anything, so
             # codebook construction never eats into a held lease's TTL.
-            _scenario_for(plan.shards[0].config)
+            _scenario_for(plan.shards[0].scenario_config)
         try:
             budget_spent = False
             while len(resolved) < len(plan.shards) and not budget_spent:
                 progressed = False
                 contended = False
-                claimed: List[Tuple[int, ShardSpec]] = []
+                claimed: List[Tuple[int, Any]] = []
 
                 def drain() -> None:
                     nonlocal progressed

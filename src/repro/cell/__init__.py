@@ -12,8 +12,8 @@ layers:
   interference, serial or batched (bit-identical);
 - :mod:`repro.cell.metrics` — per-UE records and the distribution
   roll-up (latency, queue wait, SNR loss, overhead fraction);
-- :mod:`repro.cell.shards` — UE-range shards over the campaign store
-  (resume, worker pools, heartbeats);
+- :mod:`repro.cell.shards` — UE-range shards, a shard kind of the
+  campaign lease loop (leases, takeover, resume, heartbeats);
 - :mod:`repro.cell.service` — ``repro cell serve``: live OpenMetrics
   plus a byte-stable deterministic summary artifact.
 """
@@ -54,9 +54,7 @@ if TYPE_CHECKING:
         DEFAULT_SHARD_UES,
         CellPlan,
         CellShard,
-        execute_shard,
         plan_cell,
-        run_cell_plan,
     )
 
 __all__ = [
@@ -81,13 +79,11 @@ __all__ = [
     "arrival_schedule",
     "build_schedule",
     "cell_root",
-    "execute_shard",
     "execute_ues",
     "merge_records",
     "plan_cell",
     "poisson_arrivals",
     "render_cell_report",
-    "run_cell_plan",
     "schedule_airtime",
     "serve_cell",
     "summarize_records",
@@ -134,9 +130,7 @@ __getattr__, __dir__ = lazy_namespace(
             "DEFAULT_SHARD_UES",
             "CellPlan",
             "CellShard",
-            "execute_shard",
-            "plan_cell",
-            "run_cell_plan",
-        ),
+                    "plan_cell",
+                ),
     },
 )

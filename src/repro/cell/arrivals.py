@@ -5,7 +5,7 @@ i.i.d. exponential with mean ``1 / arrival_rate_hz``. The whole arrival
 schedule is drawn **up front** from one dedicated, namespaced RNG stream
 — a single vectorized draw from a generator derived only from the
 config — so it is trivially identical across serial, batched, and
-worker-pool execution (no execution engine ever touches the arrival
+launched-worker execution (no execution engine ever touches the arrival
 stream).
 
 Stream derivation: the cell's global draws live under a namespaced root

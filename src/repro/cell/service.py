@@ -2,14 +2,15 @@
 
 :func:`serve_cell` drives one full cell run — arrivals, airtime
 scheduling, sharded per-UE execution — while publishing **live**
-observability: an OpenMetrics exposition file rewritten atomically after
-every shard (scrape it while the run is hot) and, through the shard
+observability: an OpenMetrics exposition file rewritten atomically as
+shards land (scrape it while the run is hot) and, through the shard
 store, the same liveness heartbeats campaign watchers consume. At the
 end it emits a **deterministic summary artifact**: the canonical JSON of
 the config, its digest, per-UE records, and metric roll-up, byte-stable
-across repeated invocations, across serial/batched execution, and across
-any shard size (pinned by ``tests/test_cell_service.py`` and the
-``cell-smoke`` CI job).
+across repeated invocations, across serial/batched execution, across
+any shard size, and across storeless, stored, launched-worker, resumed
+and taken-over serves (pinned by ``tests/test_cell_service.py`` and the
+``cell-smoke``/``distributed-smoke`` CI jobs).
 
 The live surface (wall-clock timers, scrape files) and the deterministic
 surface (the summary artifact) are kept strictly apart: nothing
@@ -18,22 +19,21 @@ time-dependent enters the summary payload.
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.cell.config import CellConfig
 from repro.cell.engine import check_batch_users
 from repro.cell.metrics import UERecord, summarize_records
 from repro.cell.scheduler import CellSchedule, build_schedule
-from repro.cell.shards import (
-    DEFAULT_SHARD_UES,
-    CellPlan,
-    plan_cell,
-    run_cell_plan,
-)
-from repro.obs import MetricsRegistry, ProgressCallback, get_logger
+from repro.cell.shards import DEFAULT_SHARD_UES, CellPlan, plan_cell
+from repro.exceptions import CampaignError
+from repro.obs import MetricsRegistry, ProgressCallback, ProgressReporter, get_logger
 from repro.obs.openmetrics import write_openmetrics
+from repro.sim.scenario import Scenario
 from repro.utils.serialization import dump
 
 __all__ = [
@@ -91,6 +91,49 @@ def _seed_registry(
     registry.set_gauge("cell.probe_budget_per_frame", float(config.probe_budget_per_frame))
 
 
+def _serve_in_process(
+    plan: CellPlan,
+    schedule: CellSchedule,
+    batch_users: Optional[int],
+    progress: Optional[ProgressCallback],
+    landed: Callable[[int], None],
+) -> List[UERecord]:
+    """Run every shard here, in plan order, with no store I/O."""
+    reporter = ProgressReporter(len(plan.shards), progress, label="shards")
+    scenario = Scenario(plan.config.scenario)
+    records: List[UERecord] = []
+    for shard in plan.shards:
+        records.extend(shard.execute(batch_users, schedule, scenario))
+        landed(len(records))
+        reporter.update()
+    return records
+
+
+def _serve_leased(
+    plan: CellPlan,
+    store,
+    workers: Optional[int],
+    batch_users: Optional[int],
+    progress: ProgressCallback,
+) -> Tuple[List[UERecord], int]:
+    """Run the plan under the campaign lease loop (on a temporary store
+    when none is given); ``(records in plan order, cached shards)``."""
+    from repro.campaign.scheduler import run_campaign
+    from repro.campaign.store import ShardStore
+
+    with ExitStack() as stack:
+        if store is None:
+            store = ShardStore(stack.enter_context(tempfile.TemporaryDirectory()))
+        report = run_campaign(
+            plan, store, max_workers=workers, batch_trials=batch_users or None,
+            progress=progress,
+        )
+        shard_records = [store.get(shard) for shard in plan.shards]
+    if any(rows is None for rows in shard_records):
+        raise CampaignError("a cell shard lost its artifact during the serve")
+    return [record for rows in shard_records for record in rows], report.skipped
+
+
 def serve_cell(
     config: CellConfig,
     store=None,
@@ -104,11 +147,14 @@ def serve_cell(
 ) -> CellServeReport:
     """Run the cell workload end to end, publishing live metrics.
 
-    ``openmetrics_path``, when given, is atomically rewritten before the
-    first shard and after every completed shard — a scraper polling the
-    file watches UEs drain in real time. ``store`` makes the run
-    resumable (per-shard artifacts + heartbeats); ``summary_path``
-    receives the deterministic summary artifact.
+    With neither ``store`` nor ``workers`` the shards run here with no
+    store I/O. Otherwise the plan runs under the campaign lease loop
+    (:func:`repro.campaign.scheduler.run_campaign`, ``workers`` launched
+    workers on a temporary store unless ``store`` is given), resumable
+    shard by shard; a shard still failing after its retries raises
+    :class:`~repro.exceptions.ShardExecutionError`. ``openmetrics_path``
+    is atomically rewritten before the first shard and as shards land;
+    ``summary_path`` receives the deterministic summary artifact.
     """
     check_batch_users(batch_users)
     registry = registry if registry is not None else MetricsRegistry()
@@ -117,27 +163,21 @@ def serve_cell(
     _seed_registry(registry, config, plan)
     registry.set_gauge("cell.frames", float(schedule.num_frames))
     metrics_target = Path(openmetrics_path) if openmetrics_path else None
-    if metrics_target is not None:
-        write_openmetrics(registry, metrics_target)
 
-    cached_count = 0
-
-    def _on_shard(shard, records, cached):
-        nonlocal cached_count
-        registry.increment("cell.shards_done")
-        if cached:
-            cached_count += 1
-            registry.increment("cell.shards_cached")
-        registry.increment("cell.ues_done", len(records))
-        registry.increment(
-            "cell.measurements", sum(r.measurements_used for r in records)
-        )
-        registry.increment(
-            "cell.interference_hits", sum(r.interference_hits for r in records)
-        )
+    def publish() -> None:
         if metrics_target is not None:
             write_openmetrics(registry, metrics_target)
 
+    ues_done = 0
+
+    def landed(done: int) -> None:
+        """``done`` UEs have landed: count the new ones and republish."""
+        nonlocal ues_done
+        registry.increment("cell.ues_done", max(0, done - ues_done))
+        ues_done = max(ues_done, done)
+        publish()
+
+    publish()
     logger.info(
         "serve: %d UEs in %d shards (plan %s)",
         plan.num_ues,
@@ -145,19 +185,33 @@ def serve_cell(
         plan.digest,
     )
     with registry.timer("cell.serve"):
-        records = run_cell_plan(
-            plan,
-            store=store,
-            batch_users=batch_users,
-            workers=workers,
-            progress=progress,
-            on_shard=_on_shard,
-        )
+        if store is None and workers is None:
+            records = _serve_in_process(plan, schedule, batch_users, progress, landed)
+            cached_count = 0
+        else:
+
+            def on_progress(event) -> None:
+                landed(event.done)
+                if progress is not None:
+                    progress(event)
+
+            records, cached_count = _serve_leased(
+                plan, store, workers, batch_users, on_progress
+            )
+    # The per-record counters come from the assembled records, so every
+    # execution path ends on the same values.
+    registry.increment("cell.ues_done", len(records) - ues_done)
+    registry.increment("cell.shards_done", len(plan.shards))
+    if cached_count:
+        registry.increment("cell.shards_cached", cached_count)
+    registry.increment("cell.measurements", sum(r.measurements_used for r in records))
+    registry.increment(
+        "cell.interference_hits", sum(r.interference_hits for r in records)
+    )
     summary = summarize_records(records, schedule)
     registry.set_gauge("cell.p99_latency_ms", summary["distributions"]["latency_ms"]["p99"])
     registry.set_gauge("cell.p99_snr_loss_db", summary["distributions"]["snr_loss_db"]["p99"])
-    if metrics_target is not None:
-        write_openmetrics(registry, metrics_target)
+    publish()
 
     report = CellServeReport(
         config=config,
@@ -169,8 +223,6 @@ def serve_cell(
         summary_path=Path(summary_path) if summary_path else None,
         openmetrics_path=metrics_target,
     )
-    if store is not None:
-        store.save_manifest(plan)
     if report.summary_path is not None:
         dump(summary_payload(report), report.summary_path)
     return report

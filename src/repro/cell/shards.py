@@ -8,27 +8,29 @@ global schedule, shard results are independent of the sharding — any
 partition of the UE range, executed in any order by any number of
 workers, reassembles into the same per-UE records.
 
-Shards flow through the same :class:`~repro.campaign.store.ShardStore`
-as campaign trials (satellite integration): results are content-addressed
-artifacts keyed by the shard's config digest, so re-serving an identical
-config resumes from completed shards, and the store's gc keeps every
-shard a saved cell-plan manifest references (cell plan payloads carry
-explicit per-shard digests for exactly that reason).
+A :class:`CellShard` is the second shard kind of the campaign lease loop
+(:func:`repro.campaign.worker.run_worker`), next to the campaign
+:class:`~repro.campaign.plan.ShardSpec`. A UE is its own trial, so a
+shard's ``trial_start``/``trial_count`` are its UE range and a plan's
+``total_trials`` is its UE count; the shard runs itself
+(:meth:`CellShard.execute`) and encodes and checks its own artifact.
+Cell plan manifests carry explicit per-shard digests, so the store's gc
+keeps every shard a saved cell plan references.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.cell.config import CellConfig
 from repro.cell.engine import execute_ues
 from repro.cell.metrics import UERecord, merge_records
 from repro.cell.scheduler import CellSchedule, build_schedule
-from repro.campaign.lease import local_hostname
 from repro.exceptions import ConfigurationError
-from repro.obs import ProgressCallback, ProgressReporter, get_logger
+from repro.sim.config import ScenarioConfig
+from repro.sim.parallel import _scenario_for
 from repro.sim.scenario import Scenario
 from repro.utils.serialization import memoized_digest
 
@@ -39,11 +41,7 @@ __all__ = [
     "CellShard",
     "CellPlan",
     "plan_cell",
-    "execute_shard",
-    "run_cell_plan",
 ]
-
-logger = get_logger("cell.shards")
 
 #: Artifact kind of one executed cell shard in the store.
 CELL_SHARD_KIND = "cell-shard-v1"
@@ -54,6 +52,12 @@ CELL_PLAN_SCHEMA = "repro.cell.plan/1"
 #: Default UEs per shard: big enough to amortize the batched channel
 #: blocks, small enough for useful resume granularity.
 DEFAULT_SHARD_UES = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _schedule_for(config: CellConfig) -> CellSchedule:
+    """Per-process schedule cache: a lease worker builds it once, not per shard."""
+    return build_schedule(config)
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,26 @@ class CellShard:
         if self.ue_count < 1:
             raise ConfigurationError(f"ue_count must be >= 1, got {self.ue_count}")
 
+    #: Store artifact kind, checked on every read.
+    ARTIFACT_KIND = CELL_SHARD_KIND
+
+    # The lease loop's names for a shard: a UE is its own trial.
+    @property
+    def trial_start(self) -> int:
+        return self.ue_start
+
+    @property
+    def trial_count(self) -> int:
+        return self.ue_count
+
+    @property
+    def search_rate(self) -> float:
+        return self.config.search_rate
+
+    @property
+    def scenario_config(self) -> ScenarioConfig:
+        return self.config.scenario
+
     def spec_payload(self) -> dict:
         """The canonical spec the digest is computed over."""
         return {
@@ -84,6 +108,51 @@ class CellShard:
         """Content address of this shard, computed once per instance."""
         return memoized_digest(self, "_digest", self.spec_payload)
 
+    def execute(
+        self,
+        batch_trials: Optional[int] = None,
+        schedule: Optional[CellSchedule] = None,
+        scenario: Optional[Scenario] = None,
+    ) -> List[UERecord]:
+        """Run this shard's UEs (``batch_trials`` per block); records in UE order.
+
+        The global schedule and the scenario default to this process's
+        copies for the config (the schedule is pure arithmetic — identical
+        in every process), so a shard is fully self-describing: workers
+        need nothing beyond the spec payload.
+        """
+        if schedule is None:
+            schedule = _schedule_for(self.config)
+        entries = schedule.entries[self.ue_start : self.ue_start + self.ue_count]
+        if len(entries) != self.ue_count:
+            raise ConfigurationError(
+                f"shard [{self.ue_start}, {self.ue_start + self.ue_count}) exceeds"
+                f" the {len(schedule.entries)}-UE schedule"
+            )
+        if scenario is None:
+            scenario = _scenario_for(self.config.scenario)
+        outcomes = execute_ues(scenario, self.config, entries, batch_users=batch_trials)
+        return merge_records(entries, outcomes)
+
+    def artifact_payload(self, records: Sequence[UERecord]) -> dict:
+        """The store artifact of this shard's executed records."""
+        return {
+            "kind": CELL_SHARD_KIND,
+            "digest": self.digest,
+            "spec": self.spec_payload(),
+            "result": {"records": [record.to_payload() for record in records]},
+        }
+
+    def result_from_artifact(self, payload: dict) -> Optional[List[UERecord]]:
+        """The records a stored artifact holds, or ``None`` when mis-shaped."""
+        rows = payload["result"].get("records")
+        if not isinstance(rows, list) or len(rows) != self.ue_count:
+            return None
+        try:
+            return [UERecord.from_payload(row) for row in rows]
+        except (KeyError, TypeError, ValueError):
+            return None
+
 
 @dataclass(frozen=True)
 class CellPlan:
@@ -95,6 +164,9 @@ class CellPlan:
     @property
     def num_ues(self) -> int:
         return sum(shard.ue_count for shard in self.shards)
+
+    #: The lease loop's unit total: a UE is its own trial.
+    total_trials = num_ues
 
     @property
     def digest(self) -> str:
@@ -157,158 +229,3 @@ def plan_cell(config: CellConfig, shard_ues: int = DEFAULT_SHARD_UES) -> CellPla
         for start in range(0, admitted, shard_ues)
     )
     return CellPlan(config=config, shards=shards)
-
-
-def execute_shard(
-    shard: CellShard,
-    batch_users: Optional[int] = None,
-    schedule: Optional[CellSchedule] = None,
-    scenario: Optional[Scenario] = None,
-) -> List[UERecord]:
-    """Run one shard's UEs and return their records, in UE order.
-
-    The global schedule is recomputed from the config when not passed in
-    (pure arithmetic — identical in every process), so a shard is fully
-    self-describing: workers need nothing beyond the spec payload.
-    """
-    if schedule is None:
-        schedule = build_schedule(shard.config)
-    entries = schedule.entries[shard.ue_start : shard.ue_start + shard.ue_count]
-    if len(entries) != shard.ue_count:
-        raise ConfigurationError(
-            f"shard [{shard.ue_start}, {shard.ue_start + shard.ue_count}) exceeds"
-            f" the {len(schedule.entries)}-UE schedule"
-        )
-    if scenario is None:
-        scenario = Scenario(shard.config.scenario)
-    outcomes = execute_ues(scenario, shard.config, entries, batch_users=batch_users)
-    return merge_records(entries, outcomes)
-
-
-def _shard_result_payload(shard: CellShard, records: Sequence[UERecord]) -> dict:
-    return {
-        "kind": CELL_SHARD_KIND,
-        "digest": shard.digest,
-        "spec": shard.spec_payload(),
-        "result": {"records": [record.to_payload() for record in records]},
-    }
-
-
-def _records_from_payload(payload: dict) -> List[UERecord]:
-    return [
-        UERecord.from_payload(row) for row in payload["result"]["records"]
-    ]
-
-
-def _shard_task(
-    config_payload: dict,
-    ue_start: int,
-    ue_count: int,
-    batch_users: Optional[int],
-) -> List[dict]:
-    """Worker-process entry point: one shard, payloads out (picklable)."""
-    config = CellConfig.from_dict(config_payload)
-    shard = CellShard(config=config, ue_start=ue_start, ue_count=ue_count)
-    records = execute_shard(shard, batch_users=batch_users)
-    return [record.to_payload() for record in records]
-
-
-def run_cell_plan(
-    plan: CellPlan,
-    store=None,
-    batch_users: Optional[int] = None,
-    workers: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    on_shard: Optional[Callable[[CellShard, List[UERecord], bool], None]] = None,
-) -> List[UERecord]:
-    """Execute a plan's shards; records come back in global UE order.
-
-    ``store`` (a :class:`~repro.campaign.store.ShardStore`), when given,
-    makes execution resumable: completed shards are fetched by digest,
-    fresh results are published as artifacts, and liveness heartbeats are
-    written around each shard. ``workers`` fans shards across a process
-    pool (each worker recomputes the deterministic schedule); ``on_shard``
-    observes every shard completion with ``(shard, records, cached)``.
-    """
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    reporter = ProgressReporter(len(plan.shards), progress, label="shards")
-    results: Dict[int, List[UERecord]] = {}
-    pending: List[Tuple[int, CellShard]] = []
-    plan_digest = plan.digest
-
-    for index, shard in enumerate(plan.shards):
-        cached = None
-        if store is not None:
-            payload = store.get_artifact(shard.digest, CELL_SHARD_KIND)
-            if payload is not None:
-                cached = _records_from_payload(payload)
-        if cached is not None:
-            logger.debug("shard %s: cached (%d records)", shard.digest, len(cached))
-            results[index] = cached
-            if on_shard is not None:
-                on_shard(shard, cached, True)
-            reporter.update()
-        else:
-            pending.append((index, shard))
-
-    def _finish(index: int, shard: CellShard, records: List[UERecord]) -> None:
-        if store is not None:
-            store.put_artifact(_shard_result_payload(shard, records))
-            store.write_heartbeat(
-                plan_digest,
-                shard.digest,
-                "done",
-                shard_index=index,
-                trial_count=len(records),
-                host=local_hostname(),
-            )
-        results[index] = records
-        if on_shard is not None:
-            on_shard(shard, records, False)
-        reporter.update()
-
-    if pending and workers:
-        config_payload = plan.config.to_dict()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (
-                    index,
-                    shard,
-                    pool.submit(
-                        _shard_task,
-                        config_payload,
-                        shard.ue_start,
-                        shard.ue_count,
-                        batch_users,
-                    ),
-                )
-                for index, shard in pending
-            ]
-            for index, shard, future in futures:
-                _finish(
-                    index,
-                    shard,
-                    [UERecord.from_payload(row) for row in future.result()],
-                )
-    elif pending:
-        schedule = build_schedule(plan.config)
-        scenario = Scenario(plan.config.scenario)
-        for index, shard in pending:
-            if store is not None:
-                store.write_heartbeat(
-                    plan_digest,
-                    shard.digest,
-                    "running",
-                    shard_index=index,
-                    host=local_hostname(),
-                )
-            records = execute_shard(
-                shard, batch_users=batch_users, schedule=schedule, scenario=scenario
-            )
-            _finish(index, shard, records)
-
-    ordered: List[UERecord] = []
-    for index in range(len(plan.shards)):
-        ordered.extend(results[index])
-    return ordered

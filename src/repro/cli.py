@@ -34,8 +34,11 @@
 Also reachable as ``python -m repro.cli``. ``--log-level debug`` surfaces
 the package's loggers on stderr; tracing and progress are opt-in and do
 not perturb seeded results. Bad input (an unknown experiment id, an
-out-of-range option) exits with status 2 and one ``repro: error: ...``
-line on stderr; ``--log-level debug`` adds the traceback.
+out-of-range option, an unreadable input file) exits with status 2 and
+one ``repro: error: ...`` line on stderr; a campaign or cell serve that
+fails or stays incomplete, or a stored plan that cannot be found, exits
+with status 1 and the same one line. ``--log-level debug`` adds the
+traceback.
 
 Module level holds only what :func:`build_parser` needs; each handler
 imports the subsystem it runs, so ``repro list`` never loads the
@@ -49,7 +52,7 @@ import sys
 from contextlib import ExitStack
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import CampaignError, ConfigurationError, ReproError
 from repro.obs.log import configure_logging, get_logger
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.version import __version__
@@ -436,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="fan shards across N worker processes",
+        help="run shards in N lease-based worker processes (on a temporary"
+        " store unless --store is given)",
     )
     serve_cmd.add_argument(
         "--shard-ues",
@@ -791,7 +795,6 @@ def _campaign_plan_from_args(args: argparse.Namespace):
 
 def _handle_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import ShardStore, campaign_status, run_campaign
-    from repro.exceptions import CampaignError
     from repro.obs import print_progress
 
     config, plan = _campaign_plan_from_args(args)
@@ -801,20 +804,16 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
         f"campaign {plan.digest[:12]}: {len(plan.shards)} shards"
         f" ({plan.total_trials} trials), {before.done} already done"
     )
-    try:
-        report = run_campaign(
-            plan,
-            store,
-            max_workers=args.workers,
-            batch_trials=args.batch_trials,
-            retries=args.retries,
-            backoff_s=args.backoff,
-            progress=print_progress if args.progress else None,
-            checkpoints=args.checkpoints,
-        )
-    except CampaignError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    report = run_campaign(
+        plan,
+        store,
+        max_workers=args.workers,
+        batch_trials=args.batch_trials,
+        retries=args.retries,
+        backoff_s=args.backoff,
+        progress=print_progress if args.progress else None,
+        checkpoints=args.checkpoints,
+    )
     print(
         f"executed {report.executed} shards, skipped {report.skipped},"
         f" {report.retries} retries, {report.fallbacks} fallbacks"
@@ -825,17 +824,12 @@ def _handle_campaign_run(args: argparse.Namespace) -> int:
 def _finish_campaign(args, config, plan, store) -> int:
     """Assemble, render, and optionally persist one completed campaign."""
     from repro.campaign import assemble_effectiveness_sweep
-    from repro.exceptions import CampaignError
     from repro.experiments.render import render_effectiveness
     from repro.sim.persistence import build_provenance, save_effectiveness_sweep
 
-    try:
-        sweep = assemble_effectiveness_sweep(
-            plan, store, verify_digests=args.verify_digests
-        )
-    except CampaignError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    sweep = assemble_effectiveness_sweep(
+        plan, store, verify_digests=args.verify_digests
+    )
     if args.verify_digests:
         print(f"verified digest manifests for all {len(plan.shards)} shard(s)")
     print(render_effectiveness(sweep, f"Campaign sweep ({args.channel})"))
@@ -885,8 +879,7 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
     )
     print(f"workers exited {list(report.exit_codes)}; shards by worker: {attribution or '-'}")
     if not report.complete:
-        print("error: campaign incomplete after all workers exited", file=sys.stderr)
-        return 1
+        raise CampaignError("campaign incomplete after all workers exited")
     return _finish_campaign(args, config, plan, store)
 
 
@@ -894,12 +887,12 @@ def _resolve_stored_plan(store, token):
     """Find one recorded plan by digest prefix (or the sole manifest)."""
     manifests = store.load_manifests()
     if not manifests:
-        raise SystemExit(f"error: no campaign manifests recorded in {store.root}")
+        raise CampaignError(f"no campaign manifests recorded in {store.root}")
     if token is None:
         if len(manifests) > 1:
             digests = ", ".join(digest[:12] for digest in sorted(manifests))
-            raise SystemExit(
-                f"error: store records {len(manifests)} plans ({digests});"
+            raise CampaignError(
+                f"store records {len(manifests)} plans ({digests});"
                 " name one by digest prefix"
             )
         return next(iter(manifests.values()))
@@ -907,10 +900,10 @@ def _resolve_stored_plan(store, token):
         digest: plan for digest, plan in manifests.items() if digest.startswith(token)
     }
     if not matches:
-        raise SystemExit(f"error: no recorded plan matches {token!r}")
+        raise CampaignError(f"no recorded plan matches {token!r}")
     if len(matches) > 1:
         digests = ", ".join(digest[:12] for digest in sorted(matches))
-        raise SystemExit(f"error: plan prefix {token!r} is ambiguous ({digests})")
+        raise CampaignError(f"plan prefix {token!r} is ambiguous ({digests})")
     return next(iter(matches.values()))
 
 
@@ -919,11 +912,7 @@ def _handle_campaign_worker(args: argparse.Namespace) -> int:
     from repro.obs import print_progress
 
     store = ShardStore(args.store)
-    try:
-        plan = _resolve_stored_plan(store, args.plan)
-    except SystemExit as error:
-        print(error.code, file=sys.stderr)
-        return 1
+    plan = _resolve_stored_plan(store, args.plan)
     kwargs = {}
     if args.lease_ttl is not None:
         kwargs["lease_ttl_s"] = args.lease_ttl
@@ -1132,8 +1121,7 @@ def _handle_diff(args: argparse.Namespace) -> int:
             load_checkpoints(args.run_a), load_checkpoints(args.run_b)
         )
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(error)) from error
     divergence = result.divergence
     if (
         args.replay
@@ -1202,8 +1190,7 @@ def _handle_inspect(args: argparse.Namespace) -> int:
             load_checkpoints(args.run), args.trial, rate=args.rate
         )
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(error)) from error
     if args.json:
         print(storyboard_json(story), end="")
     else:
@@ -1283,8 +1270,7 @@ def _handle_trace_summarize(args: argparse.Namespace) -> int:
     try:
         summary = summarize_trace_file(args.trace_file)
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(error)) from error
     print(render_trace_summary(summary, title=f"Trace summary — {args.trace_file}"))
     return 0
 
@@ -1298,8 +1284,7 @@ def _handle_trace_export(args: argparse.Namespace) -> int:
         payload = chrome_trace(records)
         write_chrome_trace(records, out)
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(error)) from error
     events = len(payload["traceEvents"])
     print(f"wrote {out} ({events} trace events; open in chrome://tracing or Perfetto)")
     return 0
@@ -1311,8 +1296,7 @@ def _handle_metrics_export(args: argparse.Namespace) -> int:
     try:
         registry = registry_from_trace(read_trace(args.trace_file))
     except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError(str(error)) from error
     text = render_openmetrics(registry)
     if args.out:
         from repro.obs import write_openmetrics
@@ -1333,11 +1317,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except ReproError as error:
-        # One exit path for every subcommand's bad input: a one-line
-        # message, with the traceback only under ``--log-level debug``.
+        # One exit path for every subcommand: a one-line message, with the
+        # traceback only under ``--log-level debug``. Bad input exits 2; a
+        # campaign or cell serve that ran but did not finish, or a stored
+        # plan that cannot be found (a CampaignError), exits 1.
         logger.debug("%s failed", args.command, exc_info=True)
         print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(error, CampaignError) else 2
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; exit quietly like a
         # well-behaved unix filter.

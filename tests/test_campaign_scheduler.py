@@ -175,7 +175,7 @@ class TestTrialGeneratorContract:
         )
         schemes = {spec.name: spec.build_factory() for spec in SPECS}
         reference = run_trials(small_scenario, schemes, 0.3, 4, base_seed=5)
-        from repro.campaign.scheduler import _shard_losses
+        from repro.campaign.worker import _shard_losses
         from repro.sim.parallel import _run_trial_batch
 
         tail_shard = plan.shards_for_rate(0.3)[1]

@@ -316,9 +316,39 @@ def _hold_lease_and_hang(store_root: str, plan_digest: str, shard_digest: str) -
     time.sleep(120.0)  # SIGKILLed long before this returns
 
 
+def _cell_plan(small_config):
+    """A 24-UE cell plan in three 8-UE shards: the loop's second shard kind."""
+    from repro.cell import CellConfig, plan_cell
+
+    config = CellConfig(
+        scenario=small_config,
+        num_users=24,
+        arrival_rate_hz=5000.0,
+        search_rate=0.25,
+        probe_budget_per_frame=16,
+        interference_coupling=0.2,
+    )
+    return plan_cell(config, shard_ues=8)
+
+
+def _cell_summary_bytes(plan, tmp_path, name, store=None):
+    from repro.cell import serve_cell
+
+    path = tmp_path / name
+    report = serve_cell(
+        plan.config, store=store, shard_ues=plan.shards[0].ue_count, summary_path=path
+    )
+    return report, path.read_bytes()
+
+
 @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
 class TestKilledWorker:
-    def test_sigkilled_workers_shards_are_reassigned(self, plan, store, tmp_path):
+    @pytest.mark.parametrize("kind", ["campaign", "cell"])
+    def test_sigkilled_workers_shards_are_reassigned(
+        self, kind, plan, store, tmp_path, small_config
+    ):
+        if kind == "cell":
+            plan = _cell_plan(small_config)
         shard = plan.shards[0]
         context = multiprocessing.get_context("fork")
         holder = context.Process(
@@ -338,6 +368,12 @@ class TestKilledWorker:
         assert report.takeovers >= 1
         assert report.executed == len(plan.shards)
         assert campaign_status(plan, store).complete
+        if kind == "cell":
+            # Serving over the survivor's store reads every shard back.
+            resumed, served = _cell_summary_bytes(plan, tmp_path, "served.json", store)
+            assert resumed.cached_shards == len(plan.shards)
+            assert served == _cell_summary_bytes(plan, tmp_path, "reference.json")[1]
+            return
         assert _assembled_bytes(plan, store, tmp_path) == _reference_bytes(
             plan, tmp_path
         )

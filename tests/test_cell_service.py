@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.campaign.scheduler import FaultInjector
 from repro.campaign.store import ShardStore
 from repro.cell.config import CellConfig
 from repro.cell.metrics import UERecord, merge_records, summarize_records
@@ -15,14 +16,12 @@ from repro.cell.service import render_cell_report, serve_cell, summary_payload
 from repro.cell.shards import (
     CELL_PLAN_SCHEMA,
     CELL_SHARD_KIND,
-    execute_shard,
     plan_cell,
-    run_cell_plan,
 )
 from repro.exceptions import ConfigurationError
 from repro.obs.openmetrics import parse_openmetrics
 from repro.sim.config import ScenarioConfig
-from repro.utils.serialization import content_digest, dumps
+from repro.utils.serialization import content_digest, dump
 
 
 def small_cell(**overrides) -> CellConfig:
@@ -78,8 +77,8 @@ class TestPlanAndShards:
     def test_shard_records_match_full_run(self):
         config = small_cell()
         plan = plan_cell(config, shard_ues=10)
-        full = run_cell_plan(plan, batch_users=8)
-        middle = execute_shard(plan.shards[1], batch_users=8)
+        full = serve_cell(config, batch_users=8, shard_ues=10).records
+        middle = plan.shards[1].execute(batch_trials=8)
         assert middle == full[10:20]
 
     def test_validation(self):
@@ -88,62 +87,133 @@ class TestPlanAndShards:
 
 
 class TestStoreIntegration:
+    """A serve with a store runs its shards under the campaign lease loop."""
+
     def test_resume_serves_from_artifacts(self, tmp_path):
         config = small_cell()
-        plan = plan_cell(config, shard_ues=10)
         store = ShardStore(tmp_path / "store")
-        first = run_cell_plan(plan, store=store, batch_users=8)
-        seen = []
-        second = run_cell_plan(
-            plan,
-            store=store,
-            batch_users=8,
-            on_shard=lambda shard, records, cached: seen.append(cached),
-        )
-        assert second == first
-        assert seen == [True, True, True]
+        first = serve_cell(config, store=store, batch_users=8, shard_ues=10)
+        second = serve_cell(config, store=store, batch_users=8, shard_ues=10)
+        assert second.records == first.records
+        assert (first.cached_shards, second.cached_shards) == (0, 3)
 
     def test_artifacts_survive_gc(self, tmp_path):
         config = small_cell()
         plan = plan_cell(config, shard_ues=10)
         store = ShardStore(tmp_path / "store")
-        run_cell_plan(plan, store=store, batch_users=8)
-        store.save_manifest(plan)
+        serve_cell(config, store=store, batch_users=8, shard_ues=10)
+        # The serve recorded the plan manifest, which keeps its artifacts.
         assert store.gc() == []
         for shard in plan.shards:
-            assert store.get_artifact(shard.digest, CELL_SHARD_KIND) is not None
+            assert store.get(shard) is not None
+            assert store.classify(shard) == "done"
 
     def test_unreferenced_artifacts_collected(self, tmp_path):
         config = small_cell()
         plan = plan_cell(config, shard_ues=10)
         store = ShardStore(tmp_path / "store")
-        run_cell_plan(plan, store=store, batch_users=8)
-        # No manifest saved: every cell artifact (and its heartbeat
+        serve_cell(config, store=store, batch_users=8, shard_ues=10)
+        # Without its manifest every cell artifact (and its heartbeat
         # litter) is orphaned.
+        store.manifest_path(plan.digest).unlink()
         removed = store.gc()
         removed_artifacts = [p for p in removed if p.parent == store.shard_dir]
         assert len(removed_artifacts) == len(plan.shards)
         for shard in plan.shards:
-            assert store.get_artifact(shard.digest, CELL_SHARD_KIND) is None
+            assert store.get(shard) is None
 
     def test_heartbeats_written(self, tmp_path):
         config = small_cell()
         plan = plan_cell(config, shard_ues=10)
         store = ShardStore(tmp_path / "store")
-        run_cell_plan(plan, store=store, batch_users=8)
+        serve_cell(config, store=store, batch_users=8, shard_ues=10)
         beats = store.read_heartbeats(plan.digest)
         assert len(beats) == len(plan.shards)
         assert all(beat["status"] == "done" for beat in beats.values())
         assert all(isinstance(beat.get("host"), str) for beat in beats.values())
 
-
-class TestWorkerPool:
-    def test_worker_pool_bit_identical(self):
+    def test_done_heartbeats_name_their_worker(self, tmp_path):
         config = small_cell()
         plan = plan_cell(config, shard_ues=8)
-        serial = run_cell_plan(plan, batch_users=8)
-        pooled = run_cell_plan(plan, batch_users=8, workers=2)
-        assert pooled == serial
+        store = ShardStore(tmp_path / "store")
+        serve_cell(config, store=store, batch_users=8, shard_ues=8, workers=2)
+        beats = store.read_heartbeats(plan.digest)
+        assert {beat["status"] for beat in beats.values()} == {"done"}
+        workers = {beat.get("worker") for beat in beats.values()}
+        assert workers and all(isinstance(worker, str) for worker in workers)
+        assert all(
+            worker in ("w0", "w1") or worker.startswith("supervisor-")
+            for worker in workers
+        )
+        assert [beat["trial_count"] for beat in beats.values()] == [8, 8, 8]
+
+    def test_artifact_bytes_unchanged(self, tmp_path):
+        """A cell artifact is the shard spec plus its records, as before."""
+        config = small_cell()
+        plan = plan_cell(config, shard_ues=10)
+        store = ShardStore(tmp_path / "store")
+        report = serve_cell(config, store=store, batch_users=8, shard_ues=10)
+        shard = plan.shards[1]
+        payload = {
+            "kind": CELL_SHARD_KIND,
+            "digest": shard.digest,
+            "spec": shard.spec_payload(),
+            "result": {
+                "records": [record.to_payload() for record in report.records[10:20]]
+            },
+        }
+        dump(payload, tmp_path / "expected.json")
+        assert store.shard_path(shard.digest).read_bytes() == (
+            tmp_path / "expected.json"
+        ).read_bytes()
+
+    def test_crashed_shard_retries_once_with_identical_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.campaign.scheduler as scheduler
+
+        run_campaign = scheduler.run_campaign
+        reports = []
+
+        def with_faults(*args, **kwargs):
+            injector = FaultInjector(crash_shards={1: 1})
+            reports.append(run_campaign(*args, fault_injector=injector, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(scheduler, "run_campaign", with_faults)
+        config = small_cell()
+        store = ShardStore(tmp_path / "store")
+        serve_cell(
+            config, store=store, batch_users=8, shard_ues=8,
+            summary_path=tmp_path / "faulty.json",
+        )
+        assert [(r.executed, r.retries) for r in reports] == [(3, 1)]
+        serve_cell(config, batch_users=8, summary_path=tmp_path / "reference.json")
+        assert (tmp_path / "faulty.json").read_bytes() == (
+            tmp_path / "reference.json"
+        ).read_bytes()
+
+
+class TestWorkerPool:
+    def test_worker_pool_bit_identical(self, tmp_path):
+        """``workers=2`` runs launched lease workers, with a store or on a
+        temporary one, and writes the storeless serial serve's bytes."""
+        config = small_cell()
+        names = ("serial", "bare", "stored")
+        paths = {name: tmp_path / f"{name}.json" for name in names}
+        serve_cell(config, batch_users=None, summary_path=paths["serial"])
+        serve_cell(
+            config, batch_users=8, shard_ues=8, workers=2, summary_path=paths["bare"]
+        )
+        store = ShardStore(tmp_path / "store")
+        serve_cell(
+            config, store=store, batch_users=8, shard_ues=8, workers=2,
+            summary_path=paths["stored"],
+        )
+        assert len(list(store.shard_dir.glob("*.json"))) == 3
+        blobs = {name: path.read_bytes() for name, path in paths.items()}
+        assert blobs["bare"] == blobs["serial"]
+        assert blobs["stored"] == blobs["serial"]
 
 
 class TestServe:

@@ -562,3 +562,99 @@ class TestCellCli:
         captured = capsys.readouterr()
         assert captured.err == "repro: error: batch_users must be >= 0, got -4\n"
         assert "cell plan" not in captured.out
+
+
+def _fail_cell_shards(monkeypatch):
+    from repro.cell.shards import CellShard
+
+    def fail(self, batch_trials):
+        raise RuntimeError("injected cell shard failure")
+
+    monkeypatch.setattr(CellShard, "execute", fail)
+
+
+def _fail_campaign_shards(monkeypatch):
+    import repro.campaign.worker as worker
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected campaign shard failure")
+
+    monkeypatch.setattr(worker, "execute_shard_in_process", fail)
+
+
+def _launch_leaves_work(monkeypatch):
+    import repro.campaign
+    from repro.campaign.distributed import LaunchReport
+
+    def incomplete(plan, store, num_workers=2, **kwargs):
+        store.save_manifest(plan)
+        return LaunchReport(plan.digest, num_workers, False, (), {}, ())
+
+    monkeypatch.setattr(repro.campaign, "launch_campaign", incomplete)
+
+
+TINY_CAMPAIGN = ["--rates", "0.2", "--trials", "1", "--retries", "0"]
+
+
+class TestErrorLines:
+    """Every failing subcommand prints one ``repro: error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv, code, patch",
+        [
+            (["trace", "summarize", "{tmp}/missing.jsonl"], 2, None),
+            (["trace", "export", "{tmp}/missing.jsonl"], 2, None),
+            (["metrics", "export", "{tmp}/missing.jsonl"], 2, None),
+            (["inspect", "{tmp}/missing.jsonl", "--trial", "0"], 2, None),
+            (["diff", "{tmp}/missing.jsonl", "{tmp}/missing.jsonl"], 2, None),
+            (["campaign", "worker", "--store", "{tmp}/empty"], 1, None),
+            (
+                ["campaign", "run", "--store", "{tmp}/s", *TINY_CAMPAIGN],
+                1,
+                _fail_campaign_shards,
+            ),
+            (
+                ["campaign", "resume", "--store", "{tmp}/s", *TINY_CAMPAIGN,
+                 "--verify-digests"],
+                1,
+                None,
+            ),
+            (
+                ["campaign", "launch", "--store", "{tmp}/s", *TINY_CAMPAIGN],
+                1,
+                _launch_leaves_work,
+            ),
+            (
+                ["cell", "serve", "--quick", "--users", "8", "--store", "{tmp}/s"],
+                1,
+                _fail_cell_shards,
+            ),
+        ],
+        ids=[
+            "trace-summarize", "trace-export", "metrics-export", "inspect", "diff",
+            "worker-no-plan", "run-shard-fails", "resume-unverified",
+            "launch-incomplete", "cell-shard-fails",
+        ],
+    )
+    def test_one_error_line(self, capsys, monkeypatch, tmp_path, argv, code, patch):
+        if patch is not None:
+            patch(monkeypatch)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "run", "--store", "{tmp}/s", "--quick"],
+            ["cell", "serve", "--quick", "--users", "8"],
+        ],
+        ids=["campaign-run", "cell-serve"],
+    )
+    def test_workers_below_one_rejected(self, capsys, tmp_path, argv, workers):
+        code = main([arg.format(tmp=tmp_path) for arg in argv] + ["--workers", workers])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: workers must be >= 1, got {workers}\n"
