@@ -122,7 +122,6 @@ def launch_campaign(
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_s: float = DEFAULT_POLL_S,
     claim_batch: int = 1,
-    heartbeats: bool = True,
     checkpoints: bool = False,
     progress: Optional[ProgressCallback] = None,
     watch_interval_s: float = 0.2,
@@ -165,7 +164,6 @@ def launch_campaign(
         "lease_ttl_s": lease_ttl_s,
         "poll_s": poll_s,
         "claim_batch": claim_batch,
-        "heartbeats": heartbeats,
         "checkpoints": (
             checkpointer.spec_for_workers() if checkpointer is not None else checkpoints
         ),

@@ -150,7 +150,6 @@ def run_campaign(
     backoff_s: float = 0.0,
     fault_injector: Optional[FaultInjector] = None,
     progress: Optional[ProgressCallback] = None,
-    heartbeats: bool = True,
     checkpoints: bool = False,
 ) -> CampaignReport:
     """Execute every pending shard of ``plan``; skip completed ones.
@@ -165,10 +164,10 @@ def run_campaign(
     ``fallbacks``) and replays every shard's stored digest manifest into
     an active flight recorder, in plan order. The ``fault_injector`` acts
     in this process only, so it needs ``max_workers`` None or 1.
-    ``batch_trials``, ``retries``, ``backoff_s``, ``heartbeats`` and
-    ``checkpoints`` are :func:`~repro.campaign.worker.run_worker`'s. A
-    shard still failing after ``retries`` extra attempts does not stop
-    the others; :class:`ShardExecutionError` is raised at the end instead.
+    ``batch_trials``, ``retries``, ``backoff_s`` and ``checkpoints`` are
+    :func:`~repro.campaign.worker.run_worker`'s. A shard still failing
+    after ``retries`` extra attempts does not stop the others;
+    :class:`ShardExecutionError` is raised at the end instead.
 
     Shards are claimed through the store's lease protocol, so this can
     share a store with ``repro campaign worker`` processes. Safe to call
@@ -187,7 +186,6 @@ def run_campaign(
         "batch_trials": batch_trials,
         "retries": retries,
         "backoff_s": backoff_s,
-        "heartbeats": heartbeats,
         "checkpoints": checkpoints,
     }
     recorder = get_recorder()

@@ -49,6 +49,7 @@ from repro.campaign.store import ShardStore
 from repro.exceptions import CampaignAborted, ConfigurationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.obs.checkpoint import CheckpointSpec, find_checkpointer
+from repro.sim.batch import check_block_size
 from repro.sim.parallel import ParallelOutcome, _run_trial_batch, _scenario_for
 
 __all__ = [
@@ -129,8 +130,7 @@ def check_worker_options(
     """Reject worker-loop options no worker could run with."""
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
-    if batch_trials is not None and batch_trials < 1:
-        raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
+    check_block_size(batch_trials)
     if claim_batch < 1:
         raise ConfigurationError(f"claim_batch must be >= 1, got {claim_batch}")
 
@@ -223,7 +223,6 @@ def run_worker(
     poll_s: float = DEFAULT_POLL_S,
     claim_batch: int = 1,
     max_shards: Optional[int] = None,
-    heartbeats: bool = True,
     checkpoints: Union[bool, CheckpointSpec] = False,
     fault_injector: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
@@ -251,7 +250,7 @@ def run_worker(
     still finish the campaign.
 
     Failing shards are retried with :func:`~repro.campaign.lease.backoff_delay`
-    between attempts. ``heartbeats`` publishes observational liveness
+    between attempts. The worker publishes observational liveness
     records under the store's ``heartbeats/``. ``checkpoints`` (``True``,
     a :class:`~repro.obs.checkpoint.CheckpointSpec`, or an active flight
     recorder) stores each shard's stage digests in its artifact; a flight
@@ -290,8 +289,6 @@ def run_worker(
 
     def beat(shard: Any, index: int, status: str, **extra: Any) -> None:
         """Publish one liveness record; never let it fail the worker."""
-        if not heartbeats:
-            return
         try:
             store.write_heartbeat(
                 plan.digest,

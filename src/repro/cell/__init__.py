@@ -9,7 +9,7 @@ layers:
 - :mod:`repro.cell.arrivals` — the namespaced Poisson arrival stream;
 - :mod:`repro.cell.scheduler` — FIFO airtime allocation over MAC frames;
 - :mod:`repro.cell.engine` — per-UE alignment with contention-driven
-  interference, serial or batched (bit-identical);
+  interference, in stacked UE blocks of any size (bit-identical);
 - :mod:`repro.cell.metrics` — per-UE records and the distribution
   roll-up (latency, queue wait, SNR loss, overhead fraction);
 - :mod:`repro.cell.shards` — UE-range shards, a shard kind of the

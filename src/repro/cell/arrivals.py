@@ -4,7 +4,7 @@ UEs arrive by a homogeneous Poisson process: inter-arrival gaps are
 i.i.d. exponential with mean ``1 / arrival_rate_hz``. The whole arrival
 schedule is drawn **up front** from one dedicated, namespaced RNG stream
 — a single vectorized draw from a generator derived only from the
-config — so it is trivially identical across serial, batched, and
+config — so it is trivially identical across UE block sizes and
 launched-worker execution (no execution engine ever touches the arrival
 stream).
 

@@ -10,28 +10,26 @@ path).
 Determinism contract — UE ``k`` is trial ``k``: its streams come from
 ``labeled_spawn(trial_generator(base_seed, k), UE_STREAM_LABELS)``, so a
 UE's channel, noise, and algorithm draws depend only on ``(base_seed,
-ue_id)``, never on which execution mode or shard ran it. The batched
-path stacks channel sampling and ground-truth SNR through
-:mod:`repro.channel.batch` exactly like the trial engine in
-:mod:`repro.sim.batch`; per-UE results are bit-identical to the serial
-path for any block size.
+ue_id)``, never on which execution mode or shard ran it. UEs run in
+blocks set up by :func:`repro.sim.batch.draw_block`, the trial engine's
+own stacked channel and ground-truth step; per-UE results are
+bit-identical for any block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.channel.base import ClusteredChannel
-from repro.channel.batch import mean_snr_matrices
 from repro.core.base import AlignmentContext
-from repro.exceptions import ConfigurationError
 from repro.cell.config import CellConfig
 from repro.cell.scheduler import UESchedule
 from repro.measurement.measurer import MeasurementEngine
 from repro.obs import get_logger
+from repro.sim.batch import check_block_size, draw_block
 from repro.sim.metrics import evaluate_pair
 from repro.sim.scenario import Scenario
 from repro.utils.rng import labeled_spawn, trial_generator
@@ -41,7 +39,6 @@ __all__ = [
     "UEOutcome",
     "ue_streams",
     "interference_probability",
-    "check_batch_users",
     "execute_ues",
 ]
 
@@ -85,7 +82,7 @@ def _align_ue(
     streams: Dict[str, np.random.Generator],
     factory,
 ) -> UEOutcome:
-    """The per-UE scheme loop (shared by serial and batched paths)."""
+    """The per-UE scheme loop over one UE's drawn channel."""
     shared = scenario.context()
     probability = interference_probability(config, entry)
     engine = MeasurementEngine(
@@ -118,12 +115,6 @@ def _align_ue(
     )
 
 
-def check_batch_users(batch_users: Optional[int]) -> None:
-    """Reject a negative ``batch_users`` (``None`` and ``0`` mean serial)."""
-    if batch_users is not None and batch_users < 0:
-        raise ConfigurationError(f"batch_users must be >= 0, got {batch_users}")
-
-
 def execute_ues(
     scenario: Scenario,
     config: CellConfig,
@@ -132,44 +123,21 @@ def execute_ues(
 ) -> List[UEOutcome]:
     """Align every scheduled UE; outcomes come back in entry order.
 
-    ``batch_users`` of ``None`` or ``0`` runs the serial reference path
-    (one channel draw and one exact SNR matrix per UE); a positive value
-    fans channel sampling and ground truth into stacked blocks of that
-    many UEs. Both paths consume
-    identical per-UE streams, so outcomes are bit-identical.
+    UEs run in stacked channel blocks of ``batch_users`` (``None`` or
+    ``0``: one UE per block; negative values are rejected). Every UE
+    consumes its own streams, so outcomes are bit-identical for any
+    block size.
     """
-    check_batch_users(batch_users)
+    size = check_block_size(batch_users, "batch_users", minimum=0)
     entries = list(entries)
-    if not entries:
-        return []
     factory = config.scheme.build_factory()
-    shared = scenario.context()
+    logger.debug("execute_ues: %d UEs in blocks of %d", len(entries), size)
     outcomes: List[UEOutcome] = []
-    if not batch_users:
-        for entry in entries:
-            streams = ue_streams(config.base_seed, entry.ue_id)
-            channel = scenario.sample_channel(streams["channel"])
-            snr_matrix = channel.mean_snr_matrix(
-                shared.tx_codebook, shared.rx_codebook
-            )
-            outcomes.append(
-                _align_ue(scenario, config, entry, channel, snr_matrix, streams, factory)
-            )
-        return outcomes
-    logger.debug(
-        "execute_ues: %d UEs in blocks of %d", len(entries), batch_users
-    )
-    for start in range(0, len(entries), batch_users):
-        block = entries[start : start + batch_users]
-        block_streams = [ue_streams(config.base_seed, entry.ue_id) for entry in block]
-        channels = scenario.sample_channel_batch(
-            [streams["channel"] for streams in block_streams]
-        )
-        snr_matrices = mean_snr_matrices(
-            channels, shared.tx_codebook, shared.rx_codebook
-        )
-        for entry, streams, channel, snr_matrix in zip(
-            block, block_streams, channels, snr_matrices
+    for start in range(0, len(entries), size):
+        block = entries[start : start + size]
+        rngs = [trial_generator(config.base_seed, entry.ue_id) for entry in block]
+        for entry, (streams, channel, snr_matrix) in zip(
+            block, draw_block(scenario, rngs, UE_STREAM_LABELS)
         ):
             outcomes.append(
                 _align_ue(scenario, config, entry, channel, snr_matrix, streams, factory)

@@ -7,8 +7,8 @@ shards land (scrape it while the run is hot) and, through the shard
 store, the same liveness heartbeats campaign watchers consume. At the
 end it emits a **deterministic summary artifact**: the canonical JSON of
 the config, its digest, per-UE records, and metric roll-up, byte-stable
-across repeated invocations, across serial/batched execution, across
-any shard size, and across storeless, stored, launched-worker, resumed
+across repeated invocations, across any UE block size, across any shard
+size, and across storeless, stored, launched-worker, resumed
 and taken-over serves (pinned by ``tests/test_cell_service.py`` and the
 ``cell-smoke``/``distributed-smoke`` CI jobs).
 
@@ -26,13 +26,13 @@ from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
 from repro.cell.config import CellConfig
-from repro.cell.engine import check_batch_users
 from repro.cell.metrics import UERecord, summarize_records
-from repro.cell.scheduler import CellSchedule, build_schedule
-from repro.cell.shards import DEFAULT_SHARD_UES, CellPlan, plan_cell
+from repro.cell.scheduler import CellSchedule
+from repro.cell.shards import DEFAULT_SHARD_UES, CellPlan, _schedule_for, plan_cell
 from repro.exceptions import CampaignError
 from repro.obs import MetricsRegistry, ProgressCallback, ProgressReporter, get_logger
 from repro.obs.openmetrics import write_openmetrics
+from repro.sim.batch import check_block_size
 from repro.sim.scenario import Scenario
 from repro.utils.serialization import dump
 
@@ -94,7 +94,7 @@ def _seed_registry(
 def _serve_in_process(
     plan: CellPlan,
     schedule: CellSchedule,
-    batch_users: Optional[int],
+    batch_users: int,
     progress: Optional[ProgressCallback],
     landed: Callable[[int], None],
 ) -> List[UERecord]:
@@ -113,7 +113,7 @@ def _serve_leased(
     plan: CellPlan,
     store,
     workers: Optional[int],
-    batch_users: Optional[int],
+    batch_users: int,
     progress: ProgressCallback,
 ) -> Tuple[List[UERecord], int]:
     """Run the plan under the campaign lease loop (on a temporary store
@@ -125,8 +125,7 @@ def _serve_leased(
         if store is None:
             store = ShardStore(stack.enter_context(tempfile.TemporaryDirectory()))
         report = run_campaign(
-            plan, store, max_workers=workers, batch_trials=batch_users or None,
-            progress=progress,
+            plan, store, max_workers=workers, batch_trials=batch_users, progress=progress
         )
         shard_records = [store.get(shard) for shard in plan.shards]
     if any(rows is None for rows in shard_records):
@@ -156,10 +155,10 @@ def serve_cell(
     is atomically rewritten before the first shard and as shards land;
     ``summary_path`` receives the deterministic summary artifact.
     """
-    check_batch_users(batch_users)
+    batch_users = check_block_size(batch_users, "batch_users", minimum=0)
     registry = registry if registry is not None else MetricsRegistry()
     plan = plan_cell(config, shard_ues=shard_ues)
-    schedule = build_schedule(config)
+    schedule = _schedule_for(config)
     _seed_registry(registry, config, plan)
     registry.set_gauge("cell.frames", float(schedule.num_frames))
     metrics_target = Path(openmetrics_path) if openmetrics_path else None

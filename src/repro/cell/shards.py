@@ -56,7 +56,8 @@ DEFAULT_SHARD_UES = 64
 
 @functools.lru_cache(maxsize=8)
 def _schedule_for(config: CellConfig) -> CellSchedule:
-    """Per-process schedule cache: a lease worker builds it once, not per shard."""
+    """Per-process schedule cache: a serve builds it once for planning and
+    summarizing, and a lease worker once, not per shard."""
     return build_schedule(config)
 
 
@@ -214,8 +215,7 @@ def plan_cell(config: CellConfig, shard_ues: int = DEFAULT_SHARD_UES) -> CellPla
     """
     if shard_ues < 1:
         raise ConfigurationError(f"shard_ues must be >= 1, got {shard_ues}")
-    schedule = build_schedule(config)
-    admitted = len(schedule.entries)
+    admitted = len(_schedule_for(config).entries)
     if admitted == 0:
         raise ConfigurationError(
             "arrival window admits no UEs; raise duration_s or arrival_rate_hz"

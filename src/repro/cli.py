@@ -48,6 +48,7 @@ campaign store and ``repro run fig6`` never loads the cell workload.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from contextlib import ExitStack
 from typing import TYPE_CHECKING, List, Optional
@@ -427,12 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=32,
         metavar="B",
-        help="UEs per batched channel block (default 32)",
-    )
-    serve_cmd.add_argument(
-        "--serial",
-        action="store_true",
-        help="run the serial reference path instead of batched blocks",
+        help="UEs per stacked channel block (default 32)",
     )
     serve_cmd.add_argument(
         "--workers",
@@ -1090,7 +1086,7 @@ def _handle_cell_serve(args: argparse.Namespace) -> int:
     report = serve_cell(
         config,
         store=store,
-        batch_users=None if args.serial else args.batch_users,
+        batch_users=args.batch_users,
         workers=args.workers,
         openmetrics_path=args.openmetrics,
         summary_path=args.summary,
@@ -1314,6 +1310,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.log_level:
         configure_logging(args.log_level)
+    elif not get_logger().handlers:
+        # Package logging stays off without --log-level: a handler that
+        # drops the records keeps Python's last-resort handler from
+        # printing them ahead of the one ``repro: error:`` line.
+        get_logger().addHandler(logging.NullHandler())
     try:
         return args.handler(args)
     except ReproError as error:

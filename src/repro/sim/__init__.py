@@ -6,11 +6,7 @@ from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
     from repro.sim.aggregate import SeriesStats, summarize
-    from repro.sim.batch import (
-        DEFAULT_BATCH_TRIALS,
-        run_trial_block,
-        run_trials_batched,
-    )
+    from repro.sim.batch import run_trial_block
     from repro.sim.config import ChannelKind, ScenarioConfig
     from repro.sim.metrics import (
         PairEvaluation,
@@ -47,9 +43,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SeriesStats",
     "summarize",
-    "DEFAULT_BATCH_TRIALS",
     "run_trial_block",
-    "run_trials_batched",
     "ChannelKind",
     "ScenarioConfig",
     "PairEvaluation",
@@ -79,11 +73,7 @@ __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
         "repro.sim.aggregate": ("SeriesStats", "summarize"),
-        "repro.sim.batch": (
-            "DEFAULT_BATCH_TRIALS",
-            "run_trial_block",
-            "run_trials_batched",
-        ),
+        "repro.sim.batch": ("run_trial_block",),
         "repro.sim.config": ("ChannelKind", "ScenarioConfig"),
         "repro.sim.metrics": (
             "PairEvaluation",

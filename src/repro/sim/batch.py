@@ -1,51 +1,77 @@
-"""Batched trial engine: B trials as stacked array programs.
+"""The trial engine: every trial runs in a block of stacked array programs.
 
-:func:`run_trials_batched` is a drop-in alternative to
-:func:`repro.sim.runner.run_trials` that executes trials in blocks: each
-block draws all of its channel realizations through the stacked
-steering/coupling GEMMs of :mod:`repro.channel.batch` and evaluates
-every trial's ground-truth SNR matrix in one shot, then runs the scheme
-loop per trial against the primed couplings (so per-measurement work is
-fused ``measure_many`` blocks over cached tables).
+:func:`run_trial_block` is the one trial body. A block draws all of its
+channel realizations through the stacked steering/coupling GEMMs of
+:mod:`repro.channel.batch` and evaluates every trial's ground-truth SNR
+matrix in one shot (:func:`draw_block`, shared with the cell's per-UE
+executor), then runs the scheme loop per trial against the primed
+couplings (so per-measurement work is fused ``measure_many`` blocks over
+cached tables). :func:`run_trial_blocks` cuts a run of trials into
+blocks; ``run_trials``, effectiveness sweeps and campaign shards all
+run through it, and a block size of ``None`` means one trial per block.
 
-Determinism: trial ``k`` uses ``trial_generator(base_seed, k)`` exactly
-like the serial runner, each trial spawns its child streams identically,
-and every stacked kernel is per-slice bit-identical to its serial
-counterpart — seeded outcomes are bit-identical to ``run_trials`` for
-any batch size (pinned by ``tests/test_batch_engine.py``).
-
-Composition: ``--batch-trials`` runs this engine in-process; campaign
-shards reach it through ``_run_trial_batch(..., batch_trials=B)`` in
-:mod:`repro.sim.parallel`, so lease-loop workers, in-process or
-launched, run their trial chunks through :func:`run_trial_block`.
+Determinism: trial ``k`` uses ``trial_generator(base_seed, k)`` in any
+block, each trial spawns its child streams identically, and every
+stacked kernel is per-slice bit-identical to its per-channel reference
+— seeded outcomes are bit-identical for any block size (pinned by
+``tests/test_batch_engine.py`` and ``tests/test_pinned_digests.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.base import ClusteredChannel
 from repro.channel.batch import mean_snr_matrices
 from repro.exceptions import ConfigurationError
-from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
+from repro.obs import get_recorder
 from repro.sim.runner import (
     AlgorithmFactory,
     TrialOutcome,
     _checkpoint_trial_setup,
     _execute_schemes,
+    _stream_labels,
 )
 from repro.sim.scenario import Scenario
-from repro.utils.rng import spawn, trial_generator
+from repro.utils.rng import labeled_spawn, trial_generator
 
-__all__ = ["DEFAULT_BATCH_TRIALS", "run_trial_block", "run_trials_batched"]
+__all__ = [
+    "check_block_size",
+    "draw_block",
+    "run_trial_block",
+    "run_trial_blocks",
+]
 
-logger = get_logger("sim.batch")
 
-#: Default in-process batch size: large enough to amortize the stacked
-#: GEMM/eigh dispatch, small enough to keep the stacked buffers cache
-#: resident for the paper-scale codebooks.
-DEFAULT_BATCH_TRIALS = 32
+def check_block_size(
+    block_size: Optional[int], name: str = "batch_trials", minimum: int = 1
+) -> int:
+    """Items per block: ``None`` (and ``0`` where ``minimum`` allows it)
+    means one; anything below ``minimum`` is rejected."""
+    if block_size is not None and block_size < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {block_size}")
+    return block_size or 1
+
+
+def draw_block(
+    scenario: Scenario,
+    rngs: Sequence[np.random.Generator],
+    labels: Sequence[str],
+) -> List[Tuple[Dict[str, np.random.Generator], ClusteredChannel, np.ndarray]]:
+    """Set up one block: ``(streams, channel, snr_matrix)`` per generator.
+
+    Each generator spawns its ``labels`` streams; every item's channel is
+    drawn from its ``"channel"`` stream in one stacked pass, and one more
+    stacked pass evaluates every ground truth and primes every channel's
+    codebook-coupling table for the measurement fusion.
+    """
+    shared = scenario.context()
+    streams = [labeled_spawn(rng, labels) for rng in rngs]
+    channels = scenario.sample_channel_batch([item["channel"] for item in streams])
+    snr_matrices = mean_snr_matrices(channels, shared.tx_codebook, shared.rx_codebook)
+    return list(zip(streams, channels, snr_matrices))
 
 
 def run_trial_block(
@@ -53,18 +79,17 @@ def run_trial_block(
     schemes: Mapping[str, AlgorithmFactory],
     search_rate: float,
     rngs: Sequence[np.random.Generator],
-    trial_indices: Optional[Sequence[int]] = None,
+    trial_indices: Optional[Sequence[Optional[int]]] = None,
 ) -> List[Dict[str, TrialOutcome]]:
-    """Run one block of trials with batched channel/ground-truth setup.
+    """Run one block of trials; outcomes come back in ``rngs`` order.
 
     ``rngs`` carries one per-trial generator (as produced by
-    ``trial_generator``); outcomes come back in the same order and are
-    bit-identical to calling :func:`repro.sim.runner.run_trial` with each
-    generator serially. ``trial_indices`` (same length as ``rngs``, when
-    given) scopes flight-recorder checkpoints to each trial's global
-    index; per-trial digests are extracted from the stacked arrays inside
-    the per-trial loop, so the emitted event sequence is identical to the
-    serial runner's.
+    ``trial_generator``); each trial's outcomes depend on its generator
+    alone, never on the block around it. ``trial_indices`` (same length
+    as ``rngs``, when given) scopes flight-recorder checkpoints to each
+    trial's global index; per-trial digests are extracted from the
+    stacked arrays inside the per-trial loop, so the emitted event
+    sequence is the same for any block size.
     """
     if not schemes:
         raise ConfigurationError("run_trial_block needs at least one scheme")
@@ -75,21 +100,15 @@ def run_trial_block(
         raise ConfigurationError(
             f"trial_indices has {len(trial_indices)} entries for {len(rngs)} rngs"
         )
-    indices: List[Optional[int]] = (
-        list(trial_indices) if trial_indices is not None else [None] * len(rngs)
-    )
+    indices = list(trial_indices) if trial_indices is not None else [None] * len(rngs)
     recorder = get_recorder()
     shared = scenario.context()
-    spawned = [spawn(rng, 1 + 2 * len(schemes)) for rng in rngs]
-    channels = scenario.sample_channel_batch([streams[0] for streams in spawned])
-    # One stacked pass evaluates every trial's ground truth and primes
-    # every channel's codebook-coupling table for the measurement fusion.
-    snr_matrices = mean_snr_matrices(channels, shared.tx_codebook, shared.rx_codebook)
+    block = draw_block(scenario, rngs, _stream_labels(schemes))
     if recorder.enabled:
         recorder.increment("batch.blocks")
         recorder.increment("batch.trials", len(rngs))
     outcomes: List[Dict[str, TrialOutcome]] = []
-    for index, streams, channel, snr_matrix in zip(indices, spawned, channels, snr_matrices):
+    for index, (streams, channel, snr_matrix) in zip(indices, block):
         with recorder.trial_scope(index, search_rate):
             with recorder.span("trial", search_rate=search_rate) as trial_span:
                 if recorder.checkpoints_enabled:
@@ -100,7 +119,7 @@ def run_trial_block(
                     channel,
                     snr_matrix,
                     schemes,
-                    streams[1:],
+                    list(streams.values())[1:],
                     search_rate,
                     recorder,
                 )
@@ -109,48 +128,23 @@ def run_trial_block(
     return outcomes
 
 
-def run_trials_batched(
+def run_trial_blocks(
     scenario: Scenario,
     schemes: Mapping[str, AlgorithmFactory],
     search_rate: float,
-    num_trials: int,
-    base_seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_TRIALS,
-    progress: Optional[ProgressCallback] = None,
-) -> List[Dict[str, TrialOutcome]]:
-    """Batched drop-in for :func:`repro.sim.runner.run_trials`.
+    base_seed: int,
+    trials: Sequence[int],
+    batch_trials: Optional[int] = None,
+) -> Iterator[Dict[str, TrialOutcome]]:
+    """Yield the outcomes of ``trials`` (global indices) in order, run in
+    blocks of ``batch_trials`` (``None``: one trial per block).
 
-    Same per-trial seeding contract (trial ``k`` sees the same channel
-    for a given ``base_seed`` no matter the batch size); the final,
-    possibly partial block simply stacks fewer trials.
+    Trial ``k`` draws from ``trial_generator(base_seed, k)``, so the
+    outcomes are the same for any block size; the last block may be
+    partial.
     """
-    if num_trials < 1:
-        raise ConfigurationError(f"num_trials must be >= 1, got {num_trials}")
-    if batch_size < 1:
-        raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-    recorder = get_recorder()
-    reporter = ProgressReporter(num_trials, progress, label="trials")
-    logger.debug(
-        "run_trials_batched: %d trials at rate %.3f (seed %d, batch %d)",
-        num_trials,
-        search_rate,
-        base_seed,
-        batch_size,
-    )
-    outcomes: List[Dict[str, TrialOutcome]] = []
-    with recorder.span(
-        "run_trials_batched",
-        num_trials=num_trials,
-        search_rate=search_rate,
-        base_seed=base_seed,
-        batch_size=batch_size,
-    ):
-        for start in range(0, num_trials, batch_size):
-            trials = list(range(start, min(start + batch_size, num_trials)))
-            rngs = [trial_generator(base_seed, trial) for trial in trials]
-            for trial_outcomes in run_trial_block(
-                scenario, schemes, search_rate, rngs, trial_indices=trials
-            ):
-                outcomes.append(trial_outcomes)
-                reporter.update()
-    return outcomes
+    size = check_block_size(batch_trials)
+    for start in range(0, len(trials), size):
+        chunk = trials[start : start + size]
+        rngs = [trial_generator(base_seed, trial) for trial in chunk]
+        yield from run_trial_block(scenario, schemes, search_rate, rngs, chunk)

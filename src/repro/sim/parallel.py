@@ -11,14 +11,15 @@ It is the one trial executor behind campaign shards — run by the lease
 loop in-process or in launched worker processes — and behind
 :mod:`repro.obs.diff` replays.
 
-Determinism: trial ``k`` uses exactly the same per-trial generator as the
-serial runner, so a batch reproduces :func:`repro.sim.runner.run_trials`
+Determinism: trial ``k`` uses exactly the same per-trial generator as
+:func:`repro.sim.runner.run_trials`, so a batch reproduces it
 outcome-for-outcome no matter which process runs it.
 """
 
 from __future__ import annotations
 
 import functools
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,12 +35,13 @@ from repro.core.proposed import ProposedAlignment
 from repro.exceptions import ConfigurationError
 from repro.obs import MetricsRecorder, use_recorder
 from repro.obs.checkpoint import CheckpointSpec
-from repro.sim.batch import run_trial_block
+from repro.sim.batch import run_trial_blocks
 from repro.sim.config import ScenarioConfig
-from repro.sim.runner import TrialOutcome, run_trial
+# run_trial is no longer called here; perfbench's tracer test still looks
+# it up on this module to check that every binding gets wrapped.
+from repro.sim.runner import TrialOutcome, run_trial  # noqa: F401
 from repro.sim.scenario import Scenario
 from repro.types import BeamPair
-from repro.utils.rng import trial_generator
 
 __all__ = ["SchemeSpec", "ParallelOutcome", "SCHEME_BUILDERS"]
 
@@ -74,7 +76,7 @@ class SchemeSpec:
         return cls(name=name, params=tuple(sorted(params.items())))
 
     def build_factory(self):
-        """The channel-aware factory the serial runner expects."""
+        """The channel-aware factory the trial runner expects."""
         builder = SCHEME_BUILDERS[self.name]
         kwargs = dict(self.params)
         if self.name == "Genie":
@@ -150,41 +152,19 @@ def _run_trial_batch(
     recorder, whose metrics snapshot and flight-recorder checkpoint
     payloads come back once per block for the caller to merge.
 
-    ``batch_trials`` additionally routes the worker's trials through the
-    in-process batched engine (:func:`repro.sim.batch.run_trial_block`)
-    in blocks of that size — processes x stacked-array batches, still
-    outcome-identical to the serial runner.
+    ``batch_trials`` trials share one stacked channel block (``None``: one
+    trial per block) — still outcome-identical for any block size.
     """
     scenario = _scenario_for(config)
     schemes = {spec.name: spec.build_factory() for spec in specs}
-    batch_results: List[Dict[str, ParallelOutcome]] = []
-
-    def _run_all() -> None:
-        if batch_trials is not None:
-            for start in range(0, len(trial_indices), batch_trials):
-                chunk = trial_indices[start : start + batch_trials]
-                rngs = [trial_generator(base_seed, trial) for trial in chunk]
-                for outcomes in run_trial_block(
-                    scenario, schemes, search_rate, rngs, trial_indices=chunk
-                ):
-                    batch_results.append(_to_parallel(outcomes))
-            return
-        for trial_index in trial_indices:
-            outcomes = run_trial(
-                scenario,
-                schemes,
-                search_rate,
-                trial_generator(base_seed, trial_index),
-                trial_index=trial_index,
-            )
-            batch_results.append(_to_parallel(outcomes))
-
     inner = MetricsRecorder() if collect_metrics else None
     checkpointer = checkpoints.build(inner) if checkpoints is not None else None
     active = checkpointer if checkpointer is not None else inner
-    if active is not None:
-        with use_recorder(active):
-            _run_all()
-    else:
-        _run_all()
+    with use_recorder(active) if active is not None else nullcontext():
+        batch_results = [
+            _to_parallel(outcomes)
+            for outcomes in run_trial_blocks(
+                scenario, schemes, search_rate, base_seed, trial_indices, batch_trials
+            )
+        ]
     return batch_results, _worker_aux(inner, checkpointer)

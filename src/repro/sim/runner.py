@@ -27,7 +27,6 @@ from repro.measurement.measurer import MeasurementEngine
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.sim.metrics import PairEvaluation, evaluate_pair
 from repro.sim.scenario import Scenario
-from repro.utils.rng import labeled_spawn, trial_generator
 
 __all__ = ["AlgorithmFactory", "TrialOutcome", "standard_schemes", "run_trial", "run_trials"]
 
@@ -152,12 +151,8 @@ def _execute_schemes(
     search_rate: float,
     recorder,
 ) -> Dict[str, TrialOutcome]:
-    """Run every scheme against one channel realization (trial body).
-
-    Shared by the serial :func:`run_trial` and the batched engine in
-    :mod:`repro.sim.batch` — the scheme loop is identical in both, only
-    the channel/ground-truth preparation differs.
-    """
+    """Run every scheme against one channel realization (the scheme loop
+    of :func:`repro.sim.batch.run_trial_block`)."""
     outcomes: Dict[str, TrialOutcome] = {}
     for index, (name, factory) in enumerate(schemes.items()):
         engine_rng = scheme_rngs[2 * index]
@@ -211,36 +206,15 @@ def run_trial(
 ) -> Dict[str, TrialOutcome]:
     """One channel draw; every scheme aligns under the same budget.
 
+    A block of one trial (:func:`repro.sim.batch.run_trial_block`).
     ``trial_index`` scopes flight-recorder checkpoints (it never affects
     the computation); callers that know the trial's global index pass it
-    so digests from different engines compare at the same key.
+    so digests from different runs compare at the same key.
     """
-    if not schemes:
-        raise ConfigurationError("run_trial needs at least one scheme")
-    recorder = get_recorder()
-    shared = scenario.context()
-    with recorder.trial_scope(trial_index, search_rate):
-        with recorder.span("trial", search_rate=search_rate) as trial_span:
-            streams = labeled_spawn(rng, _stream_labels(schemes))
-            scheme_rngs = list(streams.values())[1:]
-            channel = scenario.sample_channel(streams["channel"])
-            # This both evaluates the trial's ground truth and warms the
-            # channel's codebook-coupling table that measure_pair reuses.
-            snr_matrix = channel.mean_snr_matrix(shared.tx_codebook, shared.rx_codebook)
-            if recorder.checkpoints_enabled:
-                _checkpoint_trial_setup(recorder, channel, snr_matrix)
-            outcomes = _execute_schemes(
-                scenario,
-                shared,
-                channel,
-                snr_matrix,
-                schemes,
-                scheme_rngs,
-                search_rate,
-                recorder,
-            )
-            trial_span.annotate(schemes=list(outcomes))
-    return outcomes
+    # Imported here: repro.sim.batch imports this module's scheme loop.
+    from repro.sim.batch import run_trial_block
+
+    return run_trial_block(scenario, schemes, search_rate, [rng], [trial_index])[0]
 
 
 def run_trials(
@@ -250,35 +224,38 @@ def run_trials(
     num_trials: int,
     base_seed: int = 0,
     progress: Optional[ProgressCallback] = None,
+    batch_trials: Optional[int] = None,
 ) -> List[Dict[str, TrialOutcome]]:
     """Independent trials with per-trial deterministic seeding.
 
     Trial ``k`` always sees the same channel for a given ``base_seed``
-    regardless of how many other trials run — experiments are resumable
-    and individually reproducible. ``progress``, if given, receives
-    throttled :class:`~repro.obs.ProgressEvent` updates with an ETA;
-    progress reporting never touches the trial RNG streams.
+    regardless of how many other trials run or how they are blocked —
+    experiments are resumable and individually reproducible.
+    ``batch_trials`` trials share one stacked channel block (``None``:
+    one trial per block). ``progress``, if given, receives throttled
+    :class:`~repro.obs.ProgressEvent` updates with an ETA; progress
+    reporting never touches the trial RNG streams.
     """
+    from repro.sim.batch import run_trial_blocks
+
     if num_trials < 1:
         raise ConfigurationError(f"num_trials must be >= 1, got {num_trials}")
     recorder = get_recorder()
     reporter = ProgressReporter(num_trials, progress, label="trials")
     logger.debug(
-        "run_trials: %d trials at rate %.3f (seed %d)", num_trials, search_rate, base_seed
+        "run_trials: %d trials at rate %.3f (seed %d, batch %s)",
+        num_trials,
+        search_rate,
+        base_seed,
+        batch_trials,
     )
     outcomes: List[Dict[str, TrialOutcome]] = []
     with recorder.span(
         "run_trials", num_trials=num_trials, search_rate=search_rate, base_seed=base_seed
     ):
-        for trial in range(num_trials):
-            outcomes.append(
-                run_trial(
-                    scenario,
-                    schemes,
-                    search_rate,
-                    trial_generator(base_seed, trial),
-                    trial_index=trial,
-                )
-            )
+        for trial_outcomes in run_trial_blocks(
+            scenario, schemes, search_rate, base_seed, range(num_trials), batch_trials
+        ):
+            outcomes.append(trial_outcomes)
             reporter.update()
     return outcomes

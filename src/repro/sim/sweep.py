@@ -93,9 +93,8 @@ def effectiveness_sweep(
     ``len(search_rates) * num_trials`` grid; it observes the sweep without
     touching its RNG streams, so results are identical with or without it.
 
-    ``batch_trials`` routes each rate's trials through the batched engine
-    (:func:`repro.sim.batch.run_trials_batched`) in blocks of that size;
-    seeded results are bit-identical to the serial path.
+    ``batch_trials`` trials share one stacked channel block (``None``: one
+    trial per block); seeded results are bit-identical for any block size.
 
     ``store`` (a :class:`~repro.campaign.ShardStore` or a directory path)
     routes the sweep through the checkpointed campaign scheduler: the
@@ -124,8 +123,6 @@ def effectiveness_sweep(
         raise ConfigurationError("need at least one search rate")
     if any(not 0.0 < rate <= 1.0 for rate in rates):
         raise ConfigurationError(f"search rates must be in (0, 1], got {rates}")
-    if batch_trials is not None and batch_trials < 1:
-        raise ConfigurationError(f"batch_trials must be >= 1, got {batch_trials}")
     recorder = get_recorder()
     reporter = ProgressReporter(len(rates) * num_trials, progress, label="sweep")
     logger.info(
@@ -147,27 +144,15 @@ def effectiveness_sweep(
                     reporter.report(base + event.done)
 
             with recorder.span("sweep.rate", search_rate=rate):
-                if batch_trials is not None:
-                    from repro.sim.batch import run_trials_batched
-
-                    trials = run_trials_batched(
-                        scenario,
-                        schemes,
-                        rate,
-                        num_trials,
-                        base_seed=base_seed,
-                        batch_size=batch_trials,
-                        progress=inner,
-                    )
-                else:
-                    trials = run_trials(
-                        scenario,
-                        schemes,
-                        rate,
-                        num_trials,
-                        base_seed=base_seed,
-                        progress=inner,
-                    )
+                trials = run_trials(
+                    scenario,
+                    schemes,
+                    rate,
+                    num_trials,
+                    base_seed=base_seed,
+                    progress=inner,
+                    batch_trials=batch_trials,
+                )
             for name in schemes:
                 losses[name].append([trial[name].loss_db for trial in trials])
     return EffectivenessSweep(search_rates=rates, losses=losses)

@@ -4,7 +4,7 @@ The batched engine (:mod:`repro.sim.batch` and the stacked kernels under
 it) is admissible for the same reason the hot-path caches are: it is
 *exact*. With a fixed seed, every outcome — down to the raw measurement
 samples and the solver's per-iteration history — must be bit-identical
-whether trials run serially or in one stacked block. This module pins
+whether trials run one per block or many to a stacked block. This module pins
 those guarantees down layer by layer: whole trial blocks, measurement
 fusion and the batched channel builder.
 """
@@ -23,7 +23,7 @@ from repro.exceptions import (
 )
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
-from repro.sim.batch import run_trial_block, run_trials_batched
+from repro.sim.batch import run_trial_block
 from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.rng import trial_generator
@@ -49,7 +49,7 @@ def _deep_fingerprint(trials):
 
 
 # ----------------------------------------------------------------------
-# End-to-end: batched trials vs the serial runner
+# End-to-end: stacked blocks vs blocks of one trial
 # ----------------------------------------------------------------------
 
 
@@ -60,13 +60,13 @@ class TestRunTrialsBatched:
             small_scenario, standard_schemes(measurements_per_slot=4), 0.3, 7,
             base_seed=41,
         )
-        batched = run_trials_batched(
+        batched = run_trials(
             small_scenario,
             standard_schemes(measurements_per_slot=4),
             0.3,
             7,
             base_seed=41,
-            batch_size=batch_size,
+            batch_trials=batch_size,
         )
         assert _deep_fingerprint(batched) == _deep_fingerprint(serial)
 
@@ -96,9 +96,9 @@ class TestRunTrialsBatched:
     def test_validation(self, small_scenario):
         schemes = standard_schemes(measurements_per_slot=4)
         with pytest.raises(ConfigurationError):
-            run_trials_batched(small_scenario, schemes, 0.3, 0)
-        with pytest.raises(ConfigurationError):
-            run_trials_batched(small_scenario, schemes, 0.3, 2, batch_size=0)
+            run_trials(small_scenario, schemes, 0.3, 0, batch_trials=2)
+        with pytest.raises(ConfigurationError, match=r"^batch_trials must be >= 1, got 0$"):
+            run_trials(small_scenario, schemes, 0.3, 2, batch_trials=0)
 
 # ----------------------------------------------------------------------
 # Measurement fusion

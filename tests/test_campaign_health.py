@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 import time
 
 import pytest
@@ -83,16 +84,18 @@ class TestCampaignHealth:
         assert all(b["status"] == "done" for b in beats.values())
 
     def test_heartbeats_opt_out(self, plan, store):
-        run_campaign(plan, store, heartbeats=False)
+        run_campaign(plan, store)
+        shutil.rmtree(store.heartbeat_root)
         assert store.read_heartbeats(plan.digest) == {}
         # Health still classifies from artifacts alone.
         assert campaign_health(plan, store).complete
 
     def test_heartbeats_never_touch_artifacts(self, plan, store, tmp_path):
-        """Artifact bytes are identical with heartbeats on or off."""
-        run_campaign(plan, store, heartbeats=True)
+        """Artifact bytes are identical with or without the heartbeats."""
+        run_campaign(plan, store)
         silent = ShardStore(tmp_path / "silent")
-        run_campaign(plan, silent, heartbeats=False)
+        run_campaign(plan, silent)
+        shutil.rmtree(silent.heartbeat_root)
         for shard in plan.shards:
             with_beats = store.shard_path(shard.digest).read_bytes()
             without = silent.shard_path(shard.digest).read_bytes()

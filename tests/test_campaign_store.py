@@ -78,7 +78,7 @@ class TestShardArtifacts:
         plan = plan_effectiveness_sweep(
             small_config, specs, [0.2], 2, base_seed=7, shard_trials=1
         )
-        run_campaign(plan, store, heartbeats=False)
+        run_campaign(plan, store)
         fresh = assemble_effectiveness_sweep(plan, store)
         for shard in plan.shards:
             path = store.shard_path(shard.digest)
@@ -91,7 +91,7 @@ class TestShardArtifacts:
             for shard in plan.shards
         }
         assert all(store.classify(shard) == "done" for shard in plan.shards)
-        report = run_campaign(plan, store, heartbeats=False)
+        report = run_campaign(plan, store)
         assert report.executed == 0
         assert report.skipped == len(plan.shards)
         for shard in plan.shards:

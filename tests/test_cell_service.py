@@ -256,14 +256,34 @@ class TestServe:
         assert report.plan.digest in rendered
 
     def test_negative_batch_users_rejected_before_scheduling(self, monkeypatch):
-        import repro.cell.service as service
+        import repro.cell.scheduler as scheduler
+        from repro.cell.shards import _schedule_for
 
-        def no_schedule(config):
+        def no_schedule(*args):
             raise AssertionError("the schedule must not be built")
 
-        monkeypatch.setattr(service, "build_schedule", no_schedule)
+        monkeypatch.setattr(scheduler, "schedule_airtime", no_schedule)
+        _schedule_for.cache_clear()
         with pytest.raises(ConfigurationError, match=r"^batch_users must be >= 0, got -4$"):
             serve_cell(small_cell(), batch_users=-4)
+
+    def test_one_serve_builds_the_schedule_once(self, monkeypatch):
+        """Planning and summarizing share one schedule (every
+        ``build_schedule`` call runs ``schedule_airtime`` once)."""
+        import repro.cell.scheduler as scheduler
+        from repro.cell.shards import _schedule_for
+
+        calls = []
+        real = scheduler.schedule_airtime
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(scheduler, "schedule_airtime", counting)
+        _schedule_for.cache_clear()
+        serve_cell(small_cell(), batch_users=8)
+        assert len(calls) == 1
 
     def test_execute_ues_rejects_negative_batch_users(self):
         from repro.cell.engine import execute_ues

@@ -532,7 +532,7 @@ class TestCellCli:
     def test_summary_byte_identical_across_modes(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(self.QUICK + ["--summary", str(a)]) == 0
-        assert main(self.QUICK + ["--serial", "--summary", str(b)]) == 0
+        assert main(self.QUICK + ["--batch-users", "1", "--summary", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
@@ -643,6 +643,36 @@ class TestErrorLines:
         err = capsys.readouterr().err
         assert err.startswith("repro: error: ")
         assert err.count("\n") == 1
+
+    def test_one_error_line_in_a_fresh_interpreter(self, tmp_path):
+        """Without pytest's log capture, the lease loop's retry warnings
+        must not reach stderr through Python's last-resort handler."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        argv = ["cell", "serve", "--quick", "--users", "8", "--store", str(tmp_path / "s")]
+        script = (
+            "import sys\n"
+            "from repro.cell.shards import CellShard\n"
+            "def fail(self, batch_trials):\n"
+            "    raise RuntimeError('injected cell shard failure')\n"
+            "CellShard.execute = fail\n"
+            "from repro.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("repro: error: ")
+        assert done.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     @pytest.mark.parametrize(

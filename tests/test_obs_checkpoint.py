@@ -37,7 +37,6 @@ from repro.obs import (
     use_recorder,
 )
 from repro.obs.checkpoint import CheckpointEvent, PerturbationSpec
-from repro.sim.batch import run_trials_batched
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trial, run_trials
 from repro.utils.rng import labeled_spawn, spawn, trial_generator
@@ -89,13 +88,13 @@ class TestEngineInvariance:
         recorder = CheckpointRecorder()
         with use_recorder(recorder):
             for rate in RATES:
-                run_trials_batched(
+                run_trials(
                     small_scenario,
                     _schemes(),
                     rate,
                     TRIALS,
                     base_seed=SEED,
-                    batch_size=batch_size,
+                    batch_trials=batch_size,
                 )
         assert _signature(recorder.events) == serial_signature
 

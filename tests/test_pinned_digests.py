@@ -40,7 +40,6 @@ from repro.estimation.ml_covariance import estimate_ml_covariance
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.obs import CheckpointRecorder, use_recorder
-from repro.sim.batch import run_trials_batched
 from repro.sim.config import ChannelKind, ScenarioConfig
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import run_trials
@@ -87,20 +86,17 @@ def _events_digest(events) -> str:
     return hasher.hexdigest()
 
 
-def sweep_checkpoint_digest(batch_size=None) -> str:
+def sweep_checkpoint_digest(batch_trials=None) -> str:
     """Run the tiny sweep under a flight recorder; digest its events."""
     scenario = Scenario(_config())
     schemes = {spec.name: spec.build_factory() for spec in SPECS}
     recorder = CheckpointRecorder()
     with use_recorder(recorder):
         for rate in RATES:
-            if batch_size is None:
-                run_trials(scenario, schemes, rate, TRIALS, base_seed=SEED)
-            else:
-                run_trials_batched(
-                    scenario, schemes, rate, TRIALS, base_seed=SEED,
-                    batch_size=batch_size,
-                )
+            run_trials(
+                scenario, schemes, rate, TRIALS, base_seed=SEED,
+                batch_trials=batch_trials,
+            )
     assert recorder.events
     return _events_digest(recorder.events)
 
@@ -112,7 +108,7 @@ def shard_spec_digest() -> str:
     return plan.shards[1].digest
 
 
-def cell_summary_digest() -> str:
+def cell_summary_digest(batch_users) -> str:
     config = CellConfig(
         scenario=ScenarioConfig(
             tx_shape=(2, 2), rx_shape=(2, 4), rx_beam_grid=(3, 3), fading_blocks=4
@@ -123,7 +119,7 @@ def cell_summary_digest() -> str:
         probe_budget_per_frame=16,
         interference_coupling=0.2,
     )
-    report = serve_cell(config, batch_users=8)
+    report = serve_cell(config, batch_users=batch_users)
     canonical = dumps(summary_payload(report)).encode("utf-8")
     return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
@@ -244,13 +240,15 @@ class TestPinnedDigests:
         assert sweep_checkpoint_digest() == SWEEP_CHECKPOINT_DIGEST
 
     def test_batched_sweep_checkpoints(self, environment):
-        assert sweep_checkpoint_digest(batch_size=2) == SWEEP_CHECKPOINT_DIGEST
+        for batch_trials in (1, 2, 4):
+            assert sweep_checkpoint_digest(batch_trials) == SWEEP_CHECKPOINT_DIGEST
 
     def test_shard_spec_digest(self, environment):
         assert shard_spec_digest() == SHARD_SPEC_DIGEST
 
     def test_cell_summary_digest(self, environment):
-        assert cell_summary_digest() == CELL_SUMMARY_DIGEST
+        for batch_users in (None, 1, 8):
+            assert cell_summary_digest(batch_users) == CELL_SUMMARY_DIGEST
 
     def test_ml_solver_digest(self, environment):
         assert ml_solver_digest() == ML_SOLVER_DIGEST
