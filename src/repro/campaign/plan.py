@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.sim.parallel import SchemeSpec
-from repro.utils.serialization import memoized_digest
+from repro.utils.serialization import canonical_form, canonical_json, memoized_digest
 
 __all__ = [
     "DEFAULT_SHARD_TRIALS",
@@ -106,11 +106,10 @@ class ShardSpec:
         """Scheme names in execution order."""
         return [spec.name for spec in self.schemes]
 
-    def spec_payload(self) -> Dict[str, Any]:
-        """The canonical, JSON-serializable description of this shard."""
+    def spec_head(self) -> Dict[str, Any]:
+        """:meth:`spec_payload` without its ``config`` block."""
         return {
             "schema": SHARD_SCHEMA,
-            "config": self.config.to_dict(),
             "schemes": [
                 {"name": spec.name, "params": dict(spec.params)}
                 for spec in self.schemes
@@ -121,6 +120,26 @@ class ShardSpec:
             "trial_count": self.trial_count,
         }
 
+    def spec_payload(self) -> Dict[str, Any]:
+        """The canonical, JSON-serializable description of this shard."""
+        return {**self.spec_head(), "config": self.config.to_dict()}
+
+    def canonical_spec(self) -> str:
+        """:meth:`spec_payload` as canonical JSON text, the bytes
+        :attr:`digest` hashes.
+
+        The config's text comes from the per-value cache, so a plan's
+        shards encode their shared config once. The text is kept on the
+        instance like :attr:`digest` (the plan digest hashes it too).
+        """
+        text = self.__dict__.get("_canonical")
+        if text is None:
+            text = canonical_json(
+                self.spec_head(), {"config": canonical_form(self.config)[1]}
+            )
+            object.__setattr__(self, "_canonical", text)
+        return text
+
     @property
     def digest(self) -> str:
         """Content address of this shard (blake2b of the canonical spec).
@@ -128,7 +147,7 @@ class ShardSpec:
         Computed once per instance: the worker loop, leases, heartbeats
         and store paths all ask for it.
         """
-        return memoized_digest(self, "_digest", self.spec_payload)
+        return memoized_digest(self, "_digest", self.canonical_spec)
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ShardSpec":
@@ -173,9 +192,11 @@ class CampaignPlan:
     def digest(self) -> str:
         """Content address of the whole plan (used as the manifest key).
 
-        Computed once per instance, like :attr:`ShardSpec.digest`.
+        ``content_digest(self.payload())``, hashed from the shards'
+        canonical texts rather than from a second walk of the payload;
+        computed once per instance, like :attr:`ShardSpec.digest`.
         """
-        return memoized_digest(self, "_digest", self.payload)
+        return memoized_digest(self, "_digest", self._canonical_payload)
 
     def schemes(self) -> Tuple[SchemeSpec, ...]:
         """The scheme specs shared by every shard."""
@@ -185,13 +206,22 @@ class CampaignPlan:
         """The shards covering one search rate, in trial order."""
         return [shard for shard in self.shards if shard.search_rate == rate]
 
-    def payload(self) -> Dict[str, Any]:
-        """JSON-serializable manifest of the plan (shards by reference)."""
+    def _head(self) -> Dict[str, Any]:
         return {
             "schema": PLAN_SCHEMA,
             "search_rates": list(self.search_rates),
             "num_trials": self.num_trials,
             "base_seed": self.base_seed,
+        }
+
+    def _canonical_payload(self) -> str:
+        shards = ",".join(shard.canonical_spec() for shard in self.shards)
+        return canonical_json(self._head(), {"shards": f"[{shards}]"})
+
+    def payload(self) -> Dict[str, Any]:
+        """JSON-serializable manifest of the plan (shards by reference)."""
+        return {
+            **self._head(),
             "shards": [shard.spec_payload() for shard in self.shards],
         }
 

@@ -28,7 +28,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.campaign.plan import PLAN_SCHEMA, SHARD_SCHEMA, CampaignPlan, ShardSpec
 from repro.obs import get_logger
-from repro.utils.serialization import dump, load
+from repro.utils.serialization import canonical_form, dump, load
 from repro.version import __version__
 
 __all__ = ["ShardStore", "ShardArtifactStatus", "HEARTBEAT_SCHEMA"]
@@ -96,17 +96,18 @@ class ShardStore:
             )
         digest = shard.digest
         path = self.shard_path(digest)
+        config = canonical_form(shard.config)[0]
         provenance = {
             "schema": SHARD_SCHEMA,
             "code_version": __version__,
             "base_seed": shard.base_seed,
-            "config": shard.config.to_dict(),
+            "config": config,
         }
         payload = {
             "kind": "campaign-shard-v1",
             "digest": digest,
             "provenance": provenance,
-            "spec": shard.spec_payload(),
+            "spec": {**shard.spec_head(), "config": config},
             "result": {"losses": losses},
         }
         if digests is not None:

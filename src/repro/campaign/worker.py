@@ -284,6 +284,7 @@ def run_worker(
 
     executed = skipped = retry_count = conflicts = discarded = 0
     done_trials = 0
+    primed = False
     resolved: set = set()  # digests done/absorbed (by anyone) or failed here
     failed: List[str] = []
 
@@ -443,10 +444,6 @@ def run_worker(
         num_shards=len(plan.shards),
         **lane_attrs,
     ) as worker_span:
-        if plan.shards:
-            # Prime the scenario context *before* claiming anything, so
-            # codebook construction never eats into a held lease's TTL.
-            _scenario_for(plan.shards[0].scenario_config)
         try:
             budget_spent = False
             while len(resolved) < len(plan.shards) and not budget_spent:
@@ -477,6 +474,13 @@ def run_worker(
                         skip(shard)
                         progressed = True
                         continue
+                    if not primed:
+                        # Build the scenario right before the first claim:
+                        # codebook construction never eats into a held
+                        # lease's TTL, and a worker that claims nothing
+                        # (every shard already done) builds nothing.
+                        _scenario_for(shard.scenario_config)
+                        primed = True
                     prior_takeovers = lease.takeovers
                     if not lease.acquire(shard.digest):
                         conflicts += 1

@@ -33,7 +33,7 @@ if TYPE_CHECKING:
         poisson_arrivals,
     )
     from repro.cell.config import DEFAULT_CELL_SEED, CellConfig
-    from repro.cell.engine import UE_STREAM_LABELS, UEOutcome, execute_ues, ue_streams
+    from repro.cell.engine import UE_STREAM_LABELS, UEOutcome, execute_ues
     from repro.cell.metrics import UERecord, merge_records, summarize_records
     from repro.cell.scheduler import (
         CellSchedule,
@@ -55,6 +55,7 @@ if TYPE_CHECKING:
         CellPlan,
         CellShard,
         plan_cell,
+        plan_cell_from_payload,
     )
 
 __all__ = [
@@ -82,13 +83,13 @@ __all__ = [
     "execute_ues",
     "merge_records",
     "plan_cell",
+    "plan_cell_from_payload",
     "poisson_arrivals",
     "render_cell_report",
     "schedule_airtime",
     "serve_cell",
     "summarize_records",
     "summary_payload",
-    "ue_streams",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
@@ -108,7 +109,6 @@ __getattr__, __dir__ = lazy_namespace(
             "UE_STREAM_LABELS",
             "UEOutcome",
             "execute_ues",
-            "ue_streams",
         ),
         "repro.cell.metrics": ("UERecord", "merge_records", "summarize_records"),
         "repro.cell.scheduler": (
@@ -130,7 +130,8 @@ __getattr__, __dir__ = lazy_namespace(
             "DEFAULT_SHARD_UES",
             "CellPlan",
             "CellShard",
-                    "plan_cell",
-                ),
+            "plan_cell",
+            "plan_cell_from_payload",
+        ),
     },
 )

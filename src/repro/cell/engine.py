@@ -32,12 +32,11 @@ from repro.obs import get_logger
 from repro.sim.batch import check_block_size, draw_block
 from repro.sim.metrics import evaluate_pair
 from repro.sim.scenario import Scenario
-from repro.utils.rng import labeled_spawn, trial_generator
+from repro.utils.rng import trial_generator
 
 __all__ = [
     "UE_STREAM_LABELS",
     "UEOutcome",
-    "ue_streams",
     "interference_probability",
     "execute_ues",
 ]
@@ -61,11 +60,6 @@ class UEOutcome:
     measurements_used: int
     interference_probability: float
     interference_hits: int
-
-
-def ue_streams(base_seed: int, ue_id: int) -> Dict[str, np.random.Generator]:
-    """UE ``k``'s labeled streams (trial ``k`` of the seeding contract)."""
-    return labeled_spawn(trial_generator(base_seed, ue_id), UE_STREAM_LABELS)
 
 
 def interference_probability(config: CellConfig, entry: UESchedule) -> float:

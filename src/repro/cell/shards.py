@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cell.config import CellConfig
 from repro.cell.engine import execute_ues
@@ -32,7 +32,7 @@ from repro.exceptions import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.sim.parallel import _scenario_for
 from repro.sim.scenario import Scenario
-from repro.utils.serialization import memoized_digest
+from repro.utils.serialization import canonical_form, canonical_json, memoized_digest
 
 __all__ = [
     "CELL_SHARD_KIND",
@@ -41,6 +41,7 @@ __all__ = [
     "CellShard",
     "CellPlan",
     "plan_cell",
+    "plan_cell_from_payload",
 ]
 
 #: Artifact kind of one executed cell shard in the store.
@@ -95,19 +96,24 @@ class CellShard:
     def scenario_config(self) -> ScenarioConfig:
         return self.config.scenario
 
-    def spec_payload(self) -> dict:
-        """The canonical spec the digest is computed over."""
+    def spec_head(self) -> dict:
+        """:meth:`spec_payload` without its ``config`` block."""
         return {
             "schema": CELL_PLAN_SCHEMA,
-            "config": self.config.to_dict(),
             "ue_start": self.ue_start,
             "ue_count": self.ue_count,
         }
 
+    def spec_payload(self) -> dict:
+        """The canonical spec the digest is computed over."""
+        return {**self.spec_head(), "config": self.config.to_dict()}
+
     @property
     def digest(self) -> str:
         """Content address of this shard, computed once per instance."""
-        return memoized_digest(self, "_digest", self.spec_payload)
+        return memoized_digest(
+            self, "_digest", lambda: _canonical(self.config, self.spec_head())
+        )
 
     def execute(
         self,
@@ -172,7 +178,14 @@ class CellPlan:
     @property
     def digest(self) -> str:
         """Content address of the plan (the manifest key), computed once."""
-        return memoized_digest(self, "_digest", self.payload)
+        return memoized_digest(
+            self,
+            "_digest",
+            lambda: _canonical(
+                self.config,
+                {"schema": CELL_PLAN_SCHEMA, "shards": self._shard_entries()},
+            ),
+        )
 
     @property
     def config_digest(self) -> str:
@@ -187,23 +200,32 @@ class CellPlan:
         return memoized_digest(
             self,
             "_config_digest",
-            lambda: {"schema": CELL_PLAN_SCHEMA, "config": self.config.to_dict()},
+            lambda: _canonical(self.config, {"schema": CELL_PLAN_SCHEMA}),
         )
+
+    def _shard_entries(self) -> List[dict]:
+        return [
+            {
+                "ue_start": shard.ue_start,
+                "ue_count": shard.ue_count,
+                "digest": shard.digest,
+            }
+            for shard in self.shards
+        ]
 
     def payload(self) -> dict:
         """Manifest payload; ``shards[*].digest`` keeps gc retention."""
         return {
             "schema": CELL_PLAN_SCHEMA,
             "config": self.config.to_dict(),
-            "shards": [
-                {
-                    "ue_start": shard.ue_start,
-                    "ue_count": shard.ue_count,
-                    "digest": shard.digest,
-                }
-                for shard in self.shards
-            ],
+            "shards": self._shard_entries(),
         }
+
+
+def _canonical(config: CellConfig, fields: dict) -> str:
+    """Canonical text of ``{**fields, "config": config}``; the config's
+    text comes from the per-value cache."""
+    return canonical_json(fields, {"config": canonical_form(config)[1]})
 
 
 def plan_cell(config: CellConfig, shard_ues: int = DEFAULT_SHARD_UES) -> CellPlan:
@@ -229,3 +251,23 @@ def plan_cell(config: CellConfig, shard_ues: int = DEFAULT_SHARD_UES) -> CellPla
         for start in range(0, admitted, shard_ues)
     )
     return CellPlan(config=config, shards=shards)
+
+
+def plan_cell_from_payload(payload: Mapping[str, Any]) -> CellPlan:
+    """Rebuild a cell plan from its :meth:`CellPlan.payload` manifest.
+
+    The config comes back through :meth:`CellConfig.from_dict` and the
+    partition through :func:`plan_cell` at the first shard's size. The
+    result is the recorded plan only when its :attr:`~CellPlan.digest`
+    equals the manifest's key, which the caller checks.
+    """
+    if payload.get("schema") != CELL_PLAN_SCHEMA:
+        raise ConfigurationError(
+            f"unsupported cell plan schema {payload.get('schema')!r}"
+        )
+    shards = payload.get("shards")
+    if not isinstance(shards, list) or not shards:
+        raise ConfigurationError("cell plan manifest lists no shards")
+    return plan_cell(
+        CellConfig.from_dict(payload["config"]), shard_ues=int(shards[0]["ue_count"])
+    )

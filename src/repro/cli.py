@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker_cmd = campaign_sub.add_parser(
         "worker",
-        help="run one lease-based worker against a plan recorded in the store",
+        help="run one lease-based worker against a campaign or cell plan recorded in the store",
     )
     worker_cmd.add_argument(
         "plan", nargs="?", default=None, metavar="PLAN",
@@ -879,9 +879,40 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
     return _finish_campaign(args, config, plan, store)
 
 
+def _stored_plans(store) -> dict:
+    """Every plan recorded in ``store`` a worker can run, by digest.
+
+    Campaign plans come from :meth:`ShardStore.load_manifests`. A cell
+    plan is rebuilt from its manifest and kept only when the rebuilt
+    plan's digest is the manifest's key, so a worker never runs shards
+    the manifest does not name.
+    """
+    from repro.cell.shards import CELL_PLAN_SCHEMA, plan_cell_from_payload
+    from repro.exceptions import ReproError
+
+    plans = dict(store.load_manifests())
+    for digest, payload in store.manifest_payloads().items():
+        if payload.get("schema") != CELL_PLAN_SCHEMA:
+            continue
+        try:
+            plan = plan_cell_from_payload(payload)
+        except (ReproError, KeyError, TypeError, ValueError) as error:
+            logger.warning("skipping invalid cell plan manifest %s: %s", digest, error)
+            continue
+        if plan.digest != digest:
+            logger.warning(
+                "skipping cell plan manifest %s: it rebuilds to plan %s",
+                digest[:12],
+                plan.digest[:12],
+            )
+            continue
+        plans[digest] = plan
+    return plans
+
+
 def _resolve_stored_plan(store, token):
     """Find one recorded plan by digest prefix (or the sole manifest)."""
-    manifests = store.load_manifests()
+    manifests = _stored_plans(store)
     if not manifests:
         raise CampaignError(f"no campaign manifests recorded in {store.root}")
     if token is None:

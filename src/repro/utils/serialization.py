@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Dict, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,9 +31,18 @@ __all__ = [
     "dump",
     "loads",
     "load",
+    "canonical_json",
+    "canonical_form",
     "content_digest",
     "memoized_digest",
 ]
+
+
+#: Types :func:`to_jsonable` returns as they are, checked first.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: The canonical encoding: sorted keys, no whitespace.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def to_jsonable(value: Any) -> Any:
@@ -42,6 +52,12 @@ def to_jsonable(value: Any) -> Any:
     ``{"real": [...], "imag": [...]}``), mappings, and sequences. Values
     that are already JSON-native pass through unchanged.
     """
+    if type(value) in _JSON_SCALARS:  # exact types: np.float64 is a float
+        return value
+    if isinstance(value, dict):
+        return {str(key): to_jsonable(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, set)):
+        return [to_jsonable(item) for item in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: to_jsonable(getattr(value, field.name))
@@ -64,10 +80,6 @@ def to_jsonable(value: Any) -> Any:
         return bool(value)
     if isinstance(value, complex):
         return {"real": value.real, "imag": value.imag}
-    if isinstance(value, dict):
-        return {str(key): to_jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set)):
-        return [to_jsonable(item) for item in value]
     if isinstance(value, Path):
         return str(value)
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -113,20 +125,72 @@ def dump(value: Any, path: Union[str, Path], indent: int = 2) -> None:
         raise
 
 
-def content_digest(payload: Any) -> str:
-    """blake2b-16 hex digest of ``payload`` as canonical JSON.
+def canonical_json(payload: Any, encoded: Optional[Mapping[str, str]] = None) -> str:
+    """The canonical JSON text of ``payload``: the bytes content addresses hash.
 
     Canonical means sorted keys, no whitespace and native types (via
-    :func:`to_jsonable`), so equal payloads hash equally in any process.
-    This is the content address of campaign and cell shards and plans.
+    :func:`to_jsonable`), so equal payloads encode equally in any process.
+    ``encoded`` maps further top-level keys of a mapping ``payload`` to
+    values that are already canonical text (a config's, from
+    :func:`canonical_form`); the result is the text of the merged
+    mapping, and those values are not walked again.
     """
-    canonical = json.dumps(to_jsonable(payload), sort_keys=True, separators=(",", ":"))
+    if not encoded:
+        return _CANONICAL.encode(to_jsonable(payload))
+    items = to_jsonable(payload)
+    parts: List[str] = []
+    run: Dict[str, Any] = {}  # consecutive plain items, encoded in one call
+    for key in sorted({*items, *encoded}):
+        if key not in encoded:
+            run[key] = items[key]
+            continue
+        if run:
+            parts.append(_CANONICAL.encode(run)[1:-1])
+            run = {}
+        parts.append(f"{json.dumps(key)}:{encoded[key]}")
+    if run:
+        parts.append(_CANONICAL.encode(run)[1:-1])
+    return "{" + ",".join(parts) + "}"
+
+
+@functools.lru_cache(maxsize=64)
+def _encode(value: Any, type_key: str) -> Tuple[Any, str]:
+    # ``type_key`` (the value's repr) only takes part in the cache key.
+    jsonable = to_jsonable(value)
+    return jsonable, canonical_json(jsonable)
+
+
+def canonical_form(value: Any) -> Tuple[Any, str]:
+    """``(to_jsonable(value), canonical_json(value))``, once per distinct value.
+
+    For hashable values such as the frozen scenario and cell configs that
+    every shard of a plan repeats. The cache is per process, and its key
+    is the value together with its ``repr``: equal values can encode
+    differently (``snr_db=20`` equals ``snr_db=20.0``), while equal but
+    distinct configs, such as those of a plan rebuilt from a manifest,
+    share one entry. The jsonable form is shared: read it, never mutate it.
+    """
+    return _encode(value, repr(value))
+
+
+def _text_digest(canonical: str) -> str:
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def memoized_digest(instance: Any, key: str, payload: Callable[[], Any]) -> str:
-    """``content_digest(payload())``, computed once per ``instance``.
+def content_digest(payload: Any) -> str:
+    """blake2b-16 hex digest of ``payload`` as canonical JSON.
 
+    This is the content address of campaign and cell shards and plans,
+    and the reference the cached encodings are checked against.
+    """
+    return _text_digest(canonical_json(payload))
+
+
+def memoized_digest(instance: Any, key: str, canonical: Callable[[], str]) -> str:
+    """The digest of the canonical text ``canonical()``, once per ``instance``.
+
+    ``canonical`` must return ``canonical_json(payload)`` for the
+    instance's payload, so the result equals ``content_digest(payload)``.
     For frozen dataclasses whose digest is a pure function of their
     fields. The value is kept in ``instance.__dict__[key]`` (set with
     ``object.__setattr__``), outside the dataclass fields, so equality,
@@ -137,7 +201,7 @@ def memoized_digest(instance: Any, key: str, payload: Callable[[], Any]) -> str:
     """
     memo = instance.__dict__.get(key)
     if memo is None:
-        memo = content_digest(payload())
+        memo = _text_digest(canonical())
         object.__setattr__(instance, key, memo)
     return memo
 

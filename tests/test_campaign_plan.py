@@ -16,10 +16,19 @@ from repro.campaign.plan import (
     plan_from_payload,
     standard_scheme_specs,
 )
+from repro.cell.config import CellConfig
+from repro.cell.shards import plan_cell, plan_cell_from_payload
+from repro.channel.clusters import ClusterParams
 from repro.exceptions import ConfigurationError
+from repro.sim.config import ChannelKind
 from repro.sim.parallel import SchemeSpec
 from repro.sim.runner import standard_schemes
-from repro.utils.serialization import content_digest, to_jsonable
+from repro.utils.serialization import (
+    canonical_form,
+    canonical_json,
+    content_digest,
+    to_jsonable,
+)
 
 
 @pytest.fixture
@@ -180,6 +189,102 @@ class TestDigestMemo:
             assert memoized.digest
             assert observed(memoized) == before == observed(untouched)
             assert memoized == untouched
+
+
+#: A cluster generator far from the defaults, so a cached encoding of
+#: the default config could not pass for it.
+WIDE_CLUSTERS = ClusterParams(
+    mean_clusters=3.5,
+    max_clusters=9,
+    power_decay_exponent=1.5,
+    power_shadowing_db=0.0,
+    subpaths_per_cluster=3,
+    azimuth_spread_deg=12.5,
+    elevation_spread_deg=1.0,
+    azimuth_sine_range=(-0.7, 0.95),
+    elevation_sine_range=(-0.25, 0.5),
+)
+
+
+class TestDigestsMatchTheReferenceEncoding:
+    """Every cached-encoding digest equals ``content_digest(payload())``."""
+
+    @pytest.fixture(
+        params=[
+            (channel, clusters)
+            for channel in ChannelKind
+            for clusters in (ClusterParams(), WIDE_CLUSTERS)
+        ],
+        ids=lambda param: f"{param[0].value}-{param[1].mean_clusters}",
+    )
+    def config(self, request, small_config):
+        channel, clusters = request.param
+        return dataclasses.replace(
+            small_config, channel=channel, cluster_params=clusters
+        )
+
+    @pytest.mark.parametrize("shard_trials", [1, 2, 8])
+    def test_campaign_plans(self, config, shard_trials):
+        specs = (
+            SchemeSpec.of("Random"),
+            SchemeSpec.of("Proposed", measurements_per_slot=4, exploration=0.125),
+        )
+        plan = plan_effectiveness_sweep(
+            config, specs, (0.05, 0.2), 9, base_seed=5, shard_trials=shard_trials
+        )
+        rebuilt = plan_from_payload(plan.payload())
+        assert rebuilt.shards[0].config is not plan.shards[0].config
+        for candidate in (plan, rebuilt):
+            assert candidate.digest == content_digest(candidate.payload())
+            for shard in candidate.shards:
+                assert shard.canonical_spec() == canonical_json(shard.spec_payload())
+                assert shard.digest == content_digest(shard.spec_payload())
+        assert rebuilt.digest == plan.digest
+
+    @pytest.mark.parametrize("shard_ues", [1, 2, 8])
+    def test_cell_plans(self, config, shard_ues):
+        cell = CellConfig(
+            scenario=config,
+            num_users=9,
+            arrival_rate_hz=5000.0,
+            search_rate=0.25,
+            scheme=SchemeSpec.of("Proposed", measurements_per_slot=4),
+            probe_budget_per_frame=16,
+        )
+        plan = plan_cell(cell, shard_ues=shard_ues)
+        rebuilt = plan_cell_from_payload(plan.payload())
+        assert rebuilt.config is not plan.config
+        for candidate in (plan, rebuilt):
+            assert candidate.digest == content_digest(candidate.payload())
+            assert candidate.config_digest == content_digest(
+                {"schema": "repro.cell.plan/1", "config": candidate.config.to_dict()}
+            )
+            for shard in candidate.shards:
+                assert shard.digest == content_digest(shard.spec_payload())
+        assert rebuilt.digest == plan.digest
+
+    def test_equal_configs_that_encode_differently_keep_their_digests(
+        self, small_config, specs
+    ):
+        """``snr_db=20`` equals ``snr_db=20.0`` but is written as ``20``."""
+        as_int = dataclasses.replace(small_config, snr_db=20)
+        as_float = dataclasses.replace(small_config, snr_db=20.0)
+        assert as_int == as_float and hash(as_int) == hash(as_float)
+        digests = set()
+        for config in (as_float, as_int, as_float):
+            assert canonical_form(config)[0] == config.to_dict()
+            shard = ShardSpec(config, specs, 0.2, 0, 0, 1)
+            assert shard.digest == content_digest(shard.spec_payload())
+            digests.add(shard.digest)
+        assert len(digests) == 2
+
+    def test_spliced_text_matches_the_merged_payload(self):
+        head = {"b": [1, 2.5], "z": {"y": None, "x": "\u00e9"}, 3: True}
+        inner = {"k": (1, 2), "a": 0.1}
+        assert canonical_json(head, {"m": canonical_json(inner)}) == canonical_json(
+            {**head, "m": inner}
+        )
+        assert canonical_json(head, {}) == canonical_json(head)
 
 
 class TestStandardSchemeSpecs:

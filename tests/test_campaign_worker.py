@@ -170,6 +170,47 @@ class TestRunWorker:
         assert all(s["attrs"]["worker_id"] == "w1" for s in shard_spans)
 
 
+class TestScenarioPriming:
+    """A worker builds the scenario right before its first claim, only."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.campaign.worker as worker
+
+        calls = []
+        prime = worker._scenario_for
+        acquire = LeaseManager.acquire
+
+        def counted_prime(config):
+            calls.append("prime")
+            return prime(config)
+
+        def counted_acquire(self, digest):
+            calls.append("acquire")
+            return acquire(self, digest)
+
+        monkeypatch.setattr(worker, "_scenario_for", counted_prime)
+        monkeypatch.setattr(LeaseManager, "acquire", counted_acquire)
+        return calls
+
+    def test_complete_store_builds_nothing(self, plan, store, calls):
+        run_campaign(plan, store)
+        calls.clear()
+        report = run_worker(plan, store, worker_id="w0")
+        assert report.skipped == len(plan.shards)
+        assert calls == []
+
+    @pytest.mark.parametrize("claim_batch", [1, 3])
+    def test_fresh_store_primes_once_before_the_first_claim(
+        self, plan, store, calls, claim_batch
+    ):
+        report = run_worker(plan, store, worker_id="w0", claim_batch=claim_batch)
+        assert report.executed == len(plan.shards)
+        assert calls.count("prime") == 1
+        assert calls[:2] == ["prime", "acquire"]
+        assert calls.count("acquire") == len(plan.shards)
+
+
 class TestLeaseContention:
     def test_two_workers_partition_the_plan(self, plan, store, tmp_path):
         reports = [None, None]

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.cell.config import CellConfig
-from repro.cell.engine import execute_ues, interference_probability, ue_streams
+from repro.cell.engine import UE_STREAM_LABELS, execute_ues, interference_probability
 from repro.cell.scheduler import build_schedule
+from repro.sim.batch import draw_block
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import Scenario
 from repro.utils.rng import trial_generator
@@ -30,19 +31,31 @@ def small_cell(**overrides) -> CellConfig:
 
 
 class TestUEStreams:
+    LABELS = ("channel", "measurement", "algorithm")
+
+    def _block(self, *ue_ids):
+        scenario = Scenario(small_cell().scenario)
+        rngs = [trial_generator(7, ue_id) for ue_id in ue_ids]
+        return scenario, draw_block(scenario, rngs, UE_STREAM_LABELS)
+
     def test_ue_is_its_own_trial(self):
         """UE k's streams derive from trial k of the seeding contract."""
-        streams = ue_streams(7, 3)
-        assert set(streams) == {"channel", "measurement", "algorithm"}
-        fresh = trial_generator(7, 3)
-        reference = fresh.spawn(3)
-        for rng, label in zip(reference, ("channel", "measurement", "algorithm")):
-            assert streams[label].random() == rng.random()
+        scenario, [(streams, channel, snr_matrix)] = self._block(3)
+        assert UE_STREAM_LABELS == self.LABELS
+        assert set(streams) == set(self.LABELS)
+        reference = dict(zip(self.LABELS, trial_generator(7, 3).spawn(3)))
+        expected = scenario.sample_channel(reference["channel"])
+        shared = scenario.context()
+        assert np.array_equal(
+            snr_matrix, expected.mean_snr_matrix(shared.tx_codebook, shared.rx_codebook)
+        )
+        assert np.array_equal(channel.powers, expected.powers)
+        for label in self.LABELS:
+            assert streams[label].random() == reference[label].random()
 
     def test_distinct_ues_distinct_draws(self):
-        a = ue_streams(7, 0)["channel"].random(4)
-        b = ue_streams(7, 1)["channel"].random(4)
-        assert not np.any(a == b)
+        _, [(a, _, _), (b, _, _)] = self._block(0, 1)
+        assert not np.any(a["measurement"].random(4) == b["measurement"].random(4))
 
 
 class TestExecuteUEs:

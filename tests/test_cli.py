@@ -483,6 +483,52 @@ class TestCampaignDistributedCli:
         assert code == 1
         assert "name one by digest prefix" in capsys.readouterr().err
 
+    def test_worker_resumes_a_recorded_cell_plan(self, capsys, tmp_path: Path):
+        """A bare worker drains a cell plan; a serve then executes nothing."""
+        from repro.campaign import ShardStore
+        from repro.cell.shards import plan_cell
+        from repro.cli import _cell_config_from_args
+
+        serve = TestCellCli.QUICK
+        plan = plan_cell(_cell_config_from_args(build_parser().parse_args(serve)), 6)
+        assert len(plan.shards) == 3
+        store = tmp_path / "store"
+        ShardStore(store).save_manifest(plan)
+
+        code = main(["campaign", "worker", "--store", str(store), "--worker-id", "w0"])
+        assert code == 0
+        assert "worker w0: executed 3, skipped 0" in capsys.readouterr().out
+        stored, storeless = tmp_path / "stored.json", tmp_path / "storeless.json"
+        code = main(
+            [*serve, "--store", str(store), "--shard-ues", "6", "--summary", str(stored)]
+        )
+        assert code == 0
+        assert "(cached 3)" in capsys.readouterr().out
+        assert main([*serve, "--summary", str(storeless)]) == 0
+        assert stored.read_bytes() == storeless.read_bytes()
+
+    def test_worker_skips_a_cell_manifest_that_rebuilds_to_another_plan(
+        self, capsys, caplog, tmp_path: Path
+    ):
+        from repro.campaign import ShardStore
+        from repro.cell.shards import plan_cell
+        from repro.cli import _cell_config_from_args
+        from repro.utils.serialization import dump
+
+        plan = plan_cell(
+            _cell_config_from_args(build_parser().parse_args(TestCellCli.QUICK)), 6
+        )
+        store = ShardStore(tmp_path / "store")
+        path = store.save_manifest(plan)
+        path.rename(store.manifest_path("0" * 32))
+        junk = {"schema": plan.payload()["schema"], "shards": []}
+        dump(junk, store.manifest_path("1" * 32))
+        code = main(["campaign", "worker", "--store", str(store.root)])
+        assert code == 1
+        assert "no campaign manifests" in capsys.readouterr().err
+        assert f"rebuilds to plan {plan.digest[:12]}" in caplog.text
+        assert f"skipping invalid cell plan manifest {'1' * 32}" in caplog.text
+
     def test_launch_end_to_end(self, capsys, tmp_path: Path):
         store = tmp_path / "store"
         code = main(

@@ -7,7 +7,12 @@ reason:
 
 * the flight-recorder stage digests of a tiny fixed-seed fig6-style
   sweep, serial and batched (one combined digest over every event);
-* one campaign ``ShardSpec.digest``;
+* one campaign ``ShardSpec.digest`` and the ``CampaignPlan.digest`` of
+  its sweep, one ``CellPlan.digest`` and one ``CellShard.digest``, and
+  a blake2b of the bytes of one ``ShardStore.put`` artifact file (it
+  carries the package version in its provenance block), so the
+  store's addresses and artifact bytes cannot move when the hashing
+  code does;
 * the digest of one ``cell serve`` deterministic summary payload;
 * one digest over a seeded set of penalized-ML covariance solves (cold,
   warm with a carried eigendecomposition, and without the subspace
@@ -32,9 +37,10 @@ import pytest
 
 from repro.baselines.random_search import RandomSearch
 from repro.baselines.scan_search import ScanSearch
-from repro.campaign import plan_effectiveness_sweep
+from repro.campaign import ShardStore, plan_effectiveness_sweep
 from repro.cell.config import CellConfig
 from repro.cell.service import serve_cell, summary_payload
+from repro.cell.shards import plan_cell
 from repro.core.base import AlignmentContext
 from repro.estimation.ml_covariance import estimate_ml_covariance
 from repro.measurement.budget import MeasurementBudget
@@ -60,6 +66,15 @@ SEED = 11
 SWEEP_CHECKPOINT_DIGEST = "e5d051ab8fe22d22a96230bef45b77a5"
 #: ``plan_effectiveness_sweep(...).shards[1].digest`` for the same sweep.
 SHARD_SPEC_DIGEST = "d47d8276eaf70b7cbb34ab622a669c6d"
+#: ``plan_effectiveness_sweep(...).digest`` for the same sweep.
+CAMPAIGN_PLAN_DIGEST = "6a4f4182a7f4666200671bf388fdd242"
+#: ``plan_cell(<tiny cell>, shard_ues=5).digest`` (three shards).
+CELL_PLAN_DIGEST = "45438a202b3d650de08a93ccbaa8f7ae"
+#: ``.shards[1].digest`` of that cell plan.
+CELL_SHARD_DIGEST = "40bfe852cb944b557be6bf94d53459a1"
+#: blake2b of the artifact file ``ShardStore.put`` writes for the sweep's
+#: ``shards[1]`` with fixed loss series.
+SHARD_ARTIFACT_DIGEST = "15b1231dd74316c0192e22bd047f2805"
 #: blake2b of the canonical JSON of the tiny cell's summary payload.
 CELL_SUMMARY_DIGEST = "a857732c798545378a1959d8f9ce4791"
 #: blake2b over the results of the seeded ``estimate_ml_covariance`` set.
@@ -101,15 +116,29 @@ def sweep_checkpoint_digest(batch_trials=None) -> str:
     return _events_digest(recorder.events)
 
 
-def shard_spec_digest() -> str:
-    plan = plan_effectiveness_sweep(
+def _sweep_plan():
+    return plan_effectiveness_sweep(
         _config(), SPECS, RATES, TRIALS, base_seed=SEED, shard_trials=2
     )
-    return plan.shards[1].digest
 
 
-def cell_summary_digest(batch_users) -> str:
-    config = CellConfig(
+def shard_spec_digest() -> str:
+    return _sweep_plan().shards[1].digest
+
+
+def shard_artifact_digest(root) -> str:
+    """Write one shard artifact through ``ShardStore.put``; hash its bytes."""
+    shard = _sweep_plan().shards[1]
+    losses = {
+        name: [0.5 * k + 0.125 for k in range(shard.trial_count)]
+        for name in shard.scheme_names()
+    }
+    path = ShardStore(root).put(shard, losses)
+    return hashlib.blake2b(path.read_bytes(), digest_size=16).hexdigest()
+
+
+def _cell_config() -> CellConfig:
+    return CellConfig(
         scenario=ScenarioConfig(
             tx_shape=(2, 2), rx_shape=(2, 4), rx_beam_grid=(3, 3), fading_blocks=4
         ),
@@ -119,7 +148,10 @@ def cell_summary_digest(batch_users) -> str:
         probe_budget_per_frame=16,
         interference_coupling=0.2,
     )
-    report = serve_cell(config, batch_users=batch_users)
+
+
+def cell_summary_digest(batch_users) -> str:
+    report = serve_cell(_cell_config(), batch_users=batch_users)
     canonical = dumps(summary_payload(report)).encode("utf-8")
     return hashlib.blake2b(canonical, digest_size=16).hexdigest()
 
@@ -245,6 +277,18 @@ class TestPinnedDigests:
 
     def test_shard_spec_digest(self, environment):
         assert shard_spec_digest() == SHARD_SPEC_DIGEST
+
+    def test_campaign_plan_digest(self, environment):
+        assert _sweep_plan().digest == CAMPAIGN_PLAN_DIGEST
+
+    def test_cell_plan_and_shard_digests(self, environment):
+        plan = plan_cell(_cell_config(), shard_ues=5)
+        assert len(plan.shards) == 3
+        assert plan.digest == CELL_PLAN_DIGEST
+        assert plan.shards[1].digest == CELL_SHARD_DIGEST
+
+    def test_shard_artifact_bytes(self, environment, tmp_path):
+        assert shard_artifact_digest(tmp_path) == SHARD_ARTIFACT_DIGEST
 
     def test_cell_summary_digest(self, environment):
         for batch_users in (None, 1, 8):
