@@ -26,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.campaign.lease import DEFAULT_LEASE_TTL_S
 from repro.campaign.plan import CampaignPlan
@@ -60,6 +60,8 @@ class LaunchReport:
     #: per-worker reports, in spawn order (None: the worker died before
     #: sending one, e.g. SIGKILL or ``os._exit``)
     reports: Tuple[Optional[WorkerReport], ...]
+    #: digests of the shards the launcher saw done by the time it returned
+    done_digests: FrozenSet[str] = frozenset()
 
 
 def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
@@ -79,7 +81,7 @@ def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
 
 
 def _worker_entry(
-    store_root: str,
+    store: ShardStore,
     plan: CampaignPlan,
     worker_id: str,
     options: Dict[str, Any],
@@ -91,16 +93,17 @@ def _worker_entry(
     The plan arrives with the process (inherited under ``fork``, pickled
     under ``spawn``) together with the digests it already computed, so
     a worker neither re-parses the store's manifests nor re-derives any
-    content address. Runs under a fresh worker-local recorder so a
-    forked child never writes into the parent's trace stream; progress
-    travels home through the store (artifacts + heartbeats). On exit the
-    worker sends ``(report, metrics snapshot or None)`` over ``home``,
-    when it has one.
+    content address. The store arrives the same way, so the manifest the
+    launcher verified is not parsed again, and the shards the launcher
+    saw done arrive in ``options["known_done"]``. Runs under a fresh
+    worker-local recorder so a forked child never writes into the
+    parent's trace stream; progress travels home through the store
+    (artifacts + heartbeats). On exit the worker sends ``(report,
+    metrics snapshot or None)`` over ``home``, when it has one.
     """
     from repro.obs import MetricsRecorder, use_recorder
     from repro.campaign.worker import run_worker
 
-    store = ShardStore(store_root)
     recorder = MetricsRecorder()
     with use_recorder(recorder):
         report = run_worker(plan, store, worker_id=worker_id, **options)
@@ -129,12 +132,15 @@ def launch_campaign(
     """Spawn ``num_workers`` lease-based workers and watch to completion.
 
     The launcher's only jobs are to persist the plan manifest, compute
-    every shard digest before the workers inherit the plan, fork (where
-    the platform has it, else spawn) the workers, poll the store for
-    aggregate progress every ``watch_interval_s``, and collect each
-    worker's report as it exits. It holds no campaign state, so killing
-    the launcher mid-run leaves a resumable store exactly like killing a
-    supervisor does. Workers that crash are *not* respawned: their
+    every shard digest before the workers inherit the plan, make one
+    status pass and hand the done set to the workers (they skip those
+    shards unread), fork (where the platform has it, else spawn) the
+    workers, poll the store for aggregate progress every
+    ``watch_interval_s``, and collect each worker's report as it exits.
+    Each poll re-reads only the shards not yet seen done, so no shard's
+    artifact is read twice by the launcher. It holds no campaign state,
+    so killing the launcher mid-run leaves a resumable store exactly like
+    killing a supervisor does. Workers that crash are *not* respawned: their
     leases expire and the surviving workers absorb the orphaned shards,
     which is the reassignment path the kill-a-worker tests pin down.
 
@@ -181,6 +187,8 @@ def launch_campaign(
         total_trials=plan.total_trials,
         start_method=method,
     ) as span:
+        status = campaign_status(plan, store)
+        options["known_done"] = status.done_digests
         workers: List[Any] = []
         #: read end of each worker's report pipe -> spawn index
         homes: Dict[Any, int] = {}
@@ -188,7 +196,7 @@ def launch_campaign(
             reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_worker_entry,
-                args=(str(store.root), plan, f"w{index}", options, collect, writer),
+                args=(store, plan, f"w{index}", options, collect, writer),
                 name=f"repro-campaign-w{index}",
             )
             process.start()
@@ -215,7 +223,7 @@ def launch_campaign(
             # larger than the pipe buffer blocks its sender until read.
             while homes:
                 if deadline is None:
-                    status = campaign_status(plan, store)
+                    status = campaign_status(plan, store, status.done_digests)
                     reporter.report(status.done_trials)
                     if status.complete:
                         deadline = time.time() + _JOIN_GRACE_S
@@ -250,7 +258,7 @@ def launch_campaign(
             recorder.event(
                 "campaign.worker_exited", worker=index, exit_code=process.exitcode
             )
-        status = campaign_status(plan, store)
+        status = campaign_status(plan, store, status.done_digests)
         reporter.report(status.done_trials)
         attribution = worker_attribution(store, plan)
         span.annotate(
@@ -268,4 +276,5 @@ def launch_campaign(
         exit_codes=tuple(process.exitcode for process in workers),
         attribution=attribution,
         reports=tuple(reports),
+        done_digests=status.done_digests,
     )

@@ -1,31 +1,33 @@
 """Live campaign health: heartbeat classification, stall detection, ETA.
 
-The scheduler publishes one heartbeat record per shard (see
-:meth:`~repro.campaign.store.ShardStore.write_heartbeat`); this module
-folds heartbeats and artifact state into a single health view that both
-``repro campaign watch`` (refreshing TTY dashboard) and
+Workers append a heartbeat record when a shard finishes, retries or
+fails (see :meth:`~repro.campaign.store.ShardStore.write_heartbeat`),
+and a shard being executed is shown by its lease claim; this module
+folds heartbeats, claims and artifact state into a single health view
+that both ``repro campaign watch`` (refreshing TTY dashboard) and
 ``repro campaign status --json`` (CI consumption) render.
 
 Per-shard states:
 
 * ``done`` — a valid artifact exists;
-* ``running`` / ``retrying`` — a live heartbeat says so and no artifact
-  has landed yet;
-* ``stalled`` — heartbeat-silent: a running/retrying shard whose last
-  heartbeat is older than ``stall_factor`` x the median completed-shard
-  duration (with a floor, so short campaigns do not flap) — **or**
-  lease-dead: the shard's claim file exists but its lease has expired
-  (TTL elapsed, or the owning pid died on this host), which flags a
-  crashed worker's shards immediately instead of after the heartbeat
-  threshold;
+* ``running`` — a live claim holds the shard and no record newer than
+  the claim exists (age: since the claim's last renewal), or a
+  ``running`` record says so; ``retrying`` — the last record says so.
+  Either way no artifact has landed yet;
+* ``stalled`` — lease-dead: the shard's claim exists but its lease has
+  expired (TTL elapsed, or the owning pid died on this host), which
+  flags a crashed worker's shards as soon as the claim lapses — **or**
+  heartbeat-silent: a running/retrying record older than
+  ``stall_factor`` x the median completed-shard duration (with a floor,
+  so short campaigns do not flap);
 * ``failed`` — the artifact is corrupt, or the heartbeat reports a
   permanent failure;
 * ``pending`` — nothing has touched the shard yet.
 
-A crashed-then-resumed campaign needs no special casing: the stale
-``running`` heartbeat from the killed process classifies as ``stalled``
-until the resumed run either rewrites it or publishes the artifact, at
-which point the shard is simply ``done``.
+A crashed-then-resumed campaign needs no special casing: the claim a
+killed worker left behind classifies as ``stalled`` until the resumed
+run takes it over (``running``) and publishes the artifact, at which
+point the shard is simply ``done``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class ShardHealth:
     trial_count: int
     state: str  # done | running | retrying | stalled | failed | pending
     attempt: int = 0
-    age_s: Optional[float] = None  # seconds since the last heartbeat
+    age_s: Optional[float] = None  # since the last heartbeat, else the claim renewal
     duration_s: Optional[float] = None  # completed shards only
     error: Optional[str] = None
     #: worker that produced the last heartbeat (lease owner as fallback)
@@ -259,21 +261,25 @@ def campaign_health(
         digest = shard.digest
         verdict = store.classify(shard)
         beat = heartbeats.get(digest)
-        attempt = int(beat.get("attempt", 0)) if beat else 0
-        age_s = (
-            max(0.0, now - float(beat.get("updated_unix_s", now))) if beat else None
+        claim = claims.get(digest)
+        if (
+            beat is not None
+            and claim is not None
+            and float(beat["updated_unix_s"]) < claim.acquired_unix_s
+        ):
+            beat = None  # the claim is a newer attempt than the record
+        claim_expired = lease_expired(claim, now) if claim is not None else None
+        claim_age_s = (
+            max(0.0, now - claim.renewed_unix_s) if claim is not None else None
         )
+        attempt = int(beat.get("attempt", 0)) if beat else 0
+        age_s = max(0.0, now - float(beat["updated_unix_s"])) if beat else claim_age_s
         duration_s = (
             float(beat["duration_s"])
             if beat and beat.get("duration_s") is not None
             else None
         )
         error = beat.get("error") if beat else None
-        claim = claims.get(digest)
-        claim_expired = lease_expired(claim, now) if claim is not None else None
-        claim_age_s = (
-            max(0.0, now - claim.renewed_unix_s) if claim is not None else None
-        )
         worker = beat.get("worker") if beat else None
         if not isinstance(worker, str):
             worker = claim.owner if claim is not None else None
@@ -286,7 +292,11 @@ def campaign_health(
         elif verdict == "failed":
             state = "failed"
         elif beat is None:
-            state = "pending"
+            # No record yet: a claim alone says a worker holds the shard.
+            if claim is None:
+                state = "pending"
+            else:
+                state = "stalled" if claim_expired else "running"
         else:
             status = beat.get("status", "")
             if status == "failed":
@@ -300,11 +310,9 @@ def campaign_health(
                     claim_expired is True
                 )
                 state = "stalled" if stalled else status
-            elif status == "done":
-                # Heartbeat says done but the artifact is gone (gc'd or
-                # lost): the shard must re-run.
-                state = "pending"
             else:
+                # A done record without its artifact (gc'd or lost): the
+                # shard must re-run.
                 state = "pending"
         shards.append(
             ShardHealth(

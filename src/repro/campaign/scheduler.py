@@ -17,7 +17,17 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.campaign.distributed import LaunchReport, launch_campaign
 from repro.campaign.plan import CampaignPlan
@@ -98,6 +108,8 @@ class CampaignStatus:
     failed: int
     total_trials: int
     done_trials: int
+    #: digests of the shards counted done
+    done_digests: FrozenSet[str] = field(default=frozenset(), repr=False)
 
     @property
     def total(self) -> int:
@@ -120,14 +132,24 @@ class CampaignReport:
     failed_digests: Tuple[str, ...] = ()
 
 
-def campaign_status(plan: CampaignPlan, store: ShardStore) -> CampaignStatus:
-    """Classify every shard of ``plan`` against ``store``."""
+def campaign_status(
+    plan: CampaignPlan, store: ShardStore, known_done: AbstractSet[str] = frozenset()
+) -> CampaignStatus:
+    """Classify every shard of ``plan`` against ``store``.
+
+    Shards in ``known_done`` (digests an earlier status saw done) count
+    as done without a read: artifacts are write-once, so a watcher
+    re-reads only the shards it has not yet seen land.
+    """
     done = pending = failed = done_trials = 0
+    done_digests: Set[str] = set()
     for shard in plan.shards:
-        verdict = store.classify(shard)
+        digest = shard.digest
+        verdict = "done" if digest in known_done else store.classify(shard)
         if verdict == "done":
             done += 1
             done_trials += shard.trial_count
+            done_digests.add(digest)
         elif verdict == "failed":
             failed += 1
         else:
@@ -138,6 +160,7 @@ def campaign_status(plan: CampaignPlan, store: ShardStore) -> CampaignStatus:
         failed=failed,
         total_trials=plan.total_trials,
         done_trials=done_trials,
+        done_digests=frozenset(done_digests),
     )
 
 
@@ -162,8 +185,10 @@ def run_campaign(
     first launches N lease workers, then makes the same in-process pass:
     it finishes any shard a crashed worker left behind (counted as
     ``fallbacks``) and replays every shard's stored digest manifest into
-    an active flight recorder, in plan order. The ``fault_injector`` acts
-    in this process only, so it needs ``max_workers`` None or 1.
+    an active flight recorder, in plan order. That pass skips the shards
+    the launch saw done without reading their artifacts again. The
+    ``fault_injector`` acts in this process only, so it needs
+    ``max_workers`` None or 1.
     ``batch_trials``, ``retries``, ``backoff_s`` and ``checkpoints`` are
     :func:`~repro.campaign.worker.run_worker`'s. A shard still failing
     after ``retries`` extra attempts does not stop the others;
@@ -207,6 +232,7 @@ def run_campaign(
             worker_id=f"{SUPERVISOR_PREFIX}{os.getpid()}",
             fault_injector=fault_injector,
             progress=progress if launch is None or not launch.complete else None,
+            known_done=launch.done_digests if launch is not None else frozenset(),
             **options,
         )
         remote = [r for r in launch.reports if r is not None] if launch else []

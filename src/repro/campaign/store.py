@@ -4,7 +4,7 @@ Layout under the store root::
 
     shards/<digest>.json               one completed shard result
     manifests/<digest>.json            one campaign plan (written once, at run start)
-    heartbeats/<plan>/<digest>.json    one shard's liveness record (timestamps)
+    heartbeats/<plan>/<host>-<pid>.jsonl  one process's liveness journal
     claims/<plan>/<digest>.json        one worker's lease on one shard
 
 A shard artifact carries a provenance header (schema, code version, base
@@ -17,15 +17,24 @@ partial file; a corrupted or truncated artifact (e.g. injected by
 reported as *failed* by :meth:`ShardStore.classify`, and simply re-run on
 resume. No timestamps are stored: artifacts are deterministic, so a
 resumed campaign's store is byte-identical to an uninterrupted one.
+
+Artifacts and manifests are fsynced; heartbeats are not. A heartbeat is
+one JSON line appended (and flushed, never fsynced) to the journal of the
+process that wrote it, so no two processes ever append to one file. The
+heartbeat is observational: losing the tail of a journal in a crash costs
+a watcher some detail and never a result.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.campaign.lease import LeaseRecord, lease_expired, local_hostname
 from repro.campaign.plan import PLAN_SCHEMA, SHARD_SCHEMA, CampaignPlan, ShardSpec
 from repro.obs import get_logger
 from repro.utils.serialization import canonical_form, dump, load
@@ -46,6 +55,53 @@ ShardArtifactStatus = str  # "done" | "pending" | "failed"
 HEARTBEAT_SCHEMA = "repro.campaign.heartbeat/1"
 
 
+def _file_signature(path: Path) -> Tuple[int, ...]:
+    """Device, inode, size and mtime: what changes when a file does."""
+    stat = path.stat()
+    return (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+
+def _journal_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def _read_journal(path: Path) -> str:
+    """One heartbeat journal's text; empty (with a warning) if unreadable."""
+    try:
+        return path.read_text(encoding="utf-8", errors="replace")
+    except OSError as error:
+        logger.warning("unreadable heartbeat journal %s: %s", path, error)
+        return ""
+
+
+def _journal_records(path: Path, text: str) -> List[dict]:
+    """The well-formed heartbeat records of one journal, in file order.
+
+    Torn or mis-shaped lines (a process killed mid-append) are skipped
+    with a warning; every other line still counts.
+    """
+    records: List[dict] = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            logger.warning("skipping torn heartbeat line %s:%d", path, number)
+            continue
+        if (
+            not isinstance(record, dict)
+            or record.get("kind") != "campaign-heartbeat-v1"
+            or not isinstance(record.get("shard"), str)
+            or not isinstance(record.get("status"), str)
+            or not isinstance(record.get("updated_unix_s"), (int, float))
+        ):
+            logger.warning("skipping inconsistent heartbeat line %s:%d", path, number)
+            continue
+        records.append(record)
+    return records
+
+
 class ShardStore:
     """Filesystem-backed, content-addressed store of shard results."""
 
@@ -55,6 +111,9 @@ class ShardStore:
         self.manifest_dir = self.root / "manifests"
         self.heartbeat_root = self.root / "heartbeats"
         self.claim_root = self.root / "claims"
+        #: plan digest -> the manifest file's signature (see
+        #: :func:`_file_signature`) when this store last found it intact
+        self._verified_manifests: Dict[str, Tuple[int, ...]] = {}
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         self.manifest_dir.mkdir(parents=True, exist_ok=True)
 
@@ -217,11 +276,16 @@ class ShardStore:
     # -- heartbeats ----------------------------------------------------
 
     def heartbeat_dir(self, plan_digest: str) -> Path:
-        """Where one campaign's heartbeat records live (may not exist)."""
+        """Where one campaign's heartbeat journals live (may not exist)."""
         return self.heartbeat_root / plan_digest
 
-    def heartbeat_path(self, plan_digest: str, shard_digest: str) -> Path:
-        return self.heartbeat_dir(plan_digest) / f"{shard_digest}.json"
+    def journal_path(self, plan_digest: str) -> Path:
+        """This process's heartbeat journal for one campaign.
+
+        Named by host and pid, so no two live processes share a journal.
+        """
+        name = f"{local_hostname()}-{os.getpid()}.jsonl"
+        return self.heartbeat_dir(plan_digest) / name
 
     def write_heartbeat(
         self,
@@ -239,17 +303,16 @@ class ShardStore:
         worker: Optional[str] = None,
         host: Optional[str] = None,
     ) -> Path:
-        """Atomically publish one shard's liveness record.
+        """Append one shard's liveness record to this process's journal.
 
         ``status`` is ``running`` / ``retrying`` / ``done`` / ``failed``.
-        Written through the same atomic :func:`~repro.utils.serialization.dump`
-        as artifacts, with a provenance stamp (schema + code version), so
-        watchers never read a torn record. ``worker``, when given, names
-        the worker that produced the record — the execution-provenance
-        trail distributed campaigns surface in ``status --json``
-        (additive: single-supervisor records are unchanged without it).
-        ``host`` likewise stamps the machine that beat — the per-host
-        roll-up in ``status``/``watch`` groups shards by it.
+        The record is one JSON line with a provenance stamp (schema + code
+        version), flushed but not fsynced; the journal's path is
+        returned. ``worker``, when given, names the worker that produced
+        the record — the execution-provenance trail distributed campaigns
+        surface in ``status --json``. ``host`` likewise stamps the machine
+        that beat — the per-host roll-up in ``status``/``watch`` groups
+        shards by it.
         """
         directory = self.heartbeat_dir(plan_digest)
         directory.mkdir(parents=True, exist_ok=True)
@@ -277,35 +340,36 @@ class ShardStore:
             record["worker"] = worker
         if host is not None:
             record["host"] = host
-        path = self.heartbeat_path(plan_digest, shard_digest)
-        dump(record, path)
+        line = _journal_line(record).encode("utf-8")
+        path = self.journal_path(plan_digest)
+        with open(path, "a+b") as journal:
+            end = journal.tell()
+            if end:
+                # A torn tail (a killed earlier process with this pid)
+                # must not swallow this record: start it on a new line.
+                journal.seek(end - 1)
+                if journal.read(1) != b"\n":
+                    line = b"\n" + line
+            journal.write(line)
         return path
 
     def read_heartbeats(self, plan_digest: str) -> Dict[str, dict]:
-        """Every readable heartbeat for one campaign, keyed by shard digest.
+        """Every shard's latest heartbeat for one campaign, by shard digest.
 
-        Unreadable or mis-shaped records are skipped with a warning — a
-        watcher must keep rendering through a half-written store.
+        Folds every journal of the campaign; a shard's record is the one
+        with the latest ``updated_unix_s``. Torn or mis-shaped lines are
+        skipped with a warning — a watcher must keep rendering through a
+        half-written store.
         """
         directory = self.heartbeat_dir(plan_digest)
         if not directory.is_dir():
             return {}
         records: Dict[str, dict] = {}
-        for path in sorted(directory.glob("*.json")):
-            try:
-                record = load(path)
-            except (OSError, ValueError) as error:
-                logger.warning("unreadable heartbeat %s: %s", path, error)
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("kind") != "campaign-heartbeat-v1"
-                or not isinstance(record.get("shard"), str)
-                or not isinstance(record.get("status"), str)
-            ):
-                logger.warning("inconsistent heartbeat %s", path)
-                continue
-            records[record["shard"]] = record
+        for path in sorted(directory.glob("*.jsonl")):
+            for record in _journal_records(path, _read_journal(path)):
+                last = records.get(record["shard"])
+                if last is None or record["updated_unix_s"] >= last["updated_unix_s"]:
+                    records[record["shard"]] = record
         return records
 
     # -- claims (shard leases) -----------------------------------------
@@ -354,18 +418,27 @@ class ShardStore:
 
         Write-once: the file is named by the plan's content address, so
         an intact manifest is left alone (no rewrite, no fsync); only an
-        absent or unreadable one is (re)written.
+        absent or unreadable one is (re)written. A manifest this store
+        object already verified or wrote is not parsed again while its
+        file is unchanged; workers handed their launcher's store inherit
+        its verdicts.
         """
         path = self.manifest_path(plan.digest)
         try:
-            intact = isinstance(load(path), dict)
+            signature: Optional[Tuple[int, ...]] = _file_signature(path)
         except FileNotFoundError:
-            intact = False
+            signature = None
+        verified = self._verified_manifests
+        if signature is not None and verified.get(plan.digest) == signature:
+            return path
+        try:
+            intact = signature is not None and isinstance(load(path), dict)
         except (OSError, ValueError) as error:
             logger.warning("rewriting unreadable manifest %s: %s", path, error)
             intact = False
         if not intact:
             dump(plan.payload(), path)
+        verified[plan.digest] = _file_signature(path)
         return path
 
     def manifest_payloads(self) -> Dict[str, dict]:
@@ -454,13 +527,16 @@ class ShardStore:
         of all stored manifests' shards). Corrupt artifacts are removed
         even when referenced — resume re-runs them anyway. Beyond the
         artifact tree, gc prunes the liveness subtrees long campaigns
-        accumulate: heartbeat records whose plan or shard no stored
-        manifest references (orphans), and claim files that are orphaned,
-        torn, or whose lease has expired (see
-        :func:`~repro.campaign.lease.lease_expired` — a live lease is
-        never touched, so gc is safe to run against an active campaign).
-        Returns the removed (or, with ``dry_run``, would-be-removed)
-        paths. ``now_unix_s`` is injectable for tests.
+        accumulate: the heartbeat journals of plans no stored manifest
+        references, the records of unreferenced shards (and torn lines)
+        inside a known plan's journals, legacy per-shard heartbeat files,
+        and claim files that are orphaned, torn, or whose lease has
+        expired (see :func:`~repro.campaign.lease.lease_expired` — a live
+        lease is never touched, so gc is safe to run against an active
+        campaign; at worst a heartbeat appended while gc rewrites its
+        journal is lost). Returns the removed (or, with ``dry_run``,
+        would-be-removed) paths; a journal gc prunes records from is
+        listed too. ``now_unix_s`` is injectable for tests.
         """
         plan_shards = self._manifest_shard_digests()
         if keep is None:
@@ -477,56 +553,89 @@ class ShardStore:
             removed.append(path)
             if not dry_run:
                 path.unlink()
-        removed.extend(
-            self._gc_liveness_tree(
-                self.heartbeat_root, plan_shards, dry_run, expire_claims=False
-            )
-        )
-        removed.extend(
-            self._gc_liveness_tree(
-                self.claim_root,
-                plan_shards,
-                dry_run,
-                expire_claims=True,
-                now_unix_s=now_unix_s,
-            )
-        )
+        removed.extend(self._gc_heartbeats(plan_shards, dry_run))
+        removed.extend(self._gc_claims(plan_shards, dry_run, now_unix_s))
         return removed
 
-    def _gc_liveness_tree(
+    def _gc_heartbeats(
+        self, plan_shards: Dict[str, Set[str]], dry_run: bool
+    ) -> List[Path]:
+        """Prune the ``heartbeats/<plan>/`` journals against the manifests."""
+        removed: List[Path] = []
+        for plan_dir in _plan_dirs(self.heartbeat_root):
+            known = plan_shards.get(plan_dir.name)
+            for path in sorted(plan_dir.iterdir()):
+                if known is not None and path.suffix == ".jsonl":
+                    text = _read_journal(path)
+                    kept = [
+                        record
+                        for record in _journal_records(path, text)
+                        if record["shard"] in known
+                    ]
+                    pruned = "".join(_journal_line(record) for record in kept)
+                    if pruned == text:
+                        continue
+                    removed.append(path)
+                    if not dry_run:
+                        _replace_text(path, pruned)
+                    continue
+                removed.append(path)
+                if not dry_run:
+                    _unlink(path)
+            if not dry_run and known is None and not any(plan_dir.iterdir()):
+                plan_dir.rmdir()
+        return removed
+
+    def _gc_claims(
         self,
-        root: Path,
         plan_shards: Dict[str, Set[str]],
         dry_run: bool,
-        expire_claims: bool,
-        now_unix_s: Optional[float] = None,
+        now_unix_s: Optional[float],
     ) -> List[Path]:
-        """Prune one ``<root>/<plan>/<shard>.json`` liveness subtree."""
-        from repro.campaign.lease import LeaseRecord, lease_expired
-
+        """Prune orphaned, torn and expired ``claims/<plan>/<shard>.json``."""
         removed: List[Path] = []
-        if not root.is_dir():
-            return removed
-        for plan_dir in sorted(root.iterdir()):
-            if not plan_dir.is_dir():
-                continue
+        for plan_dir in _plan_dirs(self.claim_root):
             known = plan_shards.get(plan_dir.name)
             for path in sorted(plan_dir.glob("*.json")):
-                drop = known is None or path.stem not in known
-                if not drop and expire_claims:
+                if known is not None and path.stem in known:
                     try:
                         record = LeaseRecord.from_payload(load(path))
                     except (OSError, ValueError):
                         record = None
-                    drop = record is None or lease_expired(record, now_unix_s)
-                if not drop:
-                    continue
+                    if record is not None and not lease_expired(record, now_unix_s):
+                        continue
                 removed.append(path)
                 if not dry_run:
-                    try:
-                        path.unlink()
-                    except FileNotFoundError:
-                        pass
+                    _unlink(path)
             if not dry_run and known is None and not any(plan_dir.iterdir()):
                 plan_dir.rmdir()
         return removed
+
+
+def _plan_dirs(root: Path) -> List[Path]:
+    """The per-plan subdirectories of one liveness tree."""
+    if not root.is_dir():
+        return []
+    return [path for path in sorted(root.iterdir()) if path.is_dir()]
+
+
+def _unlink(path: Path) -> None:
+    try:
+        path.unlink()
+    except FileNotFoundError:
+        pass
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Swap ``path``'s contents for ``text`` in one rename (no fsync)."""
+    handle = tempfile.NamedTemporaryFile(
+        mode="w",
+        encoding="utf-8",
+        dir=path.parent,
+        prefix=f".{path.name}.",
+        suffix=".tmp",
+        delete=False,
+    )
+    with handle as stream:
+        stream.write(text)
+    os.replace(handle.name, path)

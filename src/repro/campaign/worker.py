@@ -36,7 +36,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.lease import (
     DEFAULT_LEASE_TTL_S,
@@ -226,6 +226,7 @@ def run_worker(
     checkpoints: Union[bool, CheckpointSpec] = False,
     fault_injector: Optional[Any] = None,
     progress: Optional[ProgressCallback] = None,
+    known_done: AbstractSet[str] = frozenset(),
 ) -> WorkerReport:
     """Run one lease-based worker until every shard of ``plan`` resolves.
 
@@ -249,9 +250,18 @@ def run_worker(
     ``failed_digests``, never raised: another worker (or a resume) may
     still finish the campaign.
 
+    ``known_done`` holds digests of shards the caller has already seen
+    done (:func:`~repro.campaign.distributed.launch_campaign` hands its
+    workers the set from its own status pass); they are skipped without
+    reading their artifacts. Every other shard is validated before it is
+    claimed.
+
     Failing shards are retried with :func:`~repro.campaign.lease.backoff_delay`
-    between attempts. The worker publishes observational liveness
-    records under the store's ``heartbeats/``. ``checkpoints`` (``True``,
+    between attempts. An executed shard costs two fsynced writes: its
+    claim and its artifact. Its ``done`` / ``retrying`` / ``failed``
+    records are appended, unsynced, to this process's heartbeat journal
+    under the store's ``heartbeats/``; while it runs, its claim is what
+    shows it ``running``. ``checkpoints`` (``True``,
     a :class:`~repro.obs.checkpoint.CheckpointSpec`, or an active flight
     recorder) stores each shard's stage digests in its artifact; a flight
     recorder also receives executed shards' digests and skipped shards'
@@ -327,7 +337,6 @@ def run_worker(
         """Claimed-shard execution: retries, publish guard, release."""
         nonlocal executed, retry_count, discarded
         shard_started = time.time()
-        beat(shard, index, "running", started_unix_s=shard_started)
         with recorder.span(
             "campaign.shard",
             digest=shard.digest,
@@ -469,7 +478,7 @@ def run_worker(
                         break
                     if shard.digest in resolved:
                         continue
-                    if store.has(shard):
+                    if shard.digest in known_done or store.has(shard):
                         drain()  # earlier claims first: digests stay in scan order
                         skip(shard)
                         progressed = True

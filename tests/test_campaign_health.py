@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
 import shutil
+import socket
 import time
 
 import pytest
@@ -57,8 +61,88 @@ class TestHeartbeatStore:
 
     def test_unreadable_records_are_skipped(self, store):
         store.write_heartbeat("p", "good", "running", shard_index=0)
-        store.heartbeat_path("p", "bad").write_text("{truncated", encoding="utf-8")
+        with store.journal_path("p").open("a", encoding="utf-8") as journal:
+            journal.write('{"kind": "campaign-heartbeat-v1"}\n{truncated\n')
+        # A per-shard file from the old layout is not a journal.
+        (store.heartbeat_dir("p") / "legacy.json").write_text("{}", encoding="utf-8")
         assert set(store.read_heartbeats("p")) == {"good"}
+
+    def test_one_journal_line_per_record(self, store):
+        store.write_heartbeat("p", "a", "retrying", shard_index=0, attempt=1)
+        store.write_heartbeat("p", "a", "done", shard_index=0)
+        path = store.journal_path("p")
+        assert path.name == f"{socket.gethostname()}-{os.getpid()}.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["status"] for line in lines] == ["retrying", "done"]
+
+    def test_torn_last_line_hides_no_other_record(self, store):
+        store.write_heartbeat("p", "a", "done", shard_index=0)
+        store.write_heartbeat("p", "b", "failed", shard_index=1, error="boom")
+        path = store.journal_path("p")
+        with path.open("a", encoding="utf-8") as journal:
+            journal.write('{"kind": "campaign-heartbeat-v1", "shard": "c", "sta')
+        records = store.read_heartbeats("p")
+        assert {digest: r["status"] for digest, r in records.items()} == {
+            "a": "done",
+            "b": "failed",
+        }
+        # A later record lands on a line of its own, not glued to the tear.
+        store.write_heartbeat("p", "c", "done", shard_index=2)
+        assert set(store.read_heartbeats("p")) == {"a", "b", "c"}
+
+    def test_latest_record_wins_across_journals(self, store):
+        now = time.time()
+        store.write_heartbeat(
+            "p", "s", "failed", shard_index=0, updated_unix_s=now - 5.0, worker="w0"
+        )
+        record = {
+            **store.read_heartbeats("p")["s"],
+            "status": "done",
+            "updated_unix_s": now,
+            "worker": "w1",
+        }
+        other = store.heartbeat_dir("p") / "other-host-1.jsonl"
+        other.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert store.read_heartbeats("p")["s"]["worker"] == "w1"
+        store.write_heartbeat(
+            "p", "s", "retrying", shard_index=0, updated_unix_s=now + 5.0
+        )
+        assert store.read_heartbeats("p")["s"]["status"] == "retrying"
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="requires the fork start method",
+    )
+    def test_two_writer_processes_never_share_a_journal(self, store):
+        def beat(shard: str) -> None:
+            for attempt in range(3):
+                store.write_heartbeat(
+                    "p", shard, "retrying", shard_index=0, attempt=attempt
+                )
+
+        context = multiprocessing.get_context("fork")
+        writers = [context.Process(target=beat, args=(f"s{i}",)) for i in range(2)]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join()
+        assert [writer.exitcode for writer in writers] == [0, 0]
+        beat("s-parent")
+        host = socket.gethostname()
+        journals = sorted(store.heartbeat_dir("p").glob("*.jsonl"))
+        pids = [writer.pid for writer in writers] + [os.getpid()]
+        assert sorted(p.name for p in journals) == sorted(
+            f"{host}-{pid}.jsonl" for pid in pids
+        )
+        for path in journals:
+            records = [
+                json.loads(line)
+                for line in path.read_text(encoding="utf-8").splitlines()
+            ]
+            assert len(records) == 3
+            assert {f"{host}-{r['pid']}.jsonl" for r in records} == {path.name}
+            assert len({r["shard"] for r in records}) == 1
+        assert set(store.read_heartbeats("p")) == {"s0", "s1", "s-parent"}
 
     def test_missing_campaign_is_empty(self, store):
         assert store.read_heartbeats("nope") == {}
@@ -285,6 +369,54 @@ class TestLeaseAwareHealth:
         view = health.shards[0]
         assert view.state == "stalled"
         assert view.lease_expired is True
+
+    def test_live_claim_without_heartbeat_is_running(self, plan, store):
+        """An executing shard writes no record: its claim shows it."""
+        shard = plan.shards[0]
+        self._claim(store, plan, shard, owner="w2", age_s=2.0, host="node-c")
+        view = campaign_health(plan, store).shards[0]
+        assert view.state == "running"
+        assert view.worker == "w2"
+        assert view.host == "node-c"
+        assert view.lease_expired is False
+        assert 2.0 <= view.age_s < 5.0
+        assert view.age_s == pytest.approx(view.lease_age_s, abs=1e-6)
+
+    def test_expired_claim_without_heartbeat_is_stalled(self, plan, store):
+        shard = plan.shards[0]
+        self._claim(
+            store, plan, shard, owner="w9", age_s=500.0, ttl_s=30.0,
+            host="not-this-host", pid=1,
+        )
+        view = campaign_health(plan, store).shards[0]
+        assert view.state == "stalled"
+        assert view.lease_expired is True
+        assert view.age_s >= 500.0
+
+    def test_dead_pid_claim_without_heartbeat_is_stalled(self, plan, store):
+        import subprocess
+        import sys
+
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        shard = plan.shards[0]
+        self._claim(store, plan, shard, owner="w9", pid=int(child.stdout))
+        view = campaign_health(plan, store).shards[0]
+        assert view.state == "stalled"
+        assert view.lease_expired is True
+
+    def test_claim_newer_than_last_record_is_running(self, plan, store):
+        """A shard failed earlier and claimed again is running again."""
+        shard = plan.shards[0]
+        store.write_heartbeat(
+            plan.digest, shard.digest, "failed", shard_index=0, worker="w0",
+            error="boom", updated_unix_s=time.time() - 10.0,
+        )
+        self._claim(store, plan, shard, owner="w1")
+        view = campaign_health(plan, store).shards[0]
+        assert view.state == "running"
+        assert view.worker == "w1"
+        assert view.error is None
 
     def test_worker_falls_back_to_lease_owner(self, plan, store):
         shard = plan.shards[0]

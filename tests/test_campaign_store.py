@@ -202,10 +202,33 @@ class TestGcLivenessTrees:
         store.write_heartbeat("forgotten-plan", "whatever", "done", shard_index=0)
 
         removed = store.gc()
-        assert store.heartbeat_path(plan.digest, shard.digest).exists()
-        assert not store.heartbeat_path(plan.digest, "not-a-shard").exists()
+        assert set(store.read_heartbeats(plan.digest)) == {shard.digest}
         assert not store.heartbeat_dir("forgotten-plan").exists()
         assert len(removed) == 2
+
+    def test_gc_removes_legacy_heartbeat_files(self, store, small_config, specs):
+        plan = self._plan(store, small_config, specs)
+        shard = plan.shards[0]
+        store.write_heartbeat(plan.digest, shard.digest, "done", shard_index=0)
+        journal = store.journal_path(plan.digest)
+        legacy = store.heartbeat_dir(plan.digest) / f"{shard.digest}.json"
+        legacy.write_text('{"kind": "campaign-heartbeat-v1"}\n', encoding="utf-8")
+        before = journal.read_bytes()
+        assert store.gc(dry_run=True) == [legacy]
+        assert legacy.exists()
+        assert store.gc() == [legacy]
+        assert not legacy.exists()
+        assert journal.read_bytes() == before  # nothing to prune: untouched
+
+    def test_gc_dry_run_leaves_journals_alone(self, store, small_config, specs):
+        plan = self._plan(store, small_config, specs)
+        store.write_heartbeat(plan.digest, "not-a-shard", "done", shard_index=9)
+        journal = store.journal_path(plan.digest)
+        before = journal.read_bytes()
+        assert store.gc(dry_run=True) == [journal]
+        assert journal.read_bytes() == before
+        assert store.gc() == [journal]
+        assert store.read_heartbeats(plan.digest) == {}
 
     def test_gc_prunes_orphaned_torn_and_expired_claims(
         self, store, small_config, specs

@@ -352,7 +352,7 @@ def _hold_lease_and_hang(store_root: str, plan_digest: str, shard_digest: str) -
     lease = LeaseManager(holder_store, plan_digest, owner="doomed")
     assert lease.acquire(shard_digest)
     holder_store.write_heartbeat(
-        plan_digest, shard_digest, "running", worker="doomed"
+        plan_digest, shard_digest, "running", shard_index=0, worker="doomed"
     )
     time.sleep(120.0)  # SIGKILLed long before this returns
 
@@ -398,9 +398,11 @@ class TestKilledWorker:
         )
         holder.start()
         deadline = time.time() + 10.0
-        while not store.claim_path(plan.digest, shard.digest).exists():
+        while shard.digest not in store.read_heartbeats(plan.digest):
             assert time.time() < deadline, "holder never claimed the shard"
             time.sleep(0.01)
+        assert store.claim_path(plan.digest, shard.digest).exists()
+        assert holder.is_alive()
         os.kill(holder.pid, signal.SIGKILL)
         holder.join()
         # The survivor takes over the dead worker's lease immediately
@@ -426,10 +428,10 @@ class TestKilledWorker:
         context = multiprocessing.get_context("fork")
         options = {"poll_s": 0.05, "lease_ttl_s": 30.0}
         victim = context.Process(
-            target=_worker_entry, args=(str(store.root), plan, "w0", options)
+            target=_worker_entry, args=(store, plan, "w0", options)
         )
         survivor = context.Process(
-            target=_worker_entry, args=(str(store.root), plan, "w1", options)
+            target=_worker_entry, args=(store, plan, "w1", options)
         )
         victim.start()
         deadline = time.time() + 30.0
@@ -518,3 +520,91 @@ class TestLaunchCampaign:
             assert time.monotonic() - started < 10.0
             assert report.complete
             assert report.exit_codes == (0, 0)
+
+
+def _tally_calls(monkeypatch, owner, name, tally, counts=lambda *args: True):
+    """Wrap ``owner.name`` to append one byte to ``tally`` per counted call.
+
+    An append-only file counts calls made in forked workers as well.
+    """
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        if counts(*args):
+            fd = os.open(tally, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, b".")
+            finally:
+                os.close(fd)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _tallied(tally) -> int:
+    return len(tally.read_bytes()) if tally.exists() else 0
+
+
+class TestCoordinationCost:
+    """What the lease loop's coordination costs per shard, pinned."""
+
+    @pytest.mark.parametrize("kind", ["campaign", "cell"])
+    def test_executed_shard_costs_two_fsyncs(
+        self, kind, plan, store, small_config, monkeypatch
+    ):
+        if kind == "cell":
+            plan = _cell_plan(small_config)
+        store.save_manifest(plan)
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        report = run_worker(plan, store, worker_id="w0", max_shards=1)
+        assert report.executed == 1
+        assert len(fsyncs) == 2  # the claim and the artifact
+        beats = store.read_heartbeats(plan.digest)
+        assert [beat["status"] for beat in beats.values()] == ["done"]
+
+    @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+    @pytest.mark.parametrize("entry", ["launch", "run --workers 2"])
+    def test_resume_reads_each_artifact_once(
+        self, entry, plan, store, tmp_path, monkeypatch
+    ):
+        launch_campaign(plan, store, num_workers=2, poll_s=0.05)
+        tally = tmp_path / "gets"
+        _tally_calls(monkeypatch, ShardStore, "get", tally)
+        if entry == "launch":
+            report = launch_campaign(plan, store, num_workers=2, poll_s=0.05)
+            assert report.complete and report.exit_codes == (0, 0)
+            assert report.done_digests == {shard.digest for shard in plan.shards}
+            assert [r.skipped for r in report.reports] == [len(plan.shards)] * 2
+        else:
+            report = run_campaign(plan, store, max_workers=2)
+            assert report.executed == 0 and report.fallbacks == 0
+            assert report.skipped == len(plan.shards)
+        assert _tallied(tally) == len(plan.shards)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+    def test_launched_workers_reuse_the_verified_manifest(
+        self, plan, store, tmp_path, monkeypatch
+    ):
+        import repro.campaign.store as store_module
+
+        run_campaign(plan, store)
+        manifest = str(store.manifest_path(plan.digest))
+        tally = tmp_path / "manifest-loads"
+        _tally_calls(
+            monkeypatch, store_module, "load", tally, lambda path: str(path) == manifest
+        )
+        launcher_store = ShardStore(store.root)
+        report = launch_campaign(plan, launcher_store, num_workers=2, poll_s=0.05)
+        assert report.complete and report.exit_codes == (0, 0)
+        assert _tallied(tally) == 1  # the launcher's check only
+        # A store that has not verified it yet (a standalone worker's)
+        # parses it once.
+        run_worker(plan, ShardStore(store.root))
+        assert _tallied(tally) == 2
