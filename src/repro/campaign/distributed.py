@@ -62,6 +62,8 @@ class LaunchReport:
     reports: Tuple[Optional[WorkerReport], ...]
     #: digests of the shards the launcher saw done by the time it returned
     done_digests: FrozenSet[str] = frozenset()
+    #: shards already done when the launch began (its first status pass)
+    already_done: int = 0
 
 
 def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
@@ -124,7 +126,6 @@ def launch_campaign(
     backoff_s: float = 0.0,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_s: float = DEFAULT_POLL_S,
-    claim_batch: int = 1,
     checkpoints: bool = False,
     progress: Optional[ProgressCallback] = None,
     watch_interval_s: float = 0.2,
@@ -151,7 +152,7 @@ def launch_campaign(
     """
     if num_workers < 1:
         raise ConfigurationError(f"num_workers must be >= 1, got {num_workers}")
-    check_worker_options(retries, batch_trials, claim_batch)
+    check_worker_options(retries, batch_trials)
     recorder = get_recorder()
     checkpointer = find_checkpointer(recorder)
     collect = recorder.enabled and recorder.metrics is not None
@@ -169,7 +170,6 @@ def launch_campaign(
         "backoff_s": backoff_s,
         "lease_ttl_s": lease_ttl_s,
         "poll_s": poll_s,
-        "claim_batch": claim_batch,
         "checkpoints": (
             checkpointer.spec_for_workers() if checkpointer is not None else checkpoints
         ),
@@ -188,6 +188,7 @@ def launch_campaign(
         start_method=method,
     ) as span:
         status = campaign_status(plan, store)
+        already_done = status.done
         options["known_done"] = status.done_digests
         workers: List[Any] = []
         #: read end of each worker's report pipe -> spawn index
@@ -277,4 +278,5 @@ def launch_campaign(
         attribution=attribution,
         reports=tuple(reports),
         done_digests=status.done_digests,
+        already_done=already_done,
     )

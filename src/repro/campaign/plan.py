@@ -15,6 +15,16 @@ The digest is the shard's identity in the content-addressed store —
 execution knobs that cannot change results (worker counts, in-process
 batch sizes, retry budgets) are deliberately excluded, so artifacts
 computed under any execution regime are interchangeable.
+
+A shard kind is anything the lease loop
+(:func:`repro.campaign.worker.run_worker`) and the
+:class:`~repro.campaign.store.ShardStore` can run and persist without
+knowing its type: a ``digest``, a ``trial_start``/``trial_count`` range,
+a ``search_rate``, a ``scenario_config`` to prime, ``execute`` to run
+it, and ``ARTIFACT_KIND``/``artifact_payload``/``result_from_artifact``
+to write and check its store artifact. :class:`ShardSpec` (a trial
+range of a sweep) and :class:`repro.cell.shards.CellShard` (a UE range
+of a cell run) are the two kinds.
 """
 
 from __future__ import annotations
@@ -23,9 +33,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
+from repro.obs import get_logger
+from repro.sim.batch import run_trial_blocks
 from repro.sim.config import ScenarioConfig
-from repro.sim.parallel import SchemeSpec
+from repro.sim.parallel import SchemeSpec, _scenario_for
 from repro.utils.serialization import canonical_form, canonical_json, memoized_digest
+from repro.version import __version__
 
 __all__ = [
     "DEFAULT_SHARD_TRIALS",
@@ -42,6 +55,11 @@ SHARD_SCHEMA = "repro.campaign.shard/1"
 
 #: Plan/manifest schema version.
 PLAN_SCHEMA = "repro.campaign.plan/1"
+
+#: Artifact kind of one executed campaign shard in the store.
+SHARD_KIND = "campaign-shard-v1"
+
+logger = get_logger("campaign.plan")
 
 #: Default trials per shard: small enough that an interrupted paper-scale
 #: run (tens of trials per rate) loses little work, large enough that
@@ -78,6 +96,9 @@ class ShardSpec:
     base_seed: int
     trial_start: int
     trial_count: int
+
+    #: Store artifact kind, checked on every read.
+    ARTIFACT_KIND = SHARD_KIND
 
     def __post_init__(self) -> None:
         if not self.schemes:
@@ -148,6 +169,75 @@ class ShardSpec:
         and store paths all ask for it.
         """
         return memoized_digest(self, "_digest", self.canonical_spec)
+
+    def execute(self, batch_trials: Optional[int] = None) -> Dict[str, List[float]]:
+        """Run this shard's trials here; per-scheme loss series (dB).
+
+        ``batch_trials`` trials share one stacked channel block (``None``:
+        one trial per block); trial ``k`` draws from
+        ``trial_generator(base_seed, k)`` whatever the block or process,
+        so the series are the same for any block size.
+        """
+        scenario = _scenario_for(self.config)
+        schemes = {spec.name: spec.build_factory() for spec in self.schemes}
+        losses: Dict[str, List[float]] = {name: [] for name in schemes}
+        for outcomes in run_trial_blocks(
+            scenario,
+            schemes,
+            self.search_rate,
+            self.base_seed,
+            self.trial_indices,
+            batch_trials,
+        ):
+            for name, series in losses.items():
+                series.append(outcomes[name].loss_db)
+        return losses
+
+    def artifact_payload(self, losses: Mapping[str, List[float]]) -> Dict[str, Any]:
+        """The store artifact of this shard's loss series.
+
+        ``losses`` maps scheme name to the per-trial loss series for the
+        shard's trial range, in trial order; any other shape raises
+        :class:`ValueError`. The artifact carries a provenance header
+        (schema, code version, base seed, scenario config) and the spec.
+        """
+        expected = {name: self.trial_count for name in self.scheme_names()}
+        actual = {name: len(series) for name, series in losses.items()}
+        if actual != expected:
+            raise ValueError(
+                f"shard result shape mismatch: expected {expected}, got {actual}"
+            )
+        config = canonical_form(self.config)[0]
+        return {
+            "kind": SHARD_KIND,
+            "digest": self.digest,
+            "provenance": {
+                "schema": SHARD_SCHEMA,
+                "code_version": __version__,
+                "base_seed": self.base_seed,
+                "config": config,
+            },
+            "spec": {**self.spec_head(), "config": config},
+            "result": {"losses": losses},
+        }
+
+    def result_from_artifact(
+        self, payload: Mapping[str, Any]
+    ) -> Optional[Dict[str, List[float]]]:
+        """The loss series a stored artifact holds, or ``None`` when
+        mis-shaped. Artifacts from older versions may carry a
+        ``provenance["backend"]`` field; it is ignored."""
+        losses = payload["result"].get("losses")
+        if not isinstance(losses, dict):
+            logger.warning("shard %s artifact has no loss series", self.digest)
+            return None
+        names = self.scheme_names()
+        if set(losses) != set(names) or any(
+            len(losses[name]) != self.trial_count for name in names
+        ):
+            logger.warning("shard %s artifact has wrong shape", self.digest)
+            return None
+        return {name: [float(v) for v in losses[name]] for name in names}
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "ShardSpec":

@@ -7,10 +7,12 @@ Layout under the store root::
     heartbeats/<plan>/<host>-<pid>.jsonl  one process's liveness journal
     claims/<plan>/<digest>.json        one worker's lease on one shard
 
-A shard artifact carries a provenance header (schema, code version, base
-seed, scenario config), the full shard spec, and the per-scheme loss
-series; a cell shard's artifact (:mod:`repro.cell.shards`) carries its
-spec and per-UE records instead. Artifacts are written through the atomic
+Every shard kind (see :mod:`repro.campaign.plan`) encodes and checks its
+own artifact: a campaign shard's carries a provenance header, its spec
+and the per-scheme loss series, a cell shard's (:mod:`repro.cell.shards`)
+its spec and per-UE records. The store adds the optional flight-recorder
+``digests`` block and checks what every kind shares: the ``kind``, the
+``digest`` and a ``result`` object. Artifacts are written through the atomic
 :func:`repro.utils.serialization.dump`, so a crash mid-write leaves no
 partial file; a corrupted or truncated artifact (e.g. injected by
 :class:`~repro.campaign.scheduler.FaultInjector`) is detected on read,
@@ -32,12 +34,11 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.campaign.lease import LeaseRecord, lease_expired, local_hostname
-from repro.campaign.plan import PLAN_SCHEMA, SHARD_SCHEMA, CampaignPlan, ShardSpec
 from repro.obs import get_logger
-from repro.utils.serialization import canonical_form, dump, load
+from repro.utils.serialization import dump, load
 from repro.version import __version__
 
 __all__ = ["ShardStore", "ShardArtifactStatus", "HEARTBEAT_SCHEMA"]
@@ -129,87 +130,43 @@ class ShardStore:
 
     # -- shard artifacts -----------------------------------------------
 
-    def put(self, shard, losses: Any, digests: Optional[List[dict]] = None) -> Path:
+    def put(self, shard, result: Any, digests: Optional[List[dict]] = None) -> Path:
         """Atomically write one shard result; returns the artifact path.
 
-        For a campaign :class:`ShardSpec`, ``losses`` maps scheme name to
-        the per-trial loss series (dB) for the shard's trial range, in
-        trial order. Any other shard kind (a cell UE range) encodes its
-        own result through ``shard.artifact_payload``. ``digests``, when given,
-        is the shard's flight-recorder checkpoint payload list (see
+        The shard encodes ``result`` through ``shard.artifact_payload``
+        (which rejects a mis-shaped result). ``digests``, when given, is
+        the shard's flight-recorder checkpoint payload list (see
         :mod:`repro.obs.checkpoint`) and is stored as an *additive*
         ``digests`` manifest block — artifacts written without it are
-        byte-identical to pre-flight-recorder artifacts. Artifacts from
-        older versions may carry a ``provenance["backend"]`` field;
-        loaders ignore it.
+        byte-identical to pre-flight-recorder artifacts.
         """
-        if not isinstance(shard, ShardSpec):
-            path = self.shard_path(shard.digest)
-            dump(shard.artifact_payload(losses), path)
-            return path
-        expected = {name: shard.trial_count for name in shard.scheme_names()}
-        actual = {name: len(series) for name, series in losses.items()}
-        if actual != expected:
-            raise ValueError(
-                f"shard result shape mismatch: expected {expected}, got {actual}"
-            )
-        digest = shard.digest
-        path = self.shard_path(digest)
-        config = canonical_form(shard.config)[0]
-        provenance = {
-            "schema": SHARD_SCHEMA,
-            "code_version": __version__,
-            "base_seed": shard.base_seed,
-            "config": config,
-        }
-        payload = {
-            "kind": "campaign-shard-v1",
-            "digest": digest,
-            "provenance": provenance,
-            "spec": {**shard.spec_head(), "config": config},
-            "result": {"losses": losses},
-        }
+        payload = shard.artifact_payload(result)
         if digests is not None:
             from repro.obs.checkpoint import CHECKPOINT_SCHEMA
 
             payload["digests"] = {"schema": CHECKPOINT_SCHEMA, "events": digests}
+        path = self.shard_path(shard.digest)
         dump(payload, path)
         return path
 
     def get(self, shard) -> Any:
         """The shard's stored result, or ``None`` if absent or invalid.
 
-        A campaign :class:`ShardSpec`'s result is its loss series; any
-        other shard kind reads and checks its own artifact through
+        The shard reads and checks its own artifact through
         ``shard.result_from_artifact``. This is the validity check behind
-        :meth:`has` and :meth:`classify` for every shard kind.
+        :meth:`has` and :meth:`classify`.
         """
-        if not isinstance(shard, ShardSpec):
-            payload = self._read_artifact(shard.digest, kind=shard.ARTIFACT_KIND)
-            return None if payload is None else shard.result_from_artifact(payload)
-        payload = self._read_artifact(shard.digest)
-        if payload is None:
-            return None
-        losses = payload["result"].get("losses")
-        if not isinstance(losses, dict):
-            logger.warning("shard %s artifact has no loss series", shard.digest)
-            return None
-        names = shard.scheme_names()
-        if set(losses) != set(names) or any(
-            len(losses[name]) != shard.trial_count for name in names
-        ):
-            logger.warning("shard %s artifact has wrong shape", shard.digest)
-            return None
-        return {name: [float(v) for v in losses[name]] for name in names}
+        payload = self._read_artifact(shard)
+        return None if payload is None else shard.result_from_artifact(payload)
 
-    def digest_manifest(self, shard: ShardSpec) -> Optional[List[dict]]:
+    def digest_manifest(self, shard) -> Optional[List[dict]]:
         """The shard's checkpoint event payloads, or ``None``.
 
         ``None`` both when the artifact is absent/invalid and when it was
         written without a flight recorder — the digests block is optional
         provenance, never required for assembly.
         """
-        payload = self._read_artifact(shard.digest)
+        payload = self._read_artifact(shard)
         if payload is None:
             return None
         block = payload.get("digests")
@@ -228,10 +185,9 @@ class ShardStore:
             return "pending"
         return "done" if self.has(shard) else "failed"
 
-    def _read_artifact(
-        self, digest: str, kind: str = "campaign-shard-v1"
-    ) -> Optional[dict]:
-        """Parse and sanity-check one artifact; None when invalid."""
+    def _read_artifact(self, shard) -> Optional[dict]:
+        """Parse and sanity-check one shard's artifact; None when invalid."""
+        digest, kind = shard.digest, shard.ARTIFACT_KIND
         path = self.shard_path(digest)
         try:
             payload = load(path)
@@ -461,56 +417,40 @@ class ShardStore:
             payloads[path.stem] = payload
         return payloads
 
-    def load_manifests(self) -> Dict[str, CampaignPlan]:
-        """Every stored *campaign* plan, keyed by plan digest.
+    def load_manifests(self) -> Dict[str, Any]:
+        """Every stored plan, of every kind, keyed by plan digest.
 
-        Invalid files are skipped with a warning; manifests recorded by
-        other subsystems (a different ``schema``) are skipped silently —
-        they are not junk, just not campaign plans.
+        Each manifest's ``schema`` picks its loader (campaign plans and
+        cell plans). A plan is kept only when the rebuilt plan's digest
+        is the manifest's key, so nothing runs or keeps shards the
+        manifest does not name. Unreadable, unknown-schema, invalid and
+        rebuilt-to-another-plan manifests are skipped with a warning.
         """
-        from repro.campaign.plan import plan_from_payload
-
-        plans: Dict[str, CampaignPlan] = {}
+        loaders = _plan_loaders()
+        plans: Dict[str, Any] = {}
         for digest, payload in self.manifest_payloads().items():
-            schema = payload.get("schema")
-            if schema != PLAN_SCHEMA:
-                logger.debug("manifest %s has schema %r; not a campaign", digest, schema)
+            loader = loaders.get(payload.get("schema"))
+            if loader is None:
+                logger.warning(
+                    "skipping manifest %s: unknown schema %r",
+                    digest,
+                    payload.get("schema"),
+                )
                 continue
             try:
-                plans[digest] = plan_from_payload(payload)
+                plan = loader(payload)
             except Exception as error:  # noqa: BLE001 - tolerate junk files
                 logger.warning("skipping invalid manifest %s: %s", digest, error)
+                continue
+            if plan.digest != digest:
+                logger.warning(
+                    "skipping manifest %s: it rebuilds to plan %s",
+                    digest[:12],
+                    plan.digest[:12],
+                )
+                continue
+            plans[digest] = plan
         return plans
-
-    def _manifest_shard_digests(self) -> Dict[str, Set[str]]:
-        """Shard digests every manifest references, keyed by plan digest.
-
-        Campaign manifests are parsed (their shard payloads carry no
-        digest field; it is recomputed from the spec); other schemas are
-        read structurally from ``shards[*].digest`` entries — the
-        contract generic plans (e.g. :mod:`repro.cell`) follow so gc
-        keeps their artifacts and liveness records.
-        """
-        from repro.campaign.plan import plan_from_payload
-
-        references: Dict[str, Set[str]] = {}
-        for digest, payload in self.manifest_payloads().items():
-            if payload.get("schema") == PLAN_SCHEMA:
-                try:
-                    plan = plan_from_payload(payload)
-                except Exception:  # noqa: BLE001 - junk manifests keep nothing
-                    continue
-                references[digest] = {shard.digest for shard in plan.shards}
-            else:
-                shards = payload.get("shards")
-                if not isinstance(shards, list):
-                    continue
-                references[digest] = {
-                    entry["digest"]
-                    for entry in shards
-                    if isinstance(entry, dict) and isinstance(entry.get("digest"), str)
-                }
-        return references
 
     # -- garbage collection --------------------------------------------
 
@@ -538,7 +478,10 @@ class ShardStore:
         would-be-removed) paths; a journal gc prunes records from is
         listed too. ``now_unix_s`` is injectable for tests.
         """
-        plan_shards = self._manifest_shard_digests()
+        plan_shards = {
+            digest: {shard.digest for shard in plan.shards}
+            for digest, plan in self.load_manifests().items()
+        }
         if keep is None:
             keep_set: Set[str] = set()
             for digests in plan_shards.values():
@@ -610,6 +553,18 @@ class ShardStore:
             if not dry_run and known is None and not any(plan_dir.iterdir()):
                 plan_dir.rmdir()
         return removed
+
+
+def _plan_loaders() -> Dict[str, Callable[[Any], Any]]:
+    """Manifest schema -> the function that rebuilds its plan.
+
+    Imported on use: a store that is only written and read by shard
+    never loads the cell subsystem.
+    """
+    from repro.campaign.plan import PLAN_SCHEMA, plan_from_payload
+    from repro.cell.shards import CELL_PLAN_SCHEMA, plan_cell_from_payload
+
+    return {PLAN_SCHEMA: plan_from_payload, CELL_PLAN_SCHEMA: plan_cell_from_payload}
 
 
 def _plan_dirs(root: Path) -> List[Path]:

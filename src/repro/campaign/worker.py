@@ -23,10 +23,11 @@ write — artifacts stay strictly write-once from the store's viewpoint).
 This loop is the only shard executor:
 :func:`repro.campaign.scheduler.run_campaign` runs it in-process, and
 :func:`repro.campaign.distributed.launch_campaign` runs it in N child
-processes. It runs campaign :class:`ShardSpec` trial ranges and cell UE
-ranges (:class:`repro.cell.shards.CellShard`) alike: the store's
-``get``/``put`` read and write either kind's artifact, and execution is
-the one place the loop tells them apart.
+processes. Campaign trial ranges (:class:`~repro.campaign.plan.ShardSpec`)
+and cell UE ranges (:class:`repro.cell.shards.CellShard`) take one path:
+every shard kind executes itself (:func:`execute_shard_in_process` calls
+its ``execute``) and encodes its own artifact (see
+:mod:`repro.campaign.plan`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Any, List, Optional, Tuple, Union
 
 from repro.campaign.lease import (
     DEFAULT_LEASE_TTL_S,
@@ -44,13 +45,20 @@ from repro.campaign.lease import (
     backoff_delay,
     local_hostname,
 )
-from repro.campaign.plan import CampaignPlan, ShardSpec
+from repro.campaign.plan import CampaignPlan
 from repro.campaign.store import ShardStore
 from repro.exceptions import CampaignAborted, ConfigurationError
-from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
+from repro.obs import (
+    MetricsRecorder,
+    ProgressCallback,
+    ProgressReporter,
+    get_logger,
+    get_recorder,
+    use_recorder,
+)
 from repro.obs.checkpoint import CheckpointSpec, find_checkpointer
 from repro.sim.batch import check_block_size
-from repro.sim.parallel import ParallelOutcome, _run_trial_batch, _scenario_for
+from repro.sim.parallel import _scenario_for
 
 __all__ = [
     "DEFAULT_POLL_S",
@@ -79,17 +87,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SUPERVISOR_PREFIX = "supervisor-"
 
 
-def _shard_losses(
-    outcomes: List[Dict[str, ParallelOutcome]], shard: ShardSpec
-) -> Dict[str, List[float]]:
-    """Collapse a shard's trial outcomes into per-scheme loss series."""
-    return {
-        name: [trial[name].loss_db for trial in outcomes]
-        for name in shard.scheme_names()
-    }
-
-
-def _corrupt_artifact(store: ShardStore, shard: ShardSpec) -> None:
+def _corrupt_artifact(store: ShardStore, shard: Any) -> None:
     """Truncate a freshly-written artifact (fault-injection only)."""
     path = store.shard_path(shard.digest)
     text = path.read_text(encoding="utf-8")
@@ -124,44 +122,36 @@ def _scan_start(lane: Optional[int], num_shards: int) -> int:
     return int((lane * _INV_GOLDEN) % 1.0 * num_shards)
 
 
-def check_worker_options(
-    retries: int, batch_trials: Optional[int], claim_batch: int
-) -> None:
+def check_worker_options(retries: int, batch_trials: Optional[int]) -> None:
     """Reject worker-loop options no worker could run with."""
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")
     check_block_size(batch_trials)
-    if claim_batch < 1:
-        raise ConfigurationError(f"claim_batch must be >= 1, got {claim_batch}")
 
 
 def execute_shard_in_process(
-    shard: ShardSpec,
+    shard: Any,
     batch_trials: Optional[int],
     checkpoint_spec: Optional[CheckpointSpec],
     recorder: Any,
     collect: bool,
-) -> Tuple[Dict[str, List[float]], Optional[List[dict]]]:
-    """Run one shard's trials here; ``(losses, checkpoint payloads)``.
+) -> Tuple[Any, Optional[List[dict]]]:
+    """Run one shard of any kind here; ``(result, checkpoint payloads)``.
 
-    With a checkpoint spec the shard runs under its own worker-style
-    recorder (digests + metrics ride back and merge into ``recorder``);
-    without one it runs under the ambient recorder directly.
+    Without a checkpoint spec the shard runs under the ambient recorder
+    and no payloads come back. With one it runs under its own flight
+    recorder, whose stage digests come back; with ``collect`` that
+    recorder also counts metrics, which merge into ``recorder``.
     """
-    outcomes, aux = _run_trial_batch(
-        shard.config,
-        shard.schemes,
-        shard.search_rate,
-        shard.base_seed,
-        shard.trial_indices,
-        collect if checkpoint_spec is not None else False,
-        batch_trials,
-        checkpoint_spec,
-    )
-    snapshot = aux.get("metrics") if aux else None
-    if collect and snapshot and recorder.metrics is not None:
-        recorder.metrics.merge_snapshot(snapshot)
-    return _shard_losses(outcomes, shard), (aux.get("checkpoints") if aux else None)
+    if checkpoint_spec is None:
+        return shard.execute(batch_trials), None
+    inner = MetricsRecorder() if collect else None
+    checkpointer = checkpoint_spec.build(inner)
+    with use_recorder(checkpointer):
+        result = shard.execute(batch_trials)
+    if inner is not None and recorder.metrics is not None:
+        recorder.metrics.merge_snapshot(inner.metrics.snapshot())
+    return result, checkpointer.payload()
 
 
 def publish_shard(
@@ -221,7 +211,6 @@ def run_worker(
     backoff_s: float = 0.0,
     lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
     poll_s: float = DEFAULT_POLL_S,
-    claim_batch: int = 1,
     max_shards: Optional[int] = None,
     checkpoints: Union[bool, CheckpointSpec] = False,
     fault_injector: Optional[Any] = None,
@@ -237,18 +226,16 @@ def run_worker(
     The loop terminates when each shard is either done (by anyone) or
     permanently failed *by this worker*; shards failed by other workers
     are retried here once their lease frees up, so transient per-host
-    failures don't poison the campaign. ``claim_batch`` claims up to
-    that many free shards per scan before executing them, amortizing
-    claim I/O on large plans (queued leases are renewed between shards).
-    When a scan finds every pending shard held by a live foreign lease,
-    the worker sleeps before the next one: 5 ms at first, doubling on
-    each further idle scan up to ``poll_s``, and back to 5 ms after any
-    progress.
+    failures don't poison the campaign. A claimed shard is checked once
+    more under its lease (another worker may have finished it between
+    the scan's check and the claim) and then executed. When a scan
+    finds every pending shard held by a live foreign lease, the worker
+    sleeps before the next one: 5 ms at first, doubling on each further
+    idle scan up to ``poll_s``, and back to 5 ms after any progress.
     ``max_shards`` bounds how many shards this invocation executes —
-    drain-style workers for tests and budgeted runs; the worker never
-    holds more claims than the budget has left. Failures are reported in
-    ``failed_digests``, never raised: another worker (or a resume) may
-    still finish the campaign.
+    drain-style workers for tests and budgeted runs. Failures are
+    reported in ``failed_digests``, never raised: another worker (or a
+    resume) may still finish the campaign.
 
     ``known_done`` holds digests of shards the caller has already seen
     done (:func:`~repro.campaign.distributed.launch_campaign` hands its
@@ -268,7 +255,7 @@ def run_worker(
     stored manifests in scan order (plan order for lane 0). Heartbeats
     and spans carry this worker's id for provenance and trace lanes.
     """
-    check_worker_options(retries, batch_trials, claim_batch)
+    check_worker_options(retries, batch_trials)
     recorder = get_recorder()
     parent_checkpointer = find_checkpointer(recorder)
     checkpoint_spec: Optional[CheckpointSpec] = None
@@ -353,12 +340,9 @@ def run_worker(
                 try:
                     if fault_injector is not None:
                         fault_injector.before_attempt(index)
-                    if isinstance(shard, ShardSpec):
-                        result, shard_digests = execute_shard_in_process(
-                            shard, batch_trials, checkpoint_spec, recorder, collect
-                        )
-                    else:
-                        result = shard.execute(batch_trials)
+                    result, shard_digests = execute_shard_in_process(
+                        shard, batch_trials, checkpoint_spec, recorder, collect
+                    )
                 except CampaignAborted:
                     raise
                 except Exception as error:  # noqa: BLE001 - retried
@@ -458,20 +442,6 @@ def run_worker(
             while len(resolved) < len(plan.shards) and not budget_spent:
                 progressed = False
                 contended = False
-                claimed: List[Tuple[int, Any]] = []
-
-                def drain() -> None:
-                    nonlocal progressed
-                    for index, shard in claimed:
-                        lease.renew_due()
-                        if store.has(shard):  # finished while queued
-                            lease.release(shard.digest)
-                            skip(shard)
-                        else:
-                            execute_one(index, shard)
-                        progressed = True
-                    claimed.clear()
-
                 for index, shard in scan_order:
                     if max_shards is not None and executed >= max_shards:
                         budget_spent = True
@@ -479,7 +449,6 @@ def run_worker(
                     if shard.digest in resolved:
                         continue
                     if shard.digest in known_done or store.has(shard):
-                        drain()  # earlier claims first: digests stay in scan order
                         skip(shard)
                         progressed = True
                         continue
@@ -501,13 +470,12 @@ def run_worker(
                         recorder.event(
                             "campaign.lease_takeover", digest=shard.digest
                         )
-                    claimed.append((index, shard))
-                    if len(claimed) >= claim_batch or (
-                        max_shards is not None
-                        and executed + len(claimed) >= max_shards
-                    ):
-                        drain()
-                drain()
+                    if store.has(shard):  # finished between the check and the claim
+                        lease.release(shard.digest)
+                        skip(shard)
+                    else:
+                        execute_one(index, shard)
+                    progressed = True
                 if len(resolved) >= len(plan.shards) or budget_spent:
                     break
                 if progressed:

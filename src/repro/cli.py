@@ -240,10 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard lease time-to-live before takeover (default 30)",
     )
     launch_cmd.add_argument(
-        "--claim-batch", type=int, default=1, metavar="K",
-        help="shards each worker claims per scan before executing (default 1)",
-    )
-    launch_cmd.add_argument(
         "--json", default=None, help="write the assembled sweep as JSON"
     )
     launch_cmd.add_argument(
@@ -296,10 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
             "longest sleep between scans while other workers hold every "
             "pending shard"
         ),
-    )
-    worker_cmd.add_argument(
-        "--claim-batch", type=int, default=1, metavar="K",
-        help="shards to claim per scan before executing (default 1)",
     )
     worker_cmd.add_argument(
         "--max-shards", type=int, default=None, metavar="N",
@@ -790,15 +782,14 @@ def _campaign_plan_from_args(args: argparse.Namespace):
 
 
 def _handle_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import ShardStore, campaign_status, run_campaign
+    from repro.campaign import ShardStore, run_campaign
     from repro.obs import print_progress
 
     config, plan = _campaign_plan_from_args(args)
     store = ShardStore(args.store)
-    before = campaign_status(plan, store)
     print(
         f"campaign {plan.digest[:12]}: {len(plan.shards)} shards"
-        f" ({plan.total_trials} trials), {before.done} already done"
+        f" ({plan.total_trials} trials)"
     )
     report = run_campaign(
         plan,
@@ -844,16 +835,15 @@ def _finish_campaign(args, config, plan, store) -> int:
 
 
 def _handle_campaign_launch(args: argparse.Namespace) -> int:
-    from repro.campaign import ShardStore, campaign_status, launch_campaign
+    from repro.campaign import ShardStore, launch_campaign
     from repro.obs import print_progress
 
     config, plan = _campaign_plan_from_args(args)
     store = ShardStore(args.store)
-    before = campaign_status(plan, store)
     print(
         f"campaign {plan.digest[:12]}: {len(plan.shards)} shards"
-        f" ({plan.total_trials} trials), {before.done} already done;"
-        f" launching {args.workers} lease-based worker(s)"
+        f" ({plan.total_trials} trials); launching {args.workers}"
+        " lease-based worker(s)"
     )
     kwargs = {}
     if args.lease_ttl is not None:
@@ -865,7 +855,6 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
         batch_trials=args.batch_trials,
         retries=args.retries,
         backoff_s=args.backoff,
-        claim_batch=args.claim_batch,
         checkpoints=args.checkpoints,
         progress=print_progress if args.progress else None,
         **kwargs,
@@ -873,46 +862,18 @@ def _handle_campaign_launch(args: argparse.Namespace) -> int:
     attribution = ", ".join(
         f"{worker}: {count}" for worker, count in report.attribution.items()
     )
-    print(f"workers exited {list(report.exit_codes)}; shards by worker: {attribution or '-'}")
+    print(
+        f"{report.already_done} already done; workers exited"
+        f" {list(report.exit_codes)}; shards by worker: {attribution or '-'}"
+    )
     if not report.complete:
         raise CampaignError("campaign incomplete after all workers exited")
     return _finish_campaign(args, config, plan, store)
 
 
-def _stored_plans(store) -> dict:
-    """Every plan recorded in ``store`` a worker can run, by digest.
-
-    Campaign plans come from :meth:`ShardStore.load_manifests`. A cell
-    plan is rebuilt from its manifest and kept only when the rebuilt
-    plan's digest is the manifest's key, so a worker never runs shards
-    the manifest does not name.
-    """
-    from repro.cell.shards import CELL_PLAN_SCHEMA, plan_cell_from_payload
-    from repro.exceptions import ReproError
-
-    plans = dict(store.load_manifests())
-    for digest, payload in store.manifest_payloads().items():
-        if payload.get("schema") != CELL_PLAN_SCHEMA:
-            continue
-        try:
-            plan = plan_cell_from_payload(payload)
-        except (ReproError, KeyError, TypeError, ValueError) as error:
-            logger.warning("skipping invalid cell plan manifest %s: %s", digest, error)
-            continue
-        if plan.digest != digest:
-            logger.warning(
-                "skipping cell plan manifest %s: it rebuilds to plan %s",
-                digest[:12],
-                plan.digest[:12],
-            )
-            continue
-        plans[digest] = plan
-    return plans
-
-
 def _resolve_stored_plan(store, token):
     """Find one recorded plan by digest prefix (or the sole manifest)."""
-    manifests = _stored_plans(store)
+    manifests = store.load_manifests()
     if not manifests:
         raise CampaignError(f"no campaign manifests recorded in {store.root}")
     if token is None:
@@ -952,7 +913,6 @@ def _handle_campaign_worker(args: argparse.Namespace) -> int:
         batch_trials=args.batch_trials,
         retries=args.retries,
         backoff_s=args.backoff,
-        claim_batch=args.claim_batch,
         max_shards=args.max_shards,
         checkpoints=args.checkpoints,
         progress=print_progress if args.progress else None,
@@ -992,13 +952,14 @@ def _handle_campaign_status(args: argparse.Namespace) -> int:
         return 0
     for digest, plan in sorted(manifests.items()):
         status = campaign_status(plan, store)
+        rates = dict.fromkeys(shard.search_rate for shard in plan.shards)
         state = "complete" if status.complete else "in progress"
         print(
             f"campaign {digest[:12]} [{state}]: "
             f"{status.done} done / {status.pending} pending / "
             f"{status.failed} failed of {status.total} shards;"
             f" trials {status.done_trials}/{status.total_trials};"
-            f" rates {', '.join(f'{r:g}' for r in plan.search_rates)}"
+            f" rates {', '.join(f'{r:g}' for r in rates)}"
         )
         health = campaign_health(plan, store, **_campaign_health_kwargs(args))
         for host in health.hosts():

@@ -360,7 +360,9 @@ def replay_trial(
     if not rates:
         raise ValueError(f"{path}: no search rate recorded; pass one explicitly")
 
-    from repro.sim.parallel import _run_trial_batch
+    from repro.campaign.plan import ShardSpec
+    from repro.campaign.worker import execute_shard_in_process
+    from repro.obs.recorder import get_recorder
 
     spec = CheckpointSpec(
         spill_dir=str(spill_dir) if spill_dir is not None else None,
@@ -368,41 +370,36 @@ def replay_trial(
     )
     events: List[CheckpointEvent] = []
     for search_rate in rates:
-        _, aux = _run_trial_batch(
-            config,
-            tuple(specs),
-            float(search_rate),
-            base_seed,
-            (trial,),
-            False,
-            None,
-            spec,
-        )
-        payloads = (aux or {}).get("checkpoints") or []
+        shard = ShardSpec(config, tuple(specs), float(search_rate), base_seed, trial, 1)
+        _, payloads = execute_shard_in_process(shard, None, spec, get_recorder(), False)
         events.extend(CheckpointEvent.from_payload(p) for p in payloads)
     return events
 
 
 def _replay_spec_from_store(path: Path, trial: int, rate: Optional[float]):
     """Scenario config + scheme specs for one trial out of a shard store."""
+    from repro.campaign.plan import CampaignPlan
     from repro.campaign.store import ShardStore
 
-    store = ShardStore(path)
-    for plan in store.load_manifests().values():
-        for shard in plan.shards:
-            if trial not in shard.trial_indices:
-                continue
-            if rate is not None and _rate_token(rate) != _rate_token(shard.search_rate):
-                continue
-            return (
-                shard.config,
-                list(shard.schemes),
-                shard.base_seed,
-                [shard.search_rate] if rate is not None else sorted(
-                    {s.search_rate for p in store.load_manifests().values() for s in p.shards
-                     if trial in s.trial_indices}
-                ),
-            )
+    # Cell plans' shards are UE ranges, not sweep trials: not replayable.
+    covering = [
+        shard
+        for plan in ShardStore(path).load_manifests().values()
+        if isinstance(plan, CampaignPlan)
+        for shard in plan.shards
+        if trial in shard.trial_indices
+    ]
+    for shard in covering:
+        if rate is not None and _rate_token(rate) != _rate_token(shard.search_rate):
+            continue
+        return (
+            shard.config,
+            list(shard.schemes),
+            shard.base_seed,
+            [shard.search_rate]
+            if rate is not None
+            else sorted({s.search_rate for s in covering}),
+        )
     raise ValueError(f"{path}: no stored shard covers trial {trial}")
 
 

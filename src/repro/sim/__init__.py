@@ -16,7 +16,6 @@ if TYPE_CHECKING:
     )
     from repro.sim.parallel import (
         SCHEME_BUILDERS,
-        ParallelOutcome,
         SchemeSpec,
     )
     from repro.sim.persistence import (
@@ -51,7 +50,6 @@ __all__ = [
     "loss_from_matrix_db",
     "snr_loss_db",
     "SCHEME_BUILDERS",
-    "ParallelOutcome",
     "SchemeSpec",
     "load_cost_curve",
     "load_effectiveness_sweep",
@@ -83,8 +81,7 @@ __getattr__, __dir__ = lazy_namespace(
         ),
         "repro.sim.parallel": (
             "SCHEME_BUILDERS",
-            "ParallelOutcome",
-            "SchemeSpec",
+                    "SchemeSpec",
         ),
         "repro.sim.persistence": (
             "load_cost_curve",

@@ -5,9 +5,10 @@ A figure sweep runs thousands of trials against the *same*
 and pair enumeration. Building those per trial (or per worker task)
 wastes most of the setup time of short trials. A :class:`ScenarioContext`
 bundles everything deterministic about a configuration — the scenario,
-both codebooks, and the flat pair-index table — behind a per-process
-memo (:func:`get_context`), so the serial runner, every parallel worker,
-and the benchmarks all share one copy.
+both codebooks, and the flat pair-index table. A scenario builds it
+once (:meth:`~repro.sim.scenario.Scenario.context`), and each process
+builds one scenario per config (:func:`repro.sim.parallel._scenario_for`),
+so every trial and shard a process runs shares one copy.
 
 Everything in the context is immutable (codebook vectors and the pair
 table are read-only arrays); sharing it across trials cannot leak state
@@ -17,7 +18,6 @@ between them. Channel realizations stay per-trial, drawn through
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,7 +32,7 @@ from repro.types import BeamPair
 if TYPE_CHECKING:
     from repro.sim.scenario import Scenario
 
-__all__ = ["ScenarioContext", "get_context"]
+__all__ = ["ScenarioContext"]
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,3 @@ class ScenarioContext:
     def make_budget(self, search_rate: float) -> MeasurementBudget:
         """A fresh budget for one alignment run at the given search rate."""
         return MeasurementBudget.from_search_rate(self.total_pairs, search_rate)
-
-
-@functools.lru_cache(maxsize=8)
-def get_context(config: ScenarioConfig) -> ScenarioContext:
-    """The per-process shared context for a configuration.
-
-    Memoized on the (hashable, frozen) config, so repeated calls — one
-    per trial in the runner, one per task in each parallel worker —
-    return the same instance and pay the codebook construction exactly
-    once per process.
-    """
-    # Imported here: ``repro.sim.scenario`` imports this module.
-    from repro.sim.scenario import Scenario
-
-    return ScenarioContext.build(Scenario(config))

@@ -175,20 +175,9 @@ class TestTrialGeneratorContract:
         )
         schemes = {spec.name: spec.build_factory() for spec in SPECS}
         reference = run_trials(small_scenario, schemes, 0.3, 4, base_seed=5)
-        from repro.campaign.worker import _shard_losses
-        from repro.sim.parallel import _run_trial_batch
-
         tail_shard = plan.shards_for_rate(0.3)[1]
-        outcomes, _ = _run_trial_batch(
-            small_config,
-            tail_shard.schemes,
-            0.3,
-            5,
-            tail_shard.trial_indices,
-            False,
-            None,
-        )
-        losses = _shard_losses(outcomes, tail_shard)
+        assert tail_shard.trial_indices == (2, 3)
+        losses = tail_shard.execute()
         for name in ("Random", "Proposed"):
             assert losses[name] == [
                 reference[2][name].loss_db,

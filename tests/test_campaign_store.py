@@ -154,6 +154,70 @@ class TestManifests:
         assert store.load_manifests() == {plan.digest: plan}
 
 
+def _kind_plan(kind, small_config, specs):
+    """A small plan of either shard kind the store runs."""
+    if kind == "campaign":
+        return plan_effectiveness_sweep(
+            small_config, specs, (0.1,), 4, base_seed=3, shard_trials=2
+        )
+    from repro.cell import CellConfig, plan_cell
+
+    config = CellConfig(
+        scenario=small_config, num_users=8, arrival_rate_hz=5000.0, search_rate=0.25
+    )
+    return plan_cell(config, shard_ues=4)
+
+
+class TestShardKinds:
+    """Campaign and cell shards take the store's one path."""
+
+    @pytest.fixture(params=["campaign", "cell"])
+    def plan(self, request, small_config, specs):
+        return _kind_plan(request.param, small_config, specs)
+
+    def test_put_get_roundtrip(self, store, plan):
+        shard = plan.shards[0]
+        result = shard.execute()
+        assert store.put(shard, result) == store.shard_path(shard.digest)
+        assert load(store.shard_path(shard.digest))["kind"] == shard.ARTIFACT_KIND
+        assert store.get(shard) == result
+        assert store.classify(shard) == "done"
+        assert store.classify(plan.shards[1]) == "pending"
+
+    def test_truncated_artifact_is_failed(self, store, plan):
+        shard = plan.shards[0]
+        path = store.put(shard, shard.execute())
+        path.write_text(path.read_text()[: path.stat().st_size // 2])
+        assert store.get(shard) is None
+        assert store.classify(shard) == "failed"
+
+    def test_gc_keeps_referenced_artifacts(self, store, plan, small_config, specs):
+        store.save_manifest(plan)
+        kept = [store.put(shard, shard.execute()) for shard in plan.shards]
+        orphan = ShardSpec(small_config, specs, 0.9, 99, 0, 1)
+        orphan_path = store.put(orphan, {"Random": [5.0]})
+        assert store.gc() == [orphan_path]
+        assert all(path.exists() for path in kept)
+        assert all(store.has(shard) for shard in plan.shards)
+
+    def test_load_manifests_returns_every_plan_kind(
+        self, store, small_config, specs, caplog
+    ):
+        kinds = {
+            kind: _kind_plan(kind, small_config, specs) for kind in ("campaign", "cell")
+        }
+        for each in kinds.values():
+            store.save_manifest(each)
+        # A cell manifest filed under another plan's key, and a junk one.
+        cell = kinds["cell"]
+        dump(cell.payload(), store.manifest_path("0" * 32))
+        dump({"schema": cell.payload()["schema"], "shards": []}, store.manifest_path("1" * 32))
+        expected = {each.digest: each for each in kinds.values()}
+        assert store.load_manifests() == expected
+        assert f"{'0' * 12}: it rebuilds to plan {cell.digest[:12]}" in caplog.text
+        assert f"skipping invalid manifest {'1' * 32}" in caplog.text
+
+
 class TestGc:
     def test_gc_removes_orphans_and_corrupt(self, store, small_config, specs):
         plan = plan_effectiveness_sweep(

@@ -104,14 +104,17 @@ class TestRunWorker:
         assert all(record["worker"] == "w5" for record in beats.values())
         assert worker_attribution(store, plan) == {"w5": len(plan.shards)}
 
-    @pytest.mark.parametrize("claim_batch", [1, 4])
-    def test_max_shards_budget(self, plan, store, claim_batch):
-        report = run_worker(plan, store, max_shards=1, claim_batch=claim_batch)
-        assert report.executed == 1
-        assert sum(store.has(shard) for shard in plan.shards) == 1
+    @pytest.mark.parametrize("budget", [1, 4])
+    def test_max_shards_budget(self, small_config, store, budget):
+        plan = plan_effectiveness_sweep(
+            small_config, SPECS, RATES, TRIALS, base_seed=SEED, shard_trials=1
+        )
+        report = run_worker(plan, store, max_shards=budget)
+        assert report.executed == budget
+        assert sum(store.has(shard) for shard in plan.shards) == budget
         assert store.read_claims(plan.digest) == {}  # nothing left claimed
         rest = run_worker(plan, store)
-        assert rest.executed == len(plan.shards) - 1
+        assert rest.executed == len(plan.shards) - budget
 
     def test_failures_are_reported_not_raised(self, plan, store):
         injector = FaultInjector(crash_shards={0: 10})
@@ -123,17 +126,9 @@ class TestRunWorker:
         assert retry.executed == 1
         assert campaign_status(plan, store).complete
 
-    def test_claim_batch_amortization(self, plan, store, small_scenario):
-        report = run_worker(plan, store, claim_batch=len(plan.shards))
-        assert report.executed == len(plan.shards)
-        sweep = assemble_effectiveness_sweep(plan, store)
-        assert sweep.losses == _direct_sweep(small_scenario).losses
-
     def test_validation(self, plan, store):
         with pytest.raises(ConfigurationError):
             run_worker(plan, store, retries=-1)
-        with pytest.raises(ConfigurationError):
-            run_worker(plan, store, claim_batch=0)
         with pytest.raises(ConfigurationError):
             run_worker(plan, store, batch_trials=0)
 
@@ -200,11 +195,11 @@ class TestScenarioPriming:
         assert report.skipped == len(plan.shards)
         assert calls == []
 
-    @pytest.mark.parametrize("claim_batch", [1, 3])
+    @pytest.mark.parametrize("batch_trials", [1, 3])
     def test_fresh_store_primes_once_before_the_first_claim(
-        self, plan, store, calls, claim_batch
+        self, plan, store, calls, batch_trials
     ):
-        report = run_worker(plan, store, worker_id="w0", claim_batch=claim_batch)
+        report = run_worker(plan, store, worker_id="w0", batch_trials=batch_trials)
         assert report.executed == len(plan.shards)
         assert calls.count("prime") == 1
         assert calls[:2] == ["prime", "acquire"]

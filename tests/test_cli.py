@@ -398,14 +398,12 @@ class TestCampaignDistributedCli:
                 "--quick",
                 "--lease-ttl",
                 "10",
-                "--claim-batch",
-                "2",
             ]
         )
         assert args.campaign_command == "launch"
         assert args.workers == 4
         assert args.lease_ttl == 10.0
-        assert args.claim_batch == 2
+        assert not hasattr(args, "claim_batch")
 
     def test_worker_parser_options(self):
         args = build_parser().parse_args(
@@ -507,28 +505,6 @@ class TestCampaignDistributedCli:
         assert main([*serve, "--summary", str(storeless)]) == 0
         assert stored.read_bytes() == storeless.read_bytes()
 
-    def test_worker_skips_a_cell_manifest_that_rebuilds_to_another_plan(
-        self, capsys, caplog, tmp_path: Path
-    ):
-        from repro.campaign import ShardStore
-        from repro.cell.shards import plan_cell
-        from repro.cli import _cell_config_from_args
-        from repro.utils.serialization import dump
-
-        plan = plan_cell(
-            _cell_config_from_args(build_parser().parse_args(TestCellCli.QUICK)), 6
-        )
-        store = ShardStore(tmp_path / "store")
-        path = store.save_manifest(plan)
-        path.rename(store.manifest_path("0" * 32))
-        junk = {"schema": plan.payload()["schema"], "shards": []}
-        dump(junk, store.manifest_path("1" * 32))
-        code = main(["campaign", "worker", "--store", str(store.root)])
-        assert code == 1
-        assert "no campaign manifests" in capsys.readouterr().err
-        assert f"rebuilds to plan {plan.digest[:12]}" in caplog.text
-        assert f"skipping invalid cell plan manifest {'1' * 32}" in caplog.text
-
     def test_launch_end_to_end(self, capsys, tmp_path: Path):
         store = tmp_path / "store"
         code = main(
@@ -598,6 +574,17 @@ class TestCellCli:
         assert main(self.QUICK + ["--store", store, "--shard-ues", "8"]) == 0
         out = capsys.readouterr().out
         assert "(cached 2)" in out
+
+    def test_campaign_status_and_watch_see_a_served_cell_plan(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        assert main(self.QUICK + ["--store", store, "--shard-ues", "8"]) == 0
+        digest = capsys.readouterr().out.splitlines()[0].split()[-1]
+        assert main(["campaign", "status", "--store", store]) == 0
+        out = capsys.readouterr().out
+        assert f"campaign {digest[:12]} [complete]: 2 done / 0 pending" in out
+        assert "trials 16/16" in out
+        assert main(["campaign", "watch", "--store", store, "--once"]) == 0
+        assert "shards: 2 done" in capsys.readouterr().out
 
     def test_bad_scheme_errors(self, capsys):
         assert main(["cell", "serve", "--quick", "--scheme", "NoSuch"]) == 2

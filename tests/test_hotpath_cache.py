@@ -24,7 +24,6 @@ from repro.arrays.codebook import (
 from repro.estimation.ml_covariance import MlCovarianceEstimator
 from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
-from repro.sim.context import ScenarioContext, get_context
 from repro.sim.runner import run_trials, standard_schemes
 from repro.types import BeamPair
 from repro.utils.linalg import quadratic_forms, random_psd
@@ -273,10 +272,6 @@ class TestScenarioContext:
 
     def test_scenario_context_is_shared(self, small_scenario):
         assert small_scenario.context() is small_scenario.context()
-
-    def test_get_context_memoized_per_config(self, small_config):
-        assert get_context(small_config) is get_context(small_config)
-        assert isinstance(get_context(small_config), ScenarioContext)
 
     def test_out_of_range_rejected(self, small_scenario):
         context = small_scenario.context()

@@ -1,7 +1,7 @@
 """Picklable scheme specs, and campaigns surviving crashed workers.
 
 Campaign shards carry their schemes as :class:`SchemeSpec` values and run
-through ``_run_trial_batch`` in lease-loop workers; shards a launched
+through ``ShardSpec.execute`` in lease-loop workers; shards a launched
 worker dies on must finish in-process with identical artifacts.
 """
 
