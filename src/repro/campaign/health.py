@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.campaign.lease import LeaseRecord, lease_expired
 from repro.campaign.plan import CampaignPlan
@@ -236,13 +236,17 @@ def campaign_health(
     store: ShardStore,
     now_unix_s: Optional[float] = None,
     stall_factor: float = DEFAULT_STALL_FACTOR,
+    known_done: AbstractSet[str] = frozenset(),
 ) -> CampaignHealth:
     """Classify every shard of ``plan`` with heartbeat-aware states.
 
     ``now_unix_s`` is injectable for tests (defaults to wall clock).
     Artifact truth wins over heartbeat claims: a shard with a valid
     artifact is ``done`` no matter what its heartbeat says, and a corrupt
-    artifact is ``failed`` even with a fresh heartbeat.
+    artifact is ``failed`` even with a fresh heartbeat. Shards in
+    ``known_done`` (digests a status pass just saw done) are ``done``
+    without a read, as in
+    :func:`~repro.campaign.scheduler.campaign_status`.
     """
     now = time.time() if now_unix_s is None else now_unix_s
     heartbeats = store.read_heartbeats(plan.digest)
@@ -259,7 +263,7 @@ def campaign_health(
     shards: List[ShardHealth] = []
     for index, shard in enumerate(plan.shards):
         digest = shard.digest
-        verdict = store.classify(shard)
+        verdict = "done" if digest in known_done else store.classify(shard)
         beat = heartbeats.get(digest)
         claim = claims.get(digest)
         if (

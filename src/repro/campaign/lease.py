@@ -341,20 +341,6 @@ class LeaseManager:
         self._held[shard_digest] = now
         return True
 
-    def renew_due(self, margin: float = 0.5) -> int:
-        """Renew every held lease past ``margin`` of its TTL; count renewed.
-
-        Called opportunistically from worker loops so renewal cost is one
-        in-memory timestamp check per shard, not one disk write per poll.
-        """
-        now = time.time()
-        renewed = 0
-        for digest, last in list(self._held.items()):
-            if now - last >= self.ttl_s * margin:
-                if self.renew(digest):
-                    renewed += 1
-        return renewed
-
     def release(self, shard_digest: str) -> None:
         """Drop one lease; never deletes a claim that is no longer ours."""
         self._held.pop(shard_digest, None)

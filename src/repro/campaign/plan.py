@@ -181,10 +181,10 @@ class ShardSpec:
         scenario = _scenario_for(self.config)
         schemes = {spec.name: spec.build_factory() for spec in self.schemes}
         losses: Dict[str, List[float]] = {name: [] for name in schemes}
-        for outcomes in run_trial_blocks(
+        for (outcomes,) in run_trial_blocks(
             scenario,
             schemes,
-            self.search_rate,
+            [self.search_rate],
             self.base_seed,
             self.trial_indices,
             batch_trials,

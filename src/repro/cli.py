@@ -961,7 +961,9 @@ def _handle_campaign_status(args: argparse.Namespace) -> int:
             f" trials {status.done_trials}/{status.total_trials};"
             f" rates {', '.join(f'{r:g}' for r in rates)}"
         )
-        health = campaign_health(plan, store, **_campaign_health_kwargs(args))
+        health = campaign_health(
+            plan, store, known_done=status.done_digests, **_campaign_health_kwargs(args)
+        )
         for host in health.hosts():
             print(
                 f"  host {host.host}: {host.done} done / {host.active} active /"

@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
-    from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+    from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, BudgetLadder
     from repro.core.bidirectional import BidirectionalAlignment
     from repro.core.policies import (
         RandomTxPolicy,
@@ -19,6 +19,7 @@ if TYPE_CHECKING:
 __all__ = [
     "AlignmentContext",
     "BeamAlignmentAlgorithm",
+    "BudgetLadder",
     "BidirectionalAlignment",
     "RandomTxPolicy",
     "RoundRobinTxPolicy",
@@ -33,7 +34,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
-        "repro.core.base": ("AlignmentContext", "BeamAlignmentAlgorithm"),
+        "repro.core.base": ("AlignmentContext", "BeamAlignmentAlgorithm", "BudgetLadder"),
         "repro.core.bidirectional": ("BidirectionalAlignment",),
         "repro.core.policies": (
             "RandomTxPolicy",

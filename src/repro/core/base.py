@@ -14,7 +14,7 @@ the paper's evaluation (Sec. V):
 from __future__ import annotations
 
 import abc
-from typing import List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 import numpy as np
 
@@ -25,8 +25,9 @@ from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import Measurement, MeasurementEngine
 from repro.obs import get_recorder
 from repro.types import BeamPair
+from repro.utils.rng import copy_generator
 
-__all__ = ["AlignmentContext", "BeamAlignmentAlgorithm"]
+__all__ = ["AlignmentContext", "BeamAlignmentAlgorithm", "BudgetLadder"]
 
 
 class AlignmentContext:
@@ -130,6 +131,28 @@ class AlignmentContext:
     def num_measurements(self) -> int:
         """Measurements consumed so far."""
         return self._budget.spent
+
+    def fork(self, limit: int) -> "AlignmentContext":
+        """A context at budget ``limit`` that continues this run alone.
+
+        The child starts where this context stands: it gets copies of the
+        probe log, the dedup table and the spent count, and a forked
+        engine (its own copy of the RNG state and counters); it shares
+        the channel and the codebooks. Measurements on either context
+        never show on the other. ``limit`` must cover what is already
+        spent.
+        """
+        budget = MeasurementBudget(self._budget.total_pairs, limit, self._budget.spent)
+        child = AlignmentContext(
+            self._tx_codebook, self._rx_codebook, self._engine.fork(), budget, self._stream
+        )
+        size = len(self._slots)
+        child._flats[:size] = self._flats[:size]
+        child._powers[:size] = self._powers[:size]
+        child._z[:size] = self._z[:size]
+        child._slots = self._slots[:]
+        child._record_of[:] = self._record_of
+        return child
 
     # -- measurement ----------------------------------------------------
 
@@ -345,6 +368,51 @@ class AlignmentContext:
         )
 
 
+class BudgetLadder:
+    """The smaller budgets that one alignment run settles on its way.
+
+    A sweep scores a scheme at several search rates on the same channel.
+    The run itself goes at the largest budget; ``rates_by_limit`` maps
+    every smaller budget to the search rates it serves, and ``top_rates``
+    are the run's own. A scheme settles each smaller budget with
+    :meth:`settle`, filing the result a run at that budget alone returns.
+
+    :attr:`sharing` lists the rates whose runs still coincide with this
+    one. The runner scopes the flight recorder to that list, so each
+    checkpoint of the shared stretch is filed once per rate in it (and
+    digested once); :meth:`settle` takes a budget's rates out of it, and
+    :meth:`alone` scopes what a budget runs on its own fork.
+    """
+
+    def __init__(
+        self,
+        rates_by_limit: Mapping[int, Sequence[float]],
+        top_rates: Sequence[float],
+    ) -> None:
+        self._rates: Dict[int, List[float]] = {
+            limit: list(rates) for limit, rates in sorted(rates_by_limit.items())
+        }
+        self.sharing: List[float] = [
+            rate for rates in self._rates.values() for rate in rates
+        ] + list(top_rates)
+        self.results: Dict[int, AlignmentResult] = {}
+
+    @property
+    def pending(self) -> List[int]:
+        """The budgets not settled yet, smallest first."""
+        return list(self._rates)
+
+    def alone(self, limit: int):
+        """Scope the flight recorder to budget ``limit``'s rates alone."""
+        return get_recorder().rate_scope(self._rates[limit])
+
+    def settle(self, limit: int, result: AlignmentResult) -> None:
+        """File ``result`` as budget ``limit``'s; its rates stop sharing."""
+        for rate in self._rates.pop(limit):
+            self.sharing.remove(rate)
+        self.results[limit] = result
+
+
 class BeamAlignmentAlgorithm(abc.ABC):
     """A beam-alignment scheme: consumes a context, returns a result."""
 
@@ -358,6 +426,26 @@ class BeamAlignmentAlgorithm(abc.ABC):
         rng: np.random.Generator,
     ) -> AlignmentResult:
         """Run the scheme until its budget is spent; return the outcome."""
+
+    def align_ladder(
+        self,
+        context: AlignmentContext,
+        rng: np.random.Generator,
+        ladder: BudgetLadder,
+    ) -> AlignmentResult:
+        """Align at the context's budget and settle every budget of ``ladder``.
+
+        Each smaller budget runs on its own, on a fork of the untouched
+        context with a copy of ``rng``, so its result is what a run at
+        that budget alone returns; then the run at the context's budget
+        goes. A scheme whose runs share a common stretch overrides this
+        to run it once.
+        """
+        for limit in ladder.pending:
+            with ladder.alone(limit):
+                result = self.align(context.fork(limit), copy_generator(rng))
+            ladder.settle(limit, result)
+        return self.align(context, rng)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

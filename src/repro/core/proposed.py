@@ -34,17 +34,19 @@ quantifies this).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+import copy
+from typing import Callable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, BudgetLadder
 from repro.core.policies import RandomTxPolicy, TxBeamPolicy
 from repro.core.result import AlignmentResult, SlotRecord
 from repro.estimation.base import CovarianceEstimator
 from repro.estimation.ml_covariance import MlCovarianceEstimator
 from repro.exceptions import ValidationError
 from repro.types import BeamPair
+from repro.utils.rng import copy_generator
 from repro.utils.validation import check_probability
 
 __all__ = ["ProposedAlignment"]
@@ -74,7 +76,9 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         Builds a fresh covariance estimator per alignment run (default:
         the penalized-ML estimator of Eq. 23). The estimator instance
         persists across slots, so warm-starting estimators carry channel
-        knowledge forward exactly as Sec. IV-C intends.
+        knowledge forward exactly as Sec. IV-C intends. A smaller budget
+        of a ladder forks it with :func:`copy.copy`, so an estimator
+        replaces its state between calls rather than mutating it.
     tx_policy:
         TX-slot beam policy (default: random without repetition).
     exploration:
@@ -118,11 +122,22 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         self,
         context: AlignmentContext,
         rng: np.random.Generator,
+        ladder: Optional[BudgetLadder] = None,
     ) -> AlignmentResult:
+        """Run Algorithm 1 until the budget is spent.
+
+        A TX slot reads the budget only to size itself, so a run at a
+        smaller budget repeats this one slot for slot until its budget
+        runs out or its last slot comes up short. ``ladder``'s budgets
+        settle along the way: one with nothing left at the top of a slot
+        takes this run's result as it stands, and one whose last slot is
+        partial runs that slot on a fork (with copies of the RNG, the
+        estimator and the slot records) before this run goes on.
+        """
         estimator = self._estimator_factory()
-        rx_codebook = context.rx_codebook
-        per_slot = min(self._measurements_per_slot, rx_codebook.num_beams)
+        per_slot = min(self._measurements_per_slot, context.rx_codebook.num_beams)
         gain_floor = self._signal_threshold * context.noise_variance
+        rungs = ladder.pending if ladder is not None else []
 
         previous_estimate: Optional[np.ndarray] = None
         used_tx: Set[int] = set()
@@ -131,53 +146,107 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         slot = -1
         while not context.budget.exhausted:
             slot += 1
+            spent = context.budget.spent
+            while rungs and rungs[0] <= spent:
+                ladder.settle(rungs.pop(0), context.result(self.name, slots=slot_records))
             tx_index = self._pick_tx_beam(context, slot, used_tx, rng)
             if tx_index is None:
                 break  # every pair measured; nothing left to learn
             used_tx.add(tx_index)
             measured_rx = context.measured_rx_beams(tx_index)
-            available = rx_codebook.num_beams - len(measured_rx)
-            size = min(per_slot, context.budget.remaining, available)
-            if size <= 0:
-                continue
-
-            probe_count = size - 1
-            probe_beams = self._select_probe_beams(
-                rx_codebook, previous_estimate, probe_count, measured_rx, gain_floor, rng
+            full = min(per_slot, context.rx_codebook.num_beams - len(measured_rx))
+            while rungs and rungs[0] - spent < full:
+                limit = rungs.pop(0)
+                with ladder.alone(limit):
+                    fork = context.fork(limit)
+                    record, _ = self._run_slot(
+                        fork,
+                        copy.copy(estimator),
+                        copy_generator(rng),
+                        slot,
+                        tx_index,
+                        limit - spent,
+                        measured_rx,
+                        previous_estimate,
+                        gain_floor,
+                    )
+                    result = fork.result(self.name, slots=slot_records + [record])
+                ladder.settle(limit, result)
+            record, previous_estimate = self._run_slot(
+                context,
+                estimator,
+                rng,
+                slot,
+                tx_index,
+                min(full, context.budget.remaining),
+                measured_rx,
+                previous_estimate,
+                gain_floor,
             )
-            powers = context.measure_many(
-                tx_index * rx_codebook.num_beams + np.array(probe_beams, dtype=np.int64),
-                slot=slot,
-            )
+            slot_records.append(record)
 
-            decided_beam: Optional[int] = None
-            estimate = previous_estimate
-            estimator_converged: Optional[bool] = None
-            if probe_beams:
-                probes = rx_codebook.vectors[:, probe_beams]
-                estimate = estimator.estimate(probes, powers, context.noise_variance)
-                last_result = getattr(estimator, "last_result", None)
-                if last_result is not None:
-                    estimator_converged = bool(last_result.converged)
-            if size > len(probe_beams):
-                exclude = measured_rx | set(probe_beams)
-                decided_beam = self._decide_beam(
-                    rx_codebook, estimate, exclude, gain_floor, rng
-                )
-                context.measure(BeamPair(tx_index, decided_beam), slot=slot)
-            previous_estimate = estimate
-
-            slot_records.append(
-                SlotRecord(
-                    slot=slot,
-                    tx_beam=tx_index,
-                    probe_rx_beams=tuple(probe_beams),
-                    decided_rx_beam=decided_beam,
-                    estimator_converged=estimator_converged,
-                )
-            )
-
+        for limit in rungs:
+            ladder.settle(limit, context.result(self.name, slots=slot_records))
         return context.result(self.name, slots=slot_records)
+
+    def align_ladder(
+        self,
+        context: AlignmentContext,
+        rng: np.random.Generator,
+        ladder: BudgetLadder,
+    ) -> AlignmentResult:
+        """One run settles every budget of ``ladder`` (see :meth:`align`)."""
+        return self.align(context, rng, ladder)
+
+    def _run_slot(
+        self,
+        context: AlignmentContext,
+        estimator: CovarianceEstimator,
+        rng: np.random.Generator,
+        slot: int,
+        tx_index: int,
+        size: int,
+        measured_rx: Set[int],
+        previous_estimate: Optional[np.ndarray],
+        gain_floor: float,
+    ) -> Tuple[SlotRecord, Optional[np.ndarray]]:
+        """Steps 2-4 of one TX slot of ``size`` measurements on ``tx_index``.
+
+        Returns the slot's record and the estimate the next slot reads.
+        """
+        rx_codebook = context.rx_codebook
+        probe_beams = self._select_probe_beams(
+            rx_codebook, previous_estimate, size - 1, measured_rx, gain_floor, rng
+        )
+        powers = context.measure_many(
+            tx_index * rx_codebook.num_beams + np.array(probe_beams, dtype=np.int64),
+            slot=slot,
+        )
+
+        decided_beam: Optional[int] = None
+        estimate = previous_estimate
+        estimator_converged: Optional[bool] = None
+        if probe_beams:
+            probes = rx_codebook.vectors[:, probe_beams]
+            estimate = estimator.estimate(probes, powers, context.noise_variance)
+            last_result = getattr(estimator, "last_result", None)
+            if last_result is not None:
+                estimator_converged = bool(last_result.converged)
+        if size > len(probe_beams):
+            exclude = measured_rx | set(probe_beams)
+            decided_beam = self._decide_beam(
+                rx_codebook, estimate, exclude, gain_floor, rng
+            )
+            context.measure(BeamPair(tx_index, decided_beam), slot=slot)
+
+        record = SlotRecord(
+            slot=slot,
+            tx_beam=tx_index,
+            probe_rx_beams=tuple(probe_beams),
+            decided_rx_beam=decided_beam,
+            estimator_converged=estimator_converged,
+        )
+        return record, estimate
 
     # ------------------------------------------------------------------
 

@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -24,7 +25,7 @@ from repro.arrays.codebook import Codebook
 from repro.channel.base import ClusteredChannel
 from repro.exceptions import ValidationError
 from repro.types import BeamPair
-from repro.utils.rng import complex_normal
+from repro.utils.rng import complex_normal, copy_generator
 from repro.utils.validation import check_unit_norm
 
 __all__ = ["Measurement", "MeasurementEngine"]
@@ -96,6 +97,17 @@ class MeasurementEngine:
         self._interference_power = float(interference_power)
         self._count = 0
         self._interference_hits = 0
+
+    def fork(self) -> "MeasurementEngine":
+        """An engine on the same channel that continues from here alone.
+
+        It starts with a copy of this engine's RNG state and counters, so
+        it draws what this engine would draw next, and measurements on
+        either engine never move the other.
+        """
+        child = copy.copy(self)
+        child._rng = copy_generator(self._rng)
+        return child
 
     @property
     def channel(self) -> ClusteredChannel:

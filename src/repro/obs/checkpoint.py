@@ -371,25 +371,30 @@ class CheckpointSpec:
 
 
 class _TrialScope:
-    """Context manager flipping the recorder's (trial, rate) scope."""
+    """Context manager flipping the recorder's (trial, rates) scope."""
 
-    __slots__ = ("_owner", "_trial", "_rate", "_saved")
+    __slots__ = ("_owner", "_trial", "_rates", "_saved")
 
-    def __init__(self, owner: "CheckpointRecorder", trial: Optional[int], rate: Optional[float]):
+    def __init__(
+        self,
+        owner: "CheckpointRecorder",
+        trial: Optional[int],
+        rates: Sequence[Optional[float]],
+    ):
         self._owner = owner
         self._trial = trial
-        self._rate = rate
-        self._saved: Tuple[Optional[int], Optional[float]] = (None, None)
+        self._rates = rates
+        self._saved: Tuple[Optional[int], Sequence[Optional[float]]] = (None, (None,))
 
     def __enter__(self) -> "_TrialScope":
         owner = self._owner
-        self._saved = (owner._trial, owner._rate)
+        self._saved = (owner._trial, owner._rates)
         owner._trial = self._trial
-        owner._rate = self._rate
+        owner._rates = self._rates
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        self._owner._trial, self._owner._rate = self._saved
+        self._owner._trial, self._owner._rates = self._saved
 
 
 class CheckpointRecorder(Recorder):
@@ -428,7 +433,7 @@ class CheckpointRecorder(Recorder):
         self._perturb = PerturbationSpec.parse(perturb) if perturb else None
         self._perturb_done = False
         self._trial: Optional[int] = None
-        self._rate: Optional[float] = None
+        self._rates: Sequence[Optional[float]] = (None,)
         self._scheme: Optional[str] = None
         self._seq: Dict[Tuple[str, int], int] = {}
         self._sink = _find_checkpoint_sink(self.inner)
@@ -458,7 +463,17 @@ class CheckpointRecorder(Recorder):
 
     def trial_scope(self, trial: Optional[int], rate: Optional[float] = None) -> _TrialScope:
         """Scope subsequent checkpoints to one (trial index, search rate)."""
-        return _TrialScope(self, trial, rate)
+        return _TrialScope(self, trial, (rate,))
+
+    def rate_scope(self, rates: Sequence[float]) -> _TrialScope:
+        """Scope subsequent checkpoints of the current trial to ``rates``.
+
+        Each checkpoint is digested once and filed once per rate, under
+        that rate's own sequence numbers. The list is read at every
+        checkpoint, so a caller that removes a rate from it (a settled
+        budget of a sweep's ladder) narrows the scope from then on.
+        """
+        return _TrialScope(self, self._trial, rates)
 
     @contextmanager
     def scheme_scope(self, name: str) -> Iterator[None]:
@@ -478,10 +493,12 @@ class CheckpointRecorder(Recorder):
         arrays: Union[np.ndarray, Mapping[str, np.ndarray]],
         stream: Optional[str] = None,
         **attrs: Any,
-    ) -> CheckpointEvent:
-        """Digest one stage's arrays under the current (trial, rate) scope."""
+    ) -> Optional[CheckpointEvent]:
+        """Digest one stage's arrays under the current (trial, rates) scope.
+
+        Returns the event filed under the scope's last rate.
+        """
         trial = self._trial if self._trial is not None else -1
-        rate = self._rate
         named = _as_arrays(arrays)
         if (
             self._perturb is not None
@@ -492,26 +509,26 @@ class CheckpointRecorder(Recorder):
             name0, value0 = named[0]
             named = [(name0, self._perturb.apply(name0, value0))] + named[1:]
         digest, infos, stats = _digest_named(named)
-        seq_key = (_rate_token(rate), trial)
-        seq = self._seq.get(seq_key, 0)
-        self._seq[seq_key] = seq + 1
-        spill_path: Optional[str] = None
-        if self._should_spill(trial):
-            spill_path = self._spill(stage, trial, rate, seq, named)
-        event = CheckpointEvent(
-            stage=stage,
-            trial=trial,
-            seq=seq,
-            rate=rate,
-            digest=digest,
-            arrays=infos,
-            stats=stats,
-            scheme=self._scheme,
-            stream=stream,
-            spill=spill_path,
-            attrs=attrs,  # fresh dict from **attrs; no defensive copy needed
-        )
-        self._record(event)
+        spill = self._should_spill(trial)
+        event: Optional[CheckpointEvent] = None
+        for rate in tuple(self._rates):
+            seq_key = (_rate_token(rate), trial)
+            seq = self._seq.get(seq_key, 0)
+            self._seq[seq_key] = seq + 1
+            event = CheckpointEvent(
+                stage=stage,
+                trial=trial,
+                seq=seq,
+                rate=rate,
+                digest=digest,
+                arrays=infos,
+                stats=stats,
+                scheme=self._scheme,
+                stream=stream,
+                spill=self._spill(stage, trial, rate, seq, named) if spill else None,
+                attrs=attrs,
+            )
+            self._record(event)
         return event
 
     def _record(self, event: CheckpointEvent) -> None:

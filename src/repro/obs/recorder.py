@@ -24,7 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -146,6 +146,11 @@ class Recorder:
 
     def trial_scope(self, trial: Optional[int], rate: Optional[float] = None):
         """Scope checkpoints to one (trial, search rate); no-op by default."""
+        return _NULL_SCOPE
+
+    def rate_scope(self, rates: Sequence[float]):
+        """Scope checkpoints to several search rates of the current trial;
+        no-op by default."""
         return _NULL_SCOPE
 
     def scheme_scope(self, name: str):

@@ -6,15 +6,20 @@ channel realizations through the stacked steering/coupling GEMMs of
 matrix in one shot (:func:`draw_block`, shared with the cell's per-UE
 executor), then runs the scheme loop per trial against the primed
 couplings (so per-measurement work is fused ``measure_many`` blocks over
-cached tables). :func:`run_trial_blocks` cuts a run of trials into
-blocks; ``run_trials``, effectiveness sweeps and campaign shards all
-run through it, and a block size of ``None`` means one trial per block.
+cached tables). A block runs at one or more search rates: each scheme
+runs once per trial at the largest budget and settles the smaller ones
+on the way (:class:`~repro.core.base.BudgetLadder`).
+:func:`run_trial_blocks` cuts a run of trials into blocks;
+``run_trials`` and campaign shards run one rate through it, effectiveness
+sweeps every rate, and a block size of ``None`` means one trial per
+block.
 
 Determinism: trial ``k`` uses ``trial_generator(base_seed, k)`` in any
 block, each trial spawns its child streams identically, and every
 stacked kernel is per-slice bit-identical to its per-channel reference
 — seeded outcomes are bit-identical for any block size (pinned by
-``tests/test_batch_engine.py`` and ``tests/test_pinned_digests.py``).
+``tests/test_batch_engine.py`` and ``tests/test_pinned_digests.py``)
+and for any set of rates run together (``tests/test_sim_ladder.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from repro.sim.runner import (
     TrialOutcome,
     _checkpoint_trial_setup,
     _execute_schemes,
+    _rates_by_limit,
     _stream_labels,
 )
 from repro.sim.scenario import Scenario
@@ -77,22 +83,33 @@ def draw_block(
 def run_trial_block(
     scenario: Scenario,
     schemes: Mapping[str, AlgorithmFactory],
-    search_rate: float,
+    search_rates: Sequence[float],
     rngs: Sequence[np.random.Generator],
     trial_indices: Optional[Sequence[Optional[int]]] = None,
-) -> List[Dict[str, TrialOutcome]]:
-    """Run one block of trials; outcomes come back in ``rngs`` order.
+) -> List[List[Dict[str, TrialOutcome]]]:
+    """Run one block of trials at every search rate of ``search_rates``.
+
+    Returns, per trial in ``rngs`` order, the scheme outcomes at each
+    rate in ``search_rates`` order. Every trial draws one channel for all
+    rates, and each scheme runs once per trial against the largest
+    budget, settling the smaller ones on the way
+    (:meth:`~repro.core.base.BeamAlignmentAlgorithm.align_ladder`); each
+    rate's outcomes are what a run at that rate alone returns.
 
     ``rngs`` carries one per-trial generator (as produced by
     ``trial_generator``); each trial's outcomes depend on its generator
     alone, never on the block around it. ``trial_indices`` (same length
     as ``rngs``, when given) scopes flight-recorder checkpoints to each
     trial's global index; per-trial digests are extracted from the
-    stacked arrays inside the per-trial loop, so the emitted event
-    sequence is the same for any block size.
+    stacked arrays inside the per-trial loop, so each (rate, trial)
+    records the same event sequence for any block size and any set of
+    rates run beside it.
     """
     if not schemes:
         raise ConfigurationError("run_trial_block needs at least one scheme")
+    rates = [float(rate) for rate in search_rates]
+    if not rates:
+        raise ConfigurationError("run_trial_block needs at least one search rate")
     rngs = list(rngs)
     if not rngs:
         return []
@@ -103,41 +120,44 @@ def run_trial_block(
     indices = list(trial_indices) if trial_indices is not None else [None] * len(rngs)
     recorder = get_recorder()
     shared = scenario.context()
+    rates_by_limit = _rates_by_limit(shared, rates)
+    distinct = [rate for grouped in rates_by_limit.values() for rate in grouped]
     block = draw_block(scenario, rngs, _stream_labels(schemes))
     if recorder.enabled:
         recorder.increment("batch.blocks")
         recorder.increment("batch.trials", len(rngs))
-    outcomes: List[Dict[str, TrialOutcome]] = []
+    outcomes: List[List[Dict[str, TrialOutcome]]] = []
     for index, (streams, channel, snr_matrix) in zip(indices, block):
-        with recorder.trial_scope(index, search_rate):
-            with recorder.span("trial", search_rate=search_rate) as trial_span:
+        with recorder.trial_scope(index), recorder.rate_scope(distinct):
+            with recorder.span("trial", search_rates=rates) as trial_span:
                 if recorder.checkpoints_enabled:
                     _checkpoint_trial_setup(recorder, channel, snr_matrix)
-                trial_outcomes = _execute_schemes(
+                by_rate = _execute_schemes(
                     scenario,
                     shared,
                     channel,
                     snr_matrix,
                     schemes,
                     list(streams.values())[1:],
-                    search_rate,
+                    rates_by_limit,
                     recorder,
                 )
-                trial_span.annotate(schemes=list(trial_outcomes))
-        outcomes.append(trial_outcomes)
+                trial_span.annotate(schemes=list(schemes))
+        outcomes.append([by_rate[rate] for rate in rates])
     return outcomes
 
 
 def run_trial_blocks(
     scenario: Scenario,
     schemes: Mapping[str, AlgorithmFactory],
-    search_rate: float,
+    search_rates: Sequence[float],
     base_seed: int,
     trials: Sequence[int],
     batch_trials: Optional[int] = None,
-) -> Iterator[Dict[str, TrialOutcome]]:
+) -> Iterator[List[Dict[str, TrialOutcome]]]:
     """Yield the outcomes of ``trials`` (global indices) in order, run in
-    blocks of ``batch_trials`` (``None``: one trial per block).
+    blocks of ``batch_trials`` (``None``: one trial per block); each
+    trial's entry holds its scheme outcomes per rate of ``search_rates``.
 
     Trial ``k`` draws from ``trial_generator(base_seed, k)``, so the
     outcomes are the same for any block size; the last block may be
@@ -147,4 +167,4 @@ def run_trial_blocks(
     for start in range(0, len(trials), size):
         chunk = trials[start : start + size]
         rngs = [trial_generator(base_seed, trial) for trial in chunk]
-        yield from run_trial_block(scenario, schemes, search_rate, rngs, chunk)
+        yield from run_trial_block(scenario, schemes, search_rates, rngs, chunk)

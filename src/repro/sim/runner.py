@@ -1,4 +1,4 @@
-"""Trial runner: one channel draw, several schemes, one budget.
+"""Trial runner: one channel draw, several schemes, one budget per rate.
 
 Fairness rules baked in:
 
@@ -12,17 +12,18 @@ Fairness rules baked in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.random_search import RandomSearch
 from repro.baselines.scan_search import ScanSearch
 from repro.channel.base import ClusteredChannel
-from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, BudgetLadder
 from repro.core.proposed import ProposedAlignment
 from repro.core.result import AlignmentResult
 from repro.exceptions import ConfigurationError
+from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.sim.metrics import PairEvaluation, evaluate_pair
@@ -141,6 +142,14 @@ def _checkpoint_beam_selection(
     )
 
 
+def _rates_by_limit(shared, rates: Sequence[float]) -> Dict[int, List[float]]:
+    """The distinct ``rates`` grouped by their measurement budget."""
+    grouped: Dict[int, List[float]] = {}
+    for rate in dict.fromkeys(rates):
+        grouped.setdefault(shared.make_budget(rate).limit, []).append(rate)
+    return grouped
+
+
 def _execute_schemes(
     scenario: Scenario,
     shared,
@@ -148,52 +157,75 @@ def _execute_schemes(
     snr_matrix: np.ndarray,
     schemes: Mapping[str, AlgorithmFactory],
     scheme_rngs: List[np.random.Generator],
-    search_rate: float,
+    rates_by_limit: Mapping[int, List[float]],
     recorder,
-) -> Dict[str, TrialOutcome]:
-    """Run every scheme against one channel realization (the scheme loop
-    of :func:`repro.sim.batch.run_trial_block`)."""
-    outcomes: Dict[str, TrialOutcome] = {}
+) -> Dict[float, Dict[str, TrialOutcome]]:
+    """Run every scheme against one channel realization at every rate
+    (the scheme loop of :func:`repro.sim.batch.run_trial_block`).
+
+    Each scheme aligns once at the largest budget and settles the
+    smaller ones through a :class:`~repro.core.base.BudgetLadder`;
+    the outcomes come back per rate, each what a run at that rate alone
+    returns.
+    """
+    top = max(rates_by_limit)
+    outcomes: Dict[float, Dict[str, TrialOutcome]] = {
+        rate: {} for rates in rates_by_limit.values() for rate in rates
+    }
     for index, (name, factory) in enumerate(schemes.items()):
         engine_rng = scheme_rngs[2 * index]
         algo_rng = scheme_rngs[2 * index + 1]
         engine = MeasurementEngine(
             channel, engine_rng, fading_blocks=scenario.config.fading_blocks
         )
-        budget = shared.make_budget(search_rate)
         context = AlignmentContext(
             shared.tx_codebook,
             shared.rx_codebook,
             engine,
-            budget,
+            MeasurementBudget(shared.total_pairs, top),
             stream=f"{name}.measurement",
+        )
+        ladder = BudgetLadder(
+            {limit: rates for limit, rates in rates_by_limit.items() if limit < top},
+            rates_by_limit[top],
         )
         algorithm = factory(channel)
         with recorder.scheme_scope(name), recorder.span(f"scheme.{name}") as scheme_span:
-            result = algorithm.align(context, algo_rng)
-            outcome = TrialOutcome(
-                algorithm=name,
-                result=result,
-                evaluation=evaluate_pair(snr_matrix, result.selected),
-            )
+            with recorder.rate_scope(ladder.sharing):
+                results = {top: algorithm.align_ladder(context, algo_rng, ladder)}
+            results.update(ladder.results)
+            for limit, rates in rates_by_limit.items():
+                result = results[limit]
+                outcome = TrialOutcome(
+                    algorithm=name,
+                    result=result,
+                    evaluation=evaluate_pair(snr_matrix, result.selected),
+                )
+                if recorder.checkpoints_enabled:
+                    with recorder.rate_scope(rates):
+                        _checkpoint_beam_selection(recorder, name, result, snr_matrix)
+                for rate in rates:
+                    outcomes[rate][name] = outcome
+            runs = [by_scheme[name] for by_scheme in outcomes.values()]
             scheme_span.annotate(
-                loss_db=outcome.loss_db,
-                measurements=result.measurements_used,
-                search_rate=result.search_rate,
+                loss_db=[run.loss_db for run in runs],
+                measurements=[run.result.measurements_used for run in runs],
+                search_rate=[run.search_rate for run in runs],
             )
-            if recorder.checkpoints_enabled:
-                _checkpoint_beam_selection(recorder, name, result, snr_matrix)
         if recorder.enabled:
-            recorder.increment(f"scheme.{name}.measurements", result.measurements_used)
-            recorder.increment(f"scheme.{name}.trials")
-        outcomes[name] = outcome
+            for run in runs:
+                recorder.increment(f"scheme.{name}.measurements", run.result.measurements_used)
+                recorder.increment(f"scheme.{name}.trials")
     if recorder.checkpoints_enabled:
-        recorder.checkpoint(
-            "trial.metrics",
-            {"loss_db": np.array([outcomes[name].loss_db for name in outcomes])},
-            schemes=list(outcomes),
-            losses={name: float(outcomes[name].loss_db) for name in outcomes},
-        )
+        for rates in rates_by_limit.values():
+            losses = outcomes[rates[0]]
+            with recorder.rate_scope(rates):
+                recorder.checkpoint(
+                    "trial.metrics",
+                    {"loss_db": np.array([losses[name].loss_db for name in losses])},
+                    schemes=list(losses),
+                    losses={name: float(losses[name].loss_db) for name in losses},
+                )
     return outcomes
 
 
@@ -214,7 +246,7 @@ def run_trial(
     # Imported here: repro.sim.batch imports this module's scheme loop.
     from repro.sim.batch import run_trial_block
 
-    return run_trial_block(scenario, schemes, search_rate, [rng], [trial_index])[0]
+    return run_trial_block(scenario, schemes, [search_rate], [rng], [trial_index])[0][0]
 
 
 def run_trials(
@@ -253,8 +285,8 @@ def run_trials(
     with recorder.span(
         "run_trials", num_trials=num_trials, search_rate=search_rate, base_seed=base_seed
     ):
-        for trial_outcomes in run_trial_blocks(
-            scenario, schemes, search_rate, base_seed, range(num_trials), batch_trials
+        for (trial_outcomes,) in run_trial_blocks(
+            scenario, schemes, [search_rate], base_seed, range(num_trials), batch_trials
         ):
             outcomes.append(trial_outcomes)
             reporter.update()

@@ -26,7 +26,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.obs import ProgressCallback, ProgressReporter, get_logger, get_recorder
 from repro.sim.aggregate import SeriesStats, summarize
-from repro.sim.runner import AlgorithmFactory, run_trials
+from repro.sim.batch import run_trial_blocks
+from repro.sim.runner import AlgorithmFactory
 from repro.sim.scenario import Scenario
 
 logger = get_logger("sim.sweep")
@@ -89,6 +90,13 @@ def effectiveness_sweep(
 ) -> EffectivenessSweep:
     """Run every scheme at every search rate; collect per-trial losses.
 
+    The direct path (no ``store``) goes trial by trial: each block of
+    trials draws its channels once for all rates, and each scheme runs
+    once per trial at the largest budget, settling the smaller budgets on
+    the way (:func:`repro.sim.batch.run_trial_blocks`). Every rate's
+    losses are what a run at that rate alone gives; a rate listed twice
+    runs once.
+
     ``progress`` receives throttled completion/ETA updates over the whole
     ``len(search_rates) * num_trials`` grid; it observes the sweep without
     touching its RNG streams, so results are identical with or without it.
@@ -123,6 +131,8 @@ def effectiveness_sweep(
         raise ConfigurationError("need at least one search rate")
     if any(not 0.0 < rate <= 1.0 for rate in rates):
         raise ConfigurationError(f"search rates must be in (0, 1], got {rates}")
+    if num_trials < 1:
+        raise ConfigurationError(f"num_trials must be >= 1, got {num_trials}")
     recorder = get_recorder()
     reporter = ProgressReporter(len(rates) * num_trials, progress, label="sweep")
     logger.info(
@@ -131,30 +141,17 @@ def effectiveness_sweep(
         num_trials,
         len(schemes),
     )
-    losses: Dict[str, List[List[float]]] = {name: [] for name in schemes}
+    losses: Dict[str, List[List[float]]] = {name: [[] for _ in rates] for name in schemes}
     with recorder.span(
         "effectiveness_sweep", rates=rates, num_trials=num_trials, schemes=list(schemes)
     ):
-        for rate_index, rate in enumerate(rates):
-            inner: Optional[ProgressCallback] = None
-            if progress is not None:
-                base = rate_index * num_trials
-
-                def inner(event, base=base):
-                    reporter.report(base + event.done)
-
-            with recorder.span("sweep.rate", search_rate=rate):
-                trials = run_trials(
-                    scenario,
-                    schemes,
-                    rate,
-                    num_trials,
-                    base_seed=base_seed,
-                    progress=inner,
-                    batch_trials=batch_trials,
-                )
-            for name in schemes:
-                losses[name].append([trial[name].loss_db for trial in trials])
+        for per_rate in run_trial_blocks(
+            scenario, schemes, rates, base_seed, range(num_trials), batch_trials
+        ):
+            for rate_index, outcomes in enumerate(per_rate):
+                for name in schemes:
+                    losses[name][rate_index].append(outcomes[name].loss_db)
+            reporter.update(len(rates))
     return EffectivenessSweep(search_rates=rates, losses=losses)
 
 

@@ -17,7 +17,14 @@ from typing import Dict, Iterable, List, Union
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn", "labeled_spawn", "trial_generator", "complex_normal"]
+__all__ = [
+    "as_generator",
+    "spawn",
+    "labeled_spawn",
+    "trial_generator",
+    "copy_generator",
+    "complex_normal",
+]
 
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
@@ -54,6 +61,19 @@ def labeled_spawn(
 def trial_generator(base_seed: int, trial_index: int) -> np.random.Generator:
     """Deterministic per-trial generator for experiment reproducibility."""
     return np.random.default_rng(np.random.SeedSequence((base_seed, trial_index)))
+
+
+def copy_generator(rng: np.random.Generator) -> np.random.Generator:
+    """An independent generator at ``rng``'s exact state.
+
+    Both draw the same values from here on, and drawing from one never
+    moves the other: a forked run continues a stream without touching
+    the original's.
+    """
+    source = rng.bit_generator
+    bit_generator = type(source)(source.seed_seq)
+    bit_generator.state = source.state
+    return np.random.Generator(bit_generator)
 
 
 def complex_normal(

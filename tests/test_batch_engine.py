@@ -75,9 +75,10 @@ class TestRunTrialsBatched:
         block = run_trial_block(
             small_scenario,
             schemes,
-            0.3,
+            [0.3],
             [trial_generator(43, k) for k in range(3)],
         )
+        block = [per_rate for (per_rate,) in block]
         serial = run_trials(
             small_scenario, standard_schemes(measurements_per_slot=4), 0.3, 3,
             base_seed=43,
@@ -86,12 +87,12 @@ class TestRunTrialsBatched:
 
     def test_empty_block_is_empty(self, small_scenario):
         assert run_trial_block(
-            small_scenario, standard_schemes(measurements_per_slot=4), 0.3, []
+            small_scenario, standard_schemes(measurements_per_slot=4), [0.3], []
         ) == []
 
     def test_no_schemes_rejected(self, small_scenario):
         with pytest.raises(ConfigurationError):
-            run_trial_block(small_scenario, {}, 0.3, [trial_generator(0, 0)])
+            run_trial_block(small_scenario, {}, [0.3], [trial_generator(0, 0)])
 
     def test_validation(self, small_scenario):
         schemes = standard_schemes(measurements_per_slot=4)

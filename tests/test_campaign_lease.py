@@ -124,13 +124,6 @@ class TestLeaseLifecycle:
     def test_renew_unheld_is_false(self, store):
         assert not _manager(store).renew(SHARD)
 
-    def test_renew_due_only_touches_aged_leases(self, store):
-        manager = _manager(store, ttl_s=1000.0)
-        manager.acquire(SHARD)
-        assert manager.renew_due() == 0  # fresh: far from the ttl margin
-        manager._held[SHARD] = time.time() - 600.0  # past 50% of ttl
-        assert manager.renew_due() == 1
-
     def test_release_all(self, store):
         manager = _manager(store)
         for digest in ("s1", "s2", "s3"):

@@ -205,6 +205,22 @@ class TestCampaignCli:
         assert main(["campaign", "status", "--store", str(tmp_path / "none")]) == 0
         assert "no campaigns recorded" in capsys.readouterr().out
 
+    def test_status_reads_each_artifact_once(
+        self, capsys, tmp_path: Path, small_config, monkeypatch
+    ):
+        from repro.campaign import ShardStore, plan_effectiveness_sweep, run_campaign
+        from repro.sim.parallel import SchemeSpec
+
+        store = ShardStore(tmp_path / "store")
+        plan = plan_effectiveness_sweep(
+            small_config, [SchemeSpec.of("Random")], (0.2, 0.3), 4, shard_trials=1
+        )
+        run_campaign(plan, store)
+        gets = _count_calls(monkeypatch, ShardStore, "get")
+        assert main(["campaign", "status", "--store", str(store.root)]) == 0
+        assert "8 done / 0 pending / 0 failed of 8 shards" in capsys.readouterr().out
+        assert len(gets) == 8
+
     def test_run_status_resume_gc_cycle(self, capsys, tmp_path: Path):
         store = tmp_path / "store"
         sweep_json = tmp_path / "sweep.json"
@@ -586,6 +602,19 @@ class TestCellCli:
         assert main(["campaign", "watch", "--store", store, "--once"]) == 0
         assert "shards: 2 done" in capsys.readouterr().out
 
+    def test_campaign_status_reads_each_cell_artifact_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.campaign import ShardStore
+
+        store = str(tmp_path / "store")
+        assert main(self.QUICK + ["--store", store, "--shard-ues", "4"]) == 0
+        capsys.readouterr()
+        gets = _count_calls(monkeypatch, ShardStore, "get")
+        assert main(["campaign", "status", "--store", store]) == 0
+        assert "4 done / 0 pending" in capsys.readouterr().out
+        assert len(gets) == 4
+
     def test_bad_scheme_errors(self, capsys):
         assert main(["cell", "serve", "--quick", "--scheme", "NoSuch"]) == 2
         assert "error" in capsys.readouterr().err
@@ -595,6 +624,19 @@ class TestCellCli:
         captured = capsys.readouterr()
         assert captured.err == "repro: error: batch_users must be >= 0, got -4\n"
         assert "cell plan" not in captured.out
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``; the returned list gets one entry per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _fail_cell_shards(monkeypatch):

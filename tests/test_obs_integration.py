@@ -119,17 +119,23 @@ class TestSweepInstrumentation:
         assert events[-1].total == 4
 
     def test_sweep_spans_per_rate(self, small_scenario, tmp_path):
+        """No rate runs alone: one trial span carries every rate."""
         path = tmp_path / "t.jsonl"
         with TraceRecorder(path) as recorder, use_recorder(recorder):
             effectiveness_sweep(
                 small_scenario,
                 standard_schemes(measurements_per_slot=4),
                 [0.2, 0.3],
-                1,
+                3,
                 base_seed=0,
+                batch_trials=2,
             )
-        span_names = [r["name"] for r in read_trace(path) if r["type"] == "span"]
-        assert span_names.count("sweep.rate") == 2
+        spans = [r for r in read_trace(path) if r["type"] == "span"]
+        span_names = [r["name"] for r in spans]
+        assert "sweep.rate" not in span_names
+        trials = [r for r in spans if r["name"] == "trial"]
+        assert len(trials) == 3
+        assert all(r["attrs"]["search_rates"] == [0.2, 0.3] for r in trials)
         assert "effectiveness_sweep" in span_names
 
 
