@@ -2,7 +2,7 @@
 
 The checkpoint recorder (:mod:`repro.obs.checkpoint`) blake2b-digests
 every pipeline stage — channel draw, gain tables, probes, estimator
-iterates, beam selection, metrics — when one is installed. Its
+solves, beam selection, metrics — when one is installed. Its
 documented budget (``docs/drift.md``): a quick-fig6-style workload with
 digests on stays within **10%** of the digest-free run, and with the
 default :class:`~repro.obs.NullRecorder` the instrumentation is a no-op
@@ -31,7 +31,7 @@ from repro.sim.scenario import Scenario
 #: Quick-fig6-style workload: the paper's Sec. V-A multipath scenario,
 #: all three schemes, a low search rate (long probe schedules), few
 #: trials. Hundreds of checkpoint events per trial — probe digests are
-#: tiny, each estimator iterate hashes a 64x64 complex solution.
+#: tiny, each estimator solve hashes its 64x64 complex solution.
 TRIALS = 2
 SEARCH_RATE = 0.1
 SEED = 2016
@@ -105,7 +105,7 @@ def test_checkpoint_overhead_budget(scenario):
     margin.) Both sides run interleaved under identical load, with the
     cyclic GC paused during timing; best-of-rounds discards scheduler
     contention. The dominant irreducible cost is the blake2b hash of
-    each estimator iterate's 64x64 complex solution (~65 KB per event).
+    each estimator solve's 64x64 complex solution (~65 KB per event).
     """
     # Warm both code paths (lazy imports, codebook caches, LAPACK
     # work buffers, the digest hot path).

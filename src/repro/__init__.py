@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from repro.arrays.ula import UniformLinearArray
     from repro.arrays.upa import UniformPlanarArray
     from repro.arrays.steering import steering_vector
-    from repro.baselines.exhaustive import ExhaustiveSearch
     from repro.baselines.genie import GenieAligner
     from repro.baselines.hierarchical_search import HierarchicalSearch
     from repro.baselines.local_refine import LocalRefineSearch
@@ -48,7 +47,6 @@ if TYPE_CHECKING:
     from repro.channel.drift import DriftingChannelProcess
     from repro.channel.covariance import low_rank_summary
     from repro.channel.multipath import sample_nyc_channel
-    from repro.channel.singlepath import sample_singlepath_channel
     from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
     from repro.core.result import AlignmentResult
     from repro.core.bidirectional import BidirectionalAlignment
@@ -80,7 +78,6 @@ __all__ = [
     "UniformLinearArray",
     "UniformPlanarArray",
     "steering_vector",
-    "ExhaustiveSearch",
     "GenieAligner",
     "HierarchicalSearch",
     "LocalRefineSearch",
@@ -93,7 +90,6 @@ __all__ = [
     "Subpath",
     "low_rank_summary",
     "sample_nyc_channel",
-    "sample_singlepath_channel",
     "AlignmentContext",
     "AlignmentResult",
     "BeamAlignmentAlgorithm",
@@ -131,7 +127,6 @@ __getattr__, __dir__ = lazy_namespace(
         "repro.arrays.ula": ("UniformLinearArray",),
         "repro.arrays.upa": ("UniformPlanarArray",),
         "repro.arrays.steering": ("steering_vector",),
-        "repro.baselines.exhaustive": ("ExhaustiveSearch",),
         "repro.baselines.genie": ("GenieAligner",),
         "repro.baselines.hierarchical_search": ("HierarchicalSearch",),
         "repro.baselines.local_refine": ("LocalRefineSearch",),
@@ -143,7 +138,6 @@ __getattr__, __dir__ = lazy_namespace(
         "repro.channel.drift": ("DriftingChannelProcess",),
         "repro.channel.covariance": ("low_rank_summary",),
         "repro.channel.multipath": ("sample_nyc_channel",),
-        "repro.channel.singlepath": ("sample_singlepath_channel",),
         "repro.core.base": ("AlignmentContext", "BeamAlignmentAlgorithm"),
         "repro.core.result": ("AlignmentResult",),
         "repro.core.bidirectional": ("BidirectionalAlignment",),

@@ -11,13 +11,7 @@ if TYPE_CHECKING:
         array_factor,
         pattern_cut_db,
     )
-    from repro.arrays.codebook import (
-        Codebook,
-        CodebookGainCache,
-        gain_cache_enabled,
-        set_gain_cache_enabled,
-        use_gain_cache,
-    )
+    from repro.arrays.codebook import Codebook, CodebookGainCache
     from repro.arrays.geometry import ArrayGeometry
     from repro.arrays.hierarchical import HierarchicalCodebook, WideBeam
     from repro.arrays.steering import (
@@ -36,9 +30,6 @@ __all__ = [
     "ArrayGeometry",
     "Codebook",
     "CodebookGainCache",
-    "gain_cache_enabled",
-    "set_gain_cache_enabled",
-    "use_gain_cache",
     "HierarchicalCodebook",
     "WideBeam",
     "UniformLinearArray",
@@ -57,13 +48,7 @@ __getattr__, __dir__ = lazy_namespace(
             "array_factor",
             "pattern_cut_db",
         ),
-        "repro.arrays.codebook": (
-            "Codebook",
-            "CodebookGainCache",
-            "gain_cache_enabled",
-            "set_gain_cache_enabled",
-            "use_gain_cache",
-        ),
+        "repro.arrays.codebook": ("Codebook", "CodebookGainCache"),
         "repro.arrays.geometry": ("ArrayGeometry",),
         "repro.arrays.hierarchical": ("HierarchicalCodebook", "WideBeam"),
         "repro.arrays.steering": (

@@ -19,10 +19,8 @@ dimension, which is the classical DFT-codebook angle set.
 from __future__ import annotations
 
 import hashlib
-import os
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -36,46 +34,7 @@ from repro.utils.geometry import Direction, uniform_sine_grid
 from repro.utils.linalg import quadratic_forms
 from repro.utils.validation import check_index
 
-__all__ = [
-    "Codebook",
-    "CodebookGainCache",
-    "gain_cache_enabled",
-    "set_gain_cache_enabled",
-    "use_gain_cache",
-]
-
-# ----------------------------------------------------------------------
-# Global gain-cache switch
-# ----------------------------------------------------------------------
-
-#: Process-wide switch for the memoized gain evaluation. Caching is an
-#: exact memoization (the cached array *is* the array the uncached path
-#: would have computed), so seeded results are bit-identical either way;
-#: the switch exists for A/B benchmarking and determinism regression tests.
-_GAIN_CACHE_ENABLED = os.environ.get("REPRO_GAIN_CACHE", "1") != "0"
-
-
-def gain_cache_enabled() -> bool:
-    """Whether codebook gain evaluations are currently memoized."""
-    return _GAIN_CACHE_ENABLED
-
-
-def set_gain_cache_enabled(enabled: bool) -> bool:
-    """Flip the process-wide gain-cache switch; returns the previous value."""
-    global _GAIN_CACHE_ENABLED
-    previous = _GAIN_CACHE_ENABLED
-    _GAIN_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_gain_cache(enabled: bool):
-    """Context manager scoping the gain-cache switch (tests, benchmarks)."""
-    previous = set_gain_cache_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_gain_cache_enabled(previous)
+__all__ = ["Codebook", "CodebookGainCache"]
 
 
 class CodebookGainCache:
@@ -100,7 +59,7 @@ class CodebookGainCache:
 
     A hit returns the *identical* array object a miss would have produced
     (computed by the same :func:`~repro.utils.linalg.quadratic_forms`
-    call), so cached and uncached runs are bit-identical.
+    call), so hits and misses are bit-identical.
     """
 
     def __init__(self, vectors: np.ndarray, capacity: int = 8) -> None:
@@ -384,13 +343,10 @@ class Codebook:
         """``v_k^H Q v_k`` for every beam ``k`` (vectorized Eq. 26 metric).
 
         A single stacked GEMM over the beam matrix, memoized per
-        covariance while the global gain cache is enabled (see
-        :func:`use_gain_cache`). The returned array is read-only when it
-        comes from the cache; copy before mutating.
+        covariance by :attr:`gain_cache`. The returned array is read-only;
+        copy before mutating.
         """
-        if _GAIN_CACHE_ENABLED:
-            return self.gain_cache.gains(covariance)
-        return quadratic_forms(covariance, self._vectors)
+        return self.gain_cache.gains(covariance)
 
     def best_beam(
         self,

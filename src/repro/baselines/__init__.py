@@ -6,23 +6,20 @@ from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
     from repro.baselines.digital_rx import DigitalRxSearch
-    from repro.baselines.exhaustive import ExhaustiveSearch
     from repro.baselines.genie import GenieAligner
     from repro.baselines.hierarchical_search import HierarchicalSearch
     from repro.baselines.local_refine import LocalRefineSearch
     from repro.baselines.random_search import RandomSearch
-    from repro.baselines.scan_search import ScanSearch, pair_scan_path
+    from repro.baselines.scan_search import ScanSearch
     from repro.baselines.ucb import UcbSearch
 
 __all__ = [
     "DigitalRxSearch",
-    "ExhaustiveSearch",
     "GenieAligner",
     "HierarchicalSearch",
     "LocalRefineSearch",
     "RandomSearch",
     "ScanSearch",
-    "pair_scan_path",
     "UcbSearch",
 ]
 
@@ -30,12 +27,11 @@ __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
         "repro.baselines.digital_rx": ("DigitalRxSearch",),
-        "repro.baselines.exhaustive": ("ExhaustiveSearch",),
         "repro.baselines.genie": ("GenieAligner",),
         "repro.baselines.hierarchical_search": ("HierarchicalSearch",),
         "repro.baselines.local_refine": ("LocalRefineSearch",),
         "repro.baselines.random_search": ("RandomSearch",),
-        "repro.baselines.scan_search": ("ScanSearch", "pair_scan_path"),
+        "repro.baselines.scan_search": ("ScanSearch",),
         "repro.baselines.ucb": ("UcbSearch",),
     },
 )

@@ -27,22 +27,8 @@ import numpy as np
 
 from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
 from repro.core.result import AlignmentResult
-from repro.types import BeamPair
 
-__all__ = ["ScanSearch", "pair_scan_path"]
-
-
-def pair_scan_path(tx_order: List[int], rx_order: List[int]) -> List[BeamPair]:
-    """Row-major sweep over pairs: RX sweep direction alternates per TX.
-
-    Used by tests and by exhaustive-style full sweeps; the ``Scan``
-    scheme itself walks diagonally (see the module docstring).
-    """
-    path: List[BeamPair] = []
-    for step, tx_index in enumerate(tx_order):
-        rx_sweep = rx_order if step % 2 == 0 else rx_order[::-1]
-        path.extend(BeamPair(tx_index, rx_index) for rx_index in rx_sweep)
-    return path
+__all__ = ["ScanSearch"]
 
 
 class ScanSearch(BeamAlignmentAlgorithm):

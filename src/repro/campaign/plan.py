@@ -342,7 +342,10 @@ def plan_effectiveness_sweep(
     :data:`DEFAULT_SHARD_TRIALS`); the final shard of each rate may be
     smaller. Validation mirrors
     :func:`repro.sim.sweep.effectiveness_sweep`, so a plan that builds is
-    a sweep that runs.
+    a sweep that runs, with one exception: a plan rejects a duplicate
+    rate, since its shards would repeat. ``effectiveness_sweep(store=...)``
+    plans the distinct rates and repeats the series of a rate listed
+    twice.
     """
     rates = [float(rate) for rate in search_rates]
     if not rates:

@@ -163,8 +163,8 @@ class ClusteredChannel:
         and sets the measurement-noise level (Eq. 14–15).
     total_power:
         Target total path power (default 1.0). Pass ``None`` to keep the
-        subpath powers as given, e.g. when they already embed a path-loss
-        calculation from :mod:`repro.channel.pathloss`.
+        subpath powers as given, e.g. when they already embed a
+        path-loss calculation.
     tx_steering, rx_steering:
         Optional precomputed steering matrices (``(M, K)`` / ``(N, K)``,
         subpath columns in order). The batched channel builder of

@@ -18,27 +18,25 @@ One column kernel draws a realization: :func:`sample_cluster_columns`
 (and :func:`sample_singlepath_columns` for the one-path family) returns
 subpath powers ``(K,)`` and angles ``(K, 4)`` — TX azimuth, TX
 elevation, RX azimuth, RX elevation — with wrap and clip applied as
-array operations. The object-returning helpers below are thin wrappers
-over the same draws and consume the generator identically.
+array operations. :func:`sample_cluster_specs`, which returns the
+clusters as objects for the drift model, is a thin wrapper over the same
+draws and consumes the generator identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.channel.base import Subpath, subpaths_from_columns
 from repro.exceptions import ValidationError
 from repro.utils.geometry import Direction
 
 __all__ = [
     "ClusterParams",
     "PathClusterSpec",
-    "random_sector_direction",
     "sample_cluster_specs",
-    "specs_to_subpaths",
     "sample_cluster_columns",
     "sample_singlepath_columns",
 ]
@@ -104,12 +102,6 @@ def _sector_angles(
     bounds = (params.azimuth_sine_range, params.elevation_sine_range) * directions
     sines = [rng.uniform(low, high) for _ in range(rows) for low, high in bounds]
     return np.arcsin(np.array(sines).reshape(rows, 2 * directions))
-
-
-def random_sector_direction(rng: np.random.Generator, params: ClusterParams) -> Direction:
-    """Cluster center uniform in sine space over the configured sector."""
-    azimuth, elevation = _sector_angles(rng, params, 1, 1)[0].tolist()
-    return Direction(azimuth=azimuth, elevation=elevation)
 
 
 def _cluster_centers(
@@ -185,27 +177,3 @@ def sample_cluster_specs(
             fractions.tolist(), centers.tolist()
         )
     ]
-
-
-def specs_to_subpaths(
-    specs: List[PathClusterSpec],
-    rng: np.random.Generator,
-    params: ClusterParams = ClusterParams(),
-) -> List[Subpath]:
-    """Expand cluster specs into discrete equal-power-per-cluster subpaths."""
-    if not specs:
-        raise ValidationError("need at least one cluster spec")
-    fractions = np.array([spec.power_fraction for spec in specs], dtype=float)
-    centers = np.array(
-        [
-            (
-                spec.tx_center.azimuth,
-                spec.tx_center.elevation,
-                spec.rx_center.azimuth,
-                spec.rx_center.elevation,
-            )
-            for spec in specs
-        ],
-        dtype=float,
-    )
-    return subpaths_from_columns(*_spread_subpaths(fractions, centers, rng, params))

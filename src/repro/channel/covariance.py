@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.channel.base import ClusteredChannel
-from repro.utils.linalg import effective_rank, eigh_sorted, energy_fraction
+from repro.utils.linalg import effective_rank, energy_fraction
 
-__all__ = ["LowRankSummary", "low_rank_summary", "eigenvalue_profile"]
+__all__ = ["LowRankSummary", "low_rank_summary"]
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,3 @@ def low_rank_summary(covariance: np.ndarray) -> LowRankSummary:
         energy_top3=energy_fraction(covariance, 3),
         energy_top5=energy_fraction(covariance, 5),
     )
-
-
-def eigenvalue_profile(covariance: np.ndarray, count: int = 8) -> np.ndarray:
-    """Top ``count`` eigenvalues, normalized by the trace, descending."""
-    values, _ = eigh_sorted(covariance)
-    values = np.clip(values, 0.0, None)
-    total = float(values.sum())
-    if total <= 0.0:
-        return np.zeros(min(count, len(values)))
-    return values[:count] / total

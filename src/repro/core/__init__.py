@@ -7,12 +7,6 @@ from repro._lazy import lazy_namespace
 if TYPE_CHECKING:
     from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, BudgetLadder
     from repro.core.bidirectional import BidirectionalAlignment
-    from repro.core.policies import (
-        RandomTxPolicy,
-        RoundRobinTxPolicy,
-        SnakeTxPolicy,
-        TxBeamPolicy,
-    )
     from repro.core.proposed import ProposedAlignment
     from repro.core.result import AlignmentResult, ProbeTrace, SlotRecord
 
@@ -21,10 +15,6 @@ __all__ = [
     "BeamAlignmentAlgorithm",
     "BudgetLadder",
     "BidirectionalAlignment",
-    "RandomTxPolicy",
-    "RoundRobinTxPolicy",
-    "SnakeTxPolicy",
-    "TxBeamPolicy",
     "ProposedAlignment",
     "AlignmentResult",
     "ProbeTrace",
@@ -36,12 +26,6 @@ __getattr__, __dir__ = lazy_namespace(
     {
         "repro.core.base": ("AlignmentContext", "BeamAlignmentAlgorithm", "BudgetLadder"),
         "repro.core.bidirectional": ("BidirectionalAlignment",),
-        "repro.core.policies": (
-            "RandomTxPolicy",
-            "RoundRobinTxPolicy",
-            "SnakeTxPolicy",
-            "TxBeamPolicy",
-        ),
         "repro.core.proposed": ("ProposedAlignment",),
         "repro.core.result": ("AlignmentResult", "ProbeTrace", "SlotRecord"),
     },

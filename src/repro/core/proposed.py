@@ -40,7 +40,6 @@ from typing import Callable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm, BudgetLadder
-from repro.core.policies import RandomTxPolicy, TxBeamPolicy
 from repro.core.result import AlignmentResult, SlotRecord
 from repro.estimation.base import CovarianceEstimator
 from repro.estimation.ml_covariance import MlCovarianceEstimator
@@ -79,8 +78,6 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         knowledge forward exactly as Sec. IV-C intends. A smaller budget
         of a ladder forks it with :func:`copy.copy`, so an estimator
         replaces its state between calls rather than mutating it.
-    tx_policy:
-        TX-slot beam policy (default: random without repetition).
     exploration:
         Minimum fraction of each slot's probe beams drawn uniformly at
         random even when the estimate offers enough above-floor beams.
@@ -98,7 +95,6 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
         self,
         measurements_per_slot: int = 8,
         estimator_factory: Optional[EstimatorFactory] = None,
-        tx_policy: Optional[TxBeamPolicy] = None,
         exploration: float = 0.25,
         signal_threshold: float = 0.5,
     ) -> None:
@@ -112,7 +108,6 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
             )
         self._measurements_per_slot = measurements_per_slot
         self._estimator_factory = estimator_factory or MlCovarianceEstimator
-        self._tx_policy = tx_policy or RandomTxPolicy()
         self._exploration = check_probability(exploration, "exploration")
         self._signal_threshold = signal_threshold
 
@@ -149,7 +144,7 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
             spent = context.budget.spent
             while rungs and rungs[0] <= spent:
                 ladder.settle(rungs.pop(0), context.result(self.name, slots=slot_records))
-            tx_index = self._pick_tx_beam(context, slot, used_tx, rng)
+            tx_index = self._pick_tx_beam(context, used_tx, rng)
             if tx_index is None:
                 break  # every pair measured; nothing left to learn
             used_tx.add(tx_index)
@@ -253,19 +248,24 @@ class ProposedAlignment(BeamAlignmentAlgorithm):
     def _pick_tx_beam(
         self,
         context: AlignmentContext,
-        slot: int,
         used_tx: Set[int],
         rng: np.random.Generator,
     ) -> Optional[int]:
-        """TX beam for this slot, guaranteed to have unmeasured RX pairs."""
-        tx_codebook = context.tx_codebook
+        """TX beam for this slot, guaranteed to have unmeasured RX pairs.
+
+        Uniform over the beams not used yet (Sec. IV-B2), or over every
+        beam once all have been used; a beam whose RX pairs are all
+        measured is marked used and drawn again.
+        """
+        num_tx = context.tx_codebook.num_beams
         rx_total = context.rx_codebook.num_beams
-        for _ in range(tx_codebook.num_beams):
-            candidate = self._tx_policy.next_beam(slot, tx_codebook, used_tx, rng)
+        for _ in range(num_tx):
+            choices = [index for index in range(num_tx) if index not in used_tx]
+            candidate = int(rng.choice(choices or list(range(num_tx))))
             if len(context.measured_rx_beams(candidate)) < rx_total:
                 return candidate
             used_tx.add(candidate)
-        for candidate in range(tx_codebook.num_beams):
+        for candidate in range(num_tx):
             if len(context.measured_rx_beams(candidate)) < rx_total:
                 return candidate
         return None

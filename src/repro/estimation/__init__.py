@@ -6,12 +6,6 @@ from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
     from repro.estimation.base import CovarianceEstimator
-    from repro.estimation.eigenbeam import (
-        best_codebook_beam,
-        eigen_beamformer,
-        quantization_loss_db,
-        select_probe_beams,
-    )
     from repro.estimation.likelihood import (
         expected_powers,
         negative_log_likelihood,
@@ -27,10 +21,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CovarianceEstimator",
-    "best_codebook_beam",
-    "eigen_beamformer",
-    "quantization_loss_db",
-    "select_probe_beams",
     "expected_powers",
     "negative_log_likelihood",
     "nll_gradient",
@@ -45,12 +35,6 @@ __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
         "repro.estimation.base": ("CovarianceEstimator",),
-        "repro.estimation.eigenbeam": (
-            "best_codebook_beam",
-            "eigen_beamformer",
-            "quantization_loss_db",
-            "select_probe_beams",
-        ),
         "repro.estimation.likelihood": (
             "expected_powers",
             "negative_log_likelihood",

@@ -381,12 +381,12 @@ class MlCovarianceEstimator(CovarianceEstimator):
 
     ``warm_start`` (settable between calls) carries the previous TX-slot's
     estimate into the next solve, matching the integrated design of
-    Sec. IV-C. With ``reuse_basis`` (the default) the previous solve's
-    lifted eigendecomposition rides along as well, so warm-started solves
-    skip the full-size eigendecomposition when building the reduction
-    basis — the dominant per-slot cost. The reuse is dropped automatically
-    whenever ``warm_start`` is replaced from outside, so a hand-planted
-    warm start is never paired with a stale eigendecomposition.
+    Sec. IV-C. The previous solve's lifted eigendecomposition rides
+    along as well, so warm-started solves skip the full-size
+    eigendecomposition when building the reduction basis — the dominant
+    per-slot cost. The reuse is dropped automatically whenever
+    ``warm_start`` is replaced from outside, so a hand-planted warm start
+    is never paired with a stale eigendecomposition.
 
     Solver diagnostics that used to be computed then dropped are kept on
     the instance: ``last_result`` is the full :class:`SolverResult` of the
@@ -404,7 +404,6 @@ class MlCovarianceEstimator(CovarianceEstimator):
     tolerance: float = 1e-4
     subspace: bool = True
     warm_rank: int = 8
-    reuse_basis: bool = True
     warm_start: Optional[np.ndarray] = None
     last_result: Optional[SolverResult] = field(
         default=None, init=False, repr=False, compare=False
@@ -449,11 +448,7 @@ class MlCovarianceEstimator(CovarianceEstimator):
         self._check_inputs(probes, powers)
         warm = self.warm_start is not None
         initial_eig = None
-        if (
-            self.reuse_basis
-            and self._warm_eig is not None
-            and self._warm_eig_for is self.warm_start
-        ):
+        if self._warm_eig is not None and self._warm_eig_for is self.warm_start:
             initial_eig = self._warm_eig
         result = estimate_ml_covariance(
             probes,
@@ -472,8 +467,8 @@ class MlCovarianceEstimator(CovarianceEstimator):
         # start in place.
         result.solution.setflags(write=False)
         self.warm_start = result.solution
-        self._warm_eig = result.solution_eig if self.reuse_basis else None
-        self._warm_eig_for = result.solution if self.reuse_basis else None
+        self._warm_eig = result.solution_eig
+        self._warm_eig_for = result.solution
         self.last_result = result
         self.num_solves += 1
         self.total_iterations += result.iterations

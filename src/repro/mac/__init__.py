@@ -25,11 +25,7 @@ if TYPE_CHECKING:
         TrainingSessionResult,
     )
     from repro.mac.simulator import IntervalReport, MacSimulationReport, MacSimulator
-    from repro.mac.throughput import (
-        EffectiveCapacity,
-        effective_capacity,
-        training_overhead_fraction,
-    )
+    from repro.mac.throughput import EffectiveCapacity, effective_capacity
 
 __all__ = [
     "CellSearchConfig",
@@ -53,7 +49,6 @@ __all__ = [
     "MacSimulator",
     "EffectiveCapacity",
     "effective_capacity",
-    "training_overhead_fraction",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
@@ -83,10 +78,6 @@ __getattr__, __dir__ = lazy_namespace(
             "MacSimulationReport",
             "MacSimulator",
         ),
-        "repro.mac.throughput": (
-            "EffectiveCapacity",
-            "effective_capacity",
-            "training_overhead_fraction",
-        ),
+        "repro.mac.throughput": ("EffectiveCapacity", "effective_capacity"),
     },
 )

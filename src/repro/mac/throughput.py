@@ -19,19 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.mac.frames import FrameConfig, training_timing
 
-__all__ = ["EffectiveCapacity", "effective_capacity", "training_overhead_fraction"]
-
-
-def training_overhead_fraction(
-    config: FrameConfig,
-    num_measurements: int,
-    num_slots: int,
-) -> float:
-    """Fraction of each coherence interval consumed by training (clipped at 1)."""
-    timing = training_timing(config, num_measurements, num_slots)
-    return float(min(1.0, timing.total_us / config.coherence_time_us))
+__all__ = ["EffectiveCapacity", "effective_capacity"]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
     from repro.mc.fista import fista_nuclear
-    from repro.mc.metrics import numerical_rank, observed_rmse, relative_error
+    from repro.mc.metrics import relative_error
     from repro.mc.operators import EntryMask, QuadraticFormOperator
     from repro.mc.optspace import optspace_complete, spectral_initialization, trim_mask
     from repro.mc.result import SolverResult
@@ -14,8 +14,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "fista_nuclear",
-    "numerical_rank",
-    "observed_rmse",
     "relative_error",
     "EntryMask",
     "QuadraticFormOperator",
@@ -31,7 +29,7 @@ __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
         "repro.mc.fista": ("fista_nuclear",),
-        "repro.mc.metrics": ("numerical_rank", "observed_rmse", "relative_error"),
+        "repro.mc.metrics": ("relative_error",),
         "repro.mc.operators": ("EntryMask", "QuadraticFormOperator"),
         "repro.mc.optspace": (
             "optspace_complete",

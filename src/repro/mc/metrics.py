@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.mc.operators import EntryMask
 
-__all__ = ["relative_error", "observed_rmse", "numerical_rank"]
+__all__ = ["relative_error"]
 
 
 def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -20,19 +19,3 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     if denominator == 0.0:
         return float(np.linalg.norm(estimate))
     return float(np.linalg.norm(estimate - truth) / denominator)
-
-
-def observed_rmse(estimate: np.ndarray, truth: np.ndarray, mask: EntryMask) -> float:
-    """Root-mean-square error restricted to the observed entries."""
-    difference = mask.observe(np.asarray(estimate)) - mask.observe(np.asarray(truth))
-    return float(np.sqrt(np.mean(np.abs(difference) ** 2)))
-
-
-def numerical_rank(matrix: np.ndarray, threshold: float = 1e-6) -> int:
-    """Number of singular values above ``threshold * max_singular_value``."""
-    if threshold <= 0:
-        raise ValidationError(f"threshold must be > 0, got {threshold}")
-    singular = np.linalg.svd(np.asarray(matrix), compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.sum(singular > threshold * singular[0]))

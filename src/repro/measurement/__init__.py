@@ -1,4 +1,4 @@
-"""Measurement plane: pilot signals, matched filtering, budget accounting."""
+"""Measurement plane: the dwell engine, digital observations, budget accounting."""
 
 from typing import TYPE_CHECKING
 
@@ -9,28 +9,16 @@ if TYPE_CHECKING:
     from repro.measurement.digital import (
         beam_powers_from_observations,
         observe_rx_vector,
-        vector_sample_covariance,
     )
     from repro.measurement.measurer import Measurement, MeasurementEngine
-    from repro.measurement.signal import (
-        PilotSignal,
-        matched_filter,
-        measurement_statistic,
-        simulate_measurement,
-    )
 
 __all__ = [
     "MeasurementBudget",
     "measurements_for_search_rate",
     "beam_powers_from_observations",
     "observe_rx_vector",
-    "vector_sample_covariance",
     "Measurement",
     "MeasurementEngine",
-    "PilotSignal",
-    "matched_filter",
-    "measurement_statistic",
-    "simulate_measurement",
 ]
 
 __getattr__, __dir__ = lazy_namespace(
@@ -43,14 +31,7 @@ __getattr__, __dir__ = lazy_namespace(
         "repro.measurement.digital": (
             "beam_powers_from_observations",
             "observe_rx_vector",
-            "vector_sample_covariance",
         ),
         "repro.measurement.measurer": ("Measurement", "MeasurementEngine"),
-        "repro.measurement.signal": (
-            "PilotSignal",
-            "matched_filter",
-            "measurement_statistic",
-            "simulate_measurement",
-        ),
     },
 )

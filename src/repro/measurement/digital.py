@@ -22,15 +22,10 @@ import numpy as np
 
 from repro.channel.base import ClusteredChannel
 from repro.exceptions import ValidationError
-from repro.utils.linalg import hermitian
 from repro.utils.rng import complex_normal
-from repro.utils.validation import check_positive, check_unit_norm
+from repro.utils.validation import check_unit_norm
 
-__all__ = [
-    "observe_rx_vector",
-    "beam_powers_from_observations",
-    "vector_sample_covariance",
-]
+__all__ = ["observe_rx_vector", "beam_powers_from_observations"]
 
 
 def observe_rx_vector(
@@ -77,26 +72,3 @@ def beam_powers_from_observations(
         )
     projected = observations.conj() @ rx_vectors  # (blocks, beams)
     return np.mean(np.abs(projected) ** 2, axis=0)
-
-
-def vector_sample_covariance(
-    observations: np.ndarray,
-    noise_variance: float,
-) -> np.ndarray:
-    """Debiased sample covariance ``(1/B) sum_b y_b y_b^H - sigma^2 I``.
-
-    The digital counterpart of the power-only estimators: with vector
-    observations the covariance is estimable directly, no matrix
-    completion needed — which is precisely the luxury analog front ends
-    lack. Negative eigenvalues from debiasing are clipped.
-    """
-    observations = np.asarray(observations, dtype=complex)
-    if observations.ndim != 2:
-        raise ValidationError("observations must be (blocks, N)")
-    noise_variance = check_positive(noise_variance, "noise_variance")
-    blocks, n = observations.shape
-    raw = observations.T @ observations.conj() / blocks
-    debiased = hermitian(raw) - noise_variance * np.eye(n)
-    values, vectors = np.linalg.eigh(hermitian(debiased))
-    values = np.clip(values, 0.0, None)
-    return hermitian((vectors * values) @ vectors.conj().T)

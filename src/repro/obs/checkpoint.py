@@ -3,8 +3,9 @@
 A :class:`CheckpointRecorder` wraps any other recorder (the JSONL tracer,
 the metrics aggregator, or the null default) and additionally hashes the
 simulation state at every instrumented pipeline stage: channel draw →
-coupling/gain tables → per-probe measurements → estimator iterates →
-beam selection → trial metrics. Each checkpoint is one
+coupling/gain tables → per-probe measurements → estimator solves (one
+event per solve: its solution and objective history) → beam selection →
+trial metrics. Each checkpoint is one
 :class:`CheckpointEvent` carrying a blake2b digest over the stage's
 arrays (bytes + shape + dtype), coarse numeric stats, and the stage's
 scope — ``(search rate, trial index, per-trial sequence number)`` — so
@@ -178,11 +179,7 @@ class CheckpointEvent:
 
 @lru_cache(maxsize=None)
 def _rate_token(rate: Optional[float]) -> str:
-    """Exact, filename-safe token for a search rate (``repr`` round-trips).
-
-    Memoized: a run visits a handful of rates but tokenizes one per
-    checkpoint event, on the trial hot path.
-    """
+    """Exact, filename-safe token for a search rate (``repr`` round-trips)."""
     if rate is None:
         return "none"
     return repr(float(rate)).replace(".", "p").replace("-", "m")

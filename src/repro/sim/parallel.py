@@ -78,5 +78,5 @@ class SchemeSpec:
 def _scenario_for(config: ScenarioConfig) -> Scenario:
     """Per-process scenario cache (codebooks are immutable)."""
     scenario = Scenario(config)
-    scenario.context()  # precompute the shared pair table once per process
+    scenario.context()  # build the shared trial context once per process
     return scenario

@@ -74,10 +74,10 @@ class Scenario:
         """The precomputed :class:`~repro.sim.context.ScenarioContext`.
 
         Built lazily on first use and cached on the scenario, so every
-        trial run against this scenario shares one pair-index table.
+        trial run against this scenario shares one context.
         """
         if self._context is None:
-            self._context = ScenarioContext.build(self)
+            self._context = ScenarioContext(self)
         return self._context
 
     def sample_channel(self, rng: np.random.Generator) -> ClusteredChannel:

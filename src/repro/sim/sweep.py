@@ -167,7 +167,11 @@ def _effectiveness_sweep_via_campaign(
     shard_trials: Optional[int],
     checkpoints: bool = False,
 ) -> EffectivenessSweep:
-    """The ``store=`` path: plan shards, run/resume, reassemble."""
+    """The ``store=`` path: plan shards, run/resume, reassemble.
+
+    The plan holds each distinct rate once; a rate listed twice gets its
+    series repeated, as the direct path reports it.
+    """
     from repro.campaign import (
         ShardStore,
         assemble_effectiveness_sweep,
@@ -191,10 +195,11 @@ def _effectiveness_sweep_via_campaign(
         specs.append(value)
     if not isinstance(store, ShardStore):
         store = ShardStore(store)
+    rates = [float(rate) for rate in search_rates]
     plan = plan_effectiveness_sweep(
         scenario.config,
         specs,
-        search_rates,
+        list(dict.fromkeys(rates)),
         num_trials,
         base_seed=base_seed,
         shard_trials=shard_trials,
@@ -206,7 +211,13 @@ def _effectiveness_sweep_via_campaign(
         progress=progress,
         checkpoints=checkpoints,
     )
-    return assemble_effectiveness_sweep(plan, store)
+    planned = assemble_effectiveness_sweep(plan, store)
+    position = {rate: index for index, rate in enumerate(planned.search_rates)}
+    losses = {
+        name: [list(per_rate[position[rate]]) for rate in rates]
+        for name, per_rate in planned.losses.items()
+    }
+    return EffectivenessSweep(search_rates=rates, losses=losses)
 
 
 def required_search_rates(

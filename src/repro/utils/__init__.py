@@ -5,15 +5,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_namespace
 
 if TYPE_CHECKING:
-    from repro.utils.geometry import (
-        Direction,
-        angle_distance,
-        angular_separation,
-        direction_cosines,
-        uniform_angle_grid,
-        uniform_sine_grid,
-        wrap_angle,
-    )
+    from repro.utils.geometry import Direction, uniform_sine_grid, wrap_angle
     from repro.utils.linalg import (
         db_to_linear,
         dominant_eigenvector,
@@ -21,25 +13,19 @@ if TYPE_CHECKING:
         eigh_sorted,
         energy_fraction,
         hermitian,
-        is_hermitian,
         linear_to_db,
         nuclear_norm,
         project_psd,
         quadratic_forms,
         random_psd,
         soft_threshold_eigenvalues,
-        spectral_norm,
         unit_norm,
     )
-    from repro.utils.rng import as_generator, complex_normal, spawn, trial_generator
+    from repro.utils.rng import complex_normal, spawn, trial_generator
     from repro.utils.serialization import dump, dumps, load, loads, to_jsonable
 
 __all__ = [
     "Direction",
-    "angle_distance",
-    "angular_separation",
-    "direction_cosines",
-    "uniform_angle_grid",
     "uniform_sine_grid",
     "wrap_angle",
     "db_to_linear",
@@ -48,16 +34,13 @@ __all__ = [
     "eigh_sorted",
     "energy_fraction",
     "hermitian",
-    "is_hermitian",
     "linear_to_db",
     "nuclear_norm",
     "project_psd",
     "quadratic_forms",
     "random_psd",
     "soft_threshold_eigenvalues",
-    "spectral_norm",
     "unit_norm",
-    "as_generator",
     "complex_normal",
     "spawn",
     "trial_generator",
@@ -71,15 +54,7 @@ __all__ = [
 __getattr__, __dir__ = lazy_namespace(
     __name__,
     {
-        "repro.utils.geometry": (
-            "Direction",
-            "angle_distance",
-            "angular_separation",
-            "direction_cosines",
-            "uniform_angle_grid",
-            "uniform_sine_grid",
-            "wrap_angle",
-        ),
+        "repro.utils.geometry": ("Direction", "uniform_sine_grid", "wrap_angle"),
         "repro.utils.linalg": (
             "db_to_linear",
             "dominant_eigenvector",
@@ -87,22 +62,15 @@ __getattr__, __dir__ = lazy_namespace(
             "eigh_sorted",
             "energy_fraction",
             "hermitian",
-            "is_hermitian",
             "linear_to_db",
             "nuclear_norm",
             "project_psd",
             "quadratic_forms",
             "random_psd",
             "soft_threshold_eigenvalues",
-            "spectral_norm",
             "unit_norm",
         ),
-        "repro.utils.rng": (
-            "as_generator",
-            "complex_normal",
-            "spawn",
-            "trial_generator",
-        ),
+        "repro.utils.rng": ("complex_normal", "spawn", "trial_generator"),
         "repro.utils.serialization": ("dump", "dumps", "load", "loads", "to_jsonable"),
     },
 )

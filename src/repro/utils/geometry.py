@@ -10,28 +10,18 @@ Conventions used throughout the library:
   planar arrays: ``u = sin(az) * cos(el)``, ``v = sin(el)``.
 
 Angles enter the steering-vector phase only through the directional
-cosines, so beam grids are most naturally uniform in sine space; helpers
-for both angle-space and sine-space grids are provided.
+cosines, so beam grids are most naturally uniform in sine space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 
-__all__ = [
-    "Direction",
-    "wrap_angle",
-    "angle_distance",
-    "direction_cosines",
-    "uniform_angle_grid",
-    "uniform_sine_grid",
-    "angular_separation",
-]
+__all__ = ["Direction", "wrap_angle", "uniform_sine_grid"]
 
 
 @dataclass(frozen=True)
@@ -51,58 +41,10 @@ class Direction:
                 f"elevation must lie in [-pi/2, pi/2], got {self.elevation!r}"
             )
 
-    @property
-    def cosines(self) -> Tuple[float, float]:
-        """Directional cosines ``(u, v)`` of this direction."""
-        return direction_cosines(self.azimuth, self.elevation)
-
-    def perturbed(
-        self,
-        azimuth_offset: float,
-        elevation_offset: float = 0.0,
-    ) -> "Direction":
-        """Return a new direction offset by the given angles (clipped)."""
-        azimuth = wrap_angle(self.azimuth + azimuth_offset)
-        elevation = float(
-            np.clip(self.elevation + elevation_offset, -np.pi / 2, np.pi / 2)
-        )
-        return Direction(azimuth=azimuth, elevation=elevation)
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to ``[-pi, pi)``."""
     return float((angle + np.pi) % (2 * np.pi) - np.pi)
-
-
-def angle_distance(first: float, second: float) -> float:
-    """Smallest absolute angular distance between two angles (radians)."""
-    return abs(wrap_angle(first - second))
-
-
-def direction_cosines(azimuth: float, elevation: float) -> Tuple[float, float]:
-    """Map (azimuth, elevation) to the planar-array sine-space pair."""
-    return (
-        float(np.sin(azimuth) * np.cos(elevation)),
-        float(np.sin(elevation)),
-    )
-
-
-def uniform_angle_grid(
-    count: int,
-    low: float = -np.pi / 2,
-    high: float = np.pi / 2,
-) -> np.ndarray:
-    """``count`` angles uniformly spaced in ``[low, high)`` (cell centers).
-
-    Cell-center placement avoids duplicating the two grating-equivalent
-    endpoint beams and keeps every beam's mainlobe inside the sector.
-    """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    if not high > low:
-        raise ValidationError(f"need high > low, got [{low}, {high}]")
-    edges = np.linspace(low, high, count + 1)
-    return (edges[:-1] + edges[1:]) / 2.0
 
 
 def uniform_sine_grid(count: int) -> np.ndarray:
@@ -117,11 +59,3 @@ def uniform_sine_grid(count: int) -> np.ndarray:
     edges = np.linspace(-1.0, 1.0, count + 1)
     centers = (edges[:-1] + edges[1:]) / 2.0
     return np.arcsin(centers)
-
-
-def angular_separation(first: Direction, second: Direction) -> float:
-    """Great-circle angle between two directions (radians)."""
-    az1, el1 = first.azimuth, first.elevation
-    az2, el2 = second.azimuth, second.elevation
-    cosine = np.sin(el1) * np.sin(el2) + np.cos(el1) * np.cos(el2) * np.cos(az1 - az2)
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)))

@@ -17,12 +17,10 @@ from repro.exceptions import ValidationError
 
 __all__ = [
     "hermitian",
-    "is_hermitian",
     "eigh_sorted",
     "project_psd",
     "soft_threshold_eigenvalues",
     "nuclear_norm",
-    "spectral_norm",
     "effective_rank",
     "energy_fraction",
     "dominant_eigenvector",
@@ -41,13 +39,6 @@ def hermitian(matrix: np.ndarray) -> np.ndarray:
     round-off; re-symmetrizing after every step keeps ``eigh`` applicable.
     """
     return (matrix + matrix.conj().T) / 2.0
-
-
-def is_hermitian(matrix: np.ndarray, tol: float = 1e-10) -> bool:
-    """Check whether ``matrix`` is Hermitian to within absolute ``tol``."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        return False
-    return bool(np.allclose(matrix, matrix.conj().T, atol=tol))
 
 
 def eigh_sorted(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,11 +82,6 @@ def soft_threshold_eigenvalues(matrix: np.ndarray, threshold: float) -> np.ndarr
 def nuclear_norm(matrix: np.ndarray) -> float:
     """Nuclear norm (sum of singular values) of a matrix."""
     return float(np.sum(np.linalg.svd(matrix, compute_uv=False)))
-
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Spectral norm (largest singular value) of a matrix."""
-    return float(np.linalg.norm(matrix, 2))
 
 
 def effective_rank(matrix: np.ndarray, energy: float = 0.95) -> int:

@@ -13,28 +13,17 @@ Reproducibility rules for the whole library:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 __all__ = [
-    "as_generator",
     "spawn",
     "labeled_spawn",
     "trial_generator",
     "copy_generator",
     "complex_normal",
 ]
-
-SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
-
-
-def as_generator(seed: SeedLike = None) -> np.random.Generator:
-    """Coerce a seed-like value into a :class:`numpy.random.Generator`."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
 
 def spawn(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
     """Spawn ``count`` statistically independent child generators."""

@@ -20,8 +20,6 @@ __all__ = [
     "check_nonnegative",
     "check_vector",
     "check_unit_norm",
-    "check_square",
-    "check_psd",
     "check_index",
 ]
 
@@ -79,28 +77,6 @@ def check_unit_norm(
     norm = float(np.linalg.norm(vector))
     require(abs(norm - 1.0) <= tol, f"{name} must be unit-norm, got ||.|| = {norm}")
     return vector
-
-
-def check_square(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Validate a square 2-D array."""
-    matrix = np.asarray(matrix)
-    require(
-        matrix.ndim == 2 and matrix.shape[0] == matrix.shape[1],
-        f"{name} must be square, got shape {matrix.shape}",
-    )
-    return matrix
-
-
-def check_psd(matrix: np.ndarray, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
-    """Validate Hermitian positive semi-definiteness to within ``tol``."""
-    matrix = check_square(matrix, name=name)
-    require(
-        np.allclose(matrix, matrix.conj().T, atol=tol),
-        f"{name} must be Hermitian",
-    )
-    smallest = float(np.min(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)))
-    require(smallest >= -tol, f"{name} must be PSD; smallest eigenvalue {smallest}")
-    return matrix
 
 
 def check_index(index: int, size: int, name: str = "index") -> int:

@@ -5,14 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.exhaustive import ExhaustiveSearch
 from repro.baselines.genie import GenieAligner
 from repro.baselines.hierarchical_search import HierarchicalSearch
 from repro.baselines.local_refine import LocalRefineSearch
 from repro.baselines.random_search import RandomSearch
-from repro.baselines.scan_search import ScanSearch, pair_scan_path
+from repro.baselines.scan_search import ScanSearch
 from repro.core.base import AlignmentContext
-from repro.exceptions import ConfigurationError
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.sim.metrics import loss_from_matrix_db
@@ -70,6 +68,16 @@ class TestScanSearch:
         for a, b in zip(rx_positions, rx_positions[1:]):
             assert (b - a) % n_rx == 1
 
+    def test_full_budget_measures_every_pair(
+        self, small_channel, tx_codebook, rx_codebook, rng
+    ):
+        """Scan at search rate 1.0 is exhaustive search."""
+        total = tx_codebook.num_beams * rx_codebook.num_beams
+        context = _context(small_channel, tx_codebook, rx_codebook, rng, total)
+        result = ScanSearch().align(context, rng)
+        assert result.measurements_used == total
+        assert len(result.measured_pairs()) == total
+
     def test_no_repeats_past_cycle(self, small_channel, tx_codebook, rx_codebook, rng):
         """Budget beyond lcm(|U|, |V|) still yields distinct pairs."""
         limit = 60  # lcm(4, 18) = 36 < 60
@@ -77,41 +85,6 @@ class TestScanSearch:
         result = ScanSearch().align(context, rng)
         pairs = [m.pair for m in result.trace]
         assert len(set(pairs)) == limit
-
-    def test_pair_scan_path_covers_product(self):
-        path = pair_scan_path([0, 1], [0, 1, 2])
-        assert len(path) == 6
-        assert len(set(path)) == 6
-
-
-class TestExhaustiveSearch:
-    def test_requires_full_budget(self, small_channel, tx_codebook, rx_codebook, rng):
-        context = _context(small_channel, tx_codebook, rx_codebook, rng, 10)
-        with pytest.raises(ConfigurationError):
-            ExhaustiveSearch().align(context, rng)
-
-    def test_measures_all_pairs(self, small_channel, tx_codebook, rx_codebook, rng):
-        total = tx_codebook.num_beams * rx_codebook.num_beams
-        context = _context(small_channel, tx_codebook, rx_codebook, rng, total)
-        result = ExhaustiveSearch().align(context, rng)
-        assert result.measurements_used == total
-
-    def test_near_optimal_with_averaging(self, small_channel, tx_codebook, rx_codebook):
-        """With long dwells, exhaustive search nails the true optimum."""
-        total = tx_codebook.num_beams * rx_codebook.num_beams
-        engine = MeasurementEngine(
-            small_channel, np.random.default_rng(0), fading_blocks=400
-        )
-        context = AlignmentContext(
-            tx_codebook,
-            rx_codebook,
-            engine,
-            MeasurementBudget(total_pairs=total, limit=total),
-        )
-        result = ExhaustiveSearch().align(context, np.random.default_rng(1))
-        snr = small_channel.mean_snr_matrix(tx_codebook, rx_codebook)
-        assert loss_from_matrix_db(snr, result.selected) < 1.0
-
 
 class TestGenie:
     def test_selects_true_optimum(self, small_channel, tx_codebook, rx_codebook, rng):

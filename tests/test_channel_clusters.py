@@ -9,13 +9,13 @@ from repro.arrays.upa import UniformPlanarArray
 from repro.channel.clusters import (
     ClusterParams,
     PathClusterSpec,
-    random_sector_direction,
+    sample_cluster_columns,
     sample_cluster_specs,
-    specs_to_subpaths,
 )
 from repro.channel.multipath import sample_nyc_channel
-from repro.channel.singlepath import sample_singlepath_channel
 from repro.exceptions import ValidationError
+from repro.sim.config import ChannelKind, ScenarioConfig
+from repro.sim.scenario import Scenario
 from repro.utils.geometry import Direction
 
 
@@ -61,8 +61,9 @@ class TestSpecSampling:
     def test_directions_in_sector(self, rng):
         params = ClusterParams(azimuth_sine_range=(-0.5, 0.5))
         for _ in range(50):
-            d = random_sector_direction(rng, params)
-            assert abs(np.sin(d.azimuth)) <= 0.5 + 1e-9
+            for spec in sample_cluster_specs(rng, params):
+                for d in (spec.tx_center, spec.rx_center):
+                    assert abs(np.sin(d.azimuth)) <= 0.5 + 1e-9
 
     def test_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -72,44 +73,53 @@ class TestSpecSampling:
 
 
 class TestSubpathExpansion:
-    def test_count(self, rng):
+    """The column kernel spreads subpaths around ``sample_cluster_specs``'s
+    clusters: both draw the count, powers and centers identically."""
+
+    def test_count(self):
         params = ClusterParams(subpaths_per_cluster=5)
-        specs = sample_cluster_specs(rng, params)
-        subpaths = specs_to_subpaths(specs, rng, params)
-        assert len(subpaths) == 5 * len(specs)
+        for seed in range(10):
+            specs = sample_cluster_specs(np.random.default_rng(seed), params)
+            powers, _ = sample_cluster_columns(np.random.default_rng(seed), params)
+            assert len(powers) == 5 * len(specs)
 
     def test_power_partition(self, rng):
-        specs = sample_cluster_specs(rng)
-        subpaths = specs_to_subpaths(specs, rng)
-        assert sum(p.power for p in subpaths) == pytest.approx(1.0)
+        powers, _ = sample_cluster_columns(rng)
+        assert powers.sum() == pytest.approx(1.0)
 
-    def test_angular_spread_small(self, rng):
-        """Subpaths stay within a few spreads of the cluster center."""
+    def test_angular_spread_small(self):
+        """Subpaths stay within a few spreads of their cluster center."""
         params = ClusterParams(azimuth_spread_deg=2.0, elevation_spread_deg=1.0)
-        spec = PathClusterSpec(
-            power_fraction=1.0, tx_center=Direction(0.3, 0.1), rx_center=Direction(-0.2, 0.0)
-        )
-        subpaths = specs_to_subpaths([spec], rng, params)
-        offsets = [abs(p.rx_direction.azimuth - (-0.2)) for p in subpaths]
-        assert max(offsets) < np.deg2rad(2.0) * 5
-
-    def test_empty_specs_rejected(self, rng):
-        with pytest.raises(ValidationError):
-            specs_to_subpaths([], rng)
+        per = params.subpaths_per_cluster
+        for seed in range(10):
+            specs = sample_cluster_specs(np.random.default_rng(seed), params)
+            _, angles = sample_cluster_columns(np.random.default_rng(seed), params)
+            for index, spec in enumerate(specs):
+                rx_azimuths = angles[index * per : (index + 1) * per, 2]
+                offsets = np.abs(
+                    np.angle(np.exp(1j * (rx_azimuths - spec.rx_center.azimuth)))
+                )
+                assert offsets.max() < np.deg2rad(2.0) * 5
 
 
 class TestScenarioGenerators:
     def test_singlepath_rank_one(self, rng):
-        tx, rx = UniformPlanarArray(2, 2), UniformPlanarArray(2, 4)
-        channel = sample_singlepath_channel(tx, rx, rng)
+        scenario = Scenario(
+            ScenarioConfig(
+                channel=ChannelKind.SINGLEPATH, tx_shape=(2, 2), rx_shape=(2, 4)
+            )
+        )
+        channel = scenario.sample_channel(rng)
         assert channel.num_subpaths == 1
         values = np.linalg.eigvalsh(channel.full_rx_covariance())
         assert np.sum(values > 1e-10 * values.max()) == 1
 
     def test_singlepath_snr(self, rng):
-        tx, rx = UniformPlanarArray(2, 2), UniformPlanarArray(2, 2)
-        channel = sample_singlepath_channel(tx, rx, rng, snr=50.0)
-        assert channel.snr == 50.0
+        config = ScenarioConfig(
+            channel=ChannelKind.SINGLEPATH, tx_shape=(2, 2), rx_shape=(2, 2), snr_db=17.0
+        )
+        channel = Scenario(config).sample_channel(rng)
+        assert channel.snr == config.snr_linear
 
     def test_multipath_structure(self, rng):
         tx, rx = UniformPlanarArray(2, 2), UniformPlanarArray(2, 4)

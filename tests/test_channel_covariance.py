@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.channel.covariance import eigenvalue_profile, low_rank_summary
+from repro.channel.covariance import low_rank_summary
 from repro.utils.linalg import random_psd
 
 
@@ -30,20 +30,3 @@ class TestLowRankSummary:
     def test_as_row_renders(self, rng):
         row = low_rank_summary(random_psd(6, 2, rng)).as_row()
         assert "rank95" in row and "top3" in row
-
-
-class TestEigenvalueProfile:
-    def test_normalized(self, rng):
-        profile = eigenvalue_profile(random_psd(10, 10, rng), count=10)
-        assert profile.sum() == pytest.approx(1.0)
-
-    def test_descending(self, rng):
-        profile = eigenvalue_profile(random_psd(10, 5, rng), count=8)
-        assert np.all(np.diff(profile) <= 1e-12)
-
-    def test_count_truncation(self, rng):
-        assert len(eigenvalue_profile(random_psd(10, 4, rng), count=3)) == 3
-
-    def test_zero_matrix(self):
-        profile = eigenvalue_profile(np.zeros((5, 5)), count=4)
-        np.testing.assert_array_equal(profile, np.zeros(4))

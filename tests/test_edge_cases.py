@@ -99,14 +99,6 @@ class TestBuildScenario:
         assert multi.total_pairs == 2304  # 16 x 144, the documented default
 
 
-class TestDirectionPerturbedEdge:
-    def test_elevation_clipping_both_ends(self):
-        top = Direction(0.0, np.pi / 2 - 0.01).perturbed(0.0, 1.0)
-        assert top.elevation == pytest.approx(np.pi / 2)
-        bottom = Direction(0.0, -np.pi / 2 + 0.01).perturbed(0.0, -1.0)
-        assert bottom.elevation == pytest.approx(-np.pi / 2)
-
-
 class TestSolverResultHistory:
     def test_history_matches_objective(self, rng):
         from repro.estimation.ml_covariance import estimate_ml_covariance

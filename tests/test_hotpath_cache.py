@@ -2,10 +2,10 @@
 
 The performance layer added around the simulation hot path — the
 codebook gain cache, the warm-started ML solves, and the batched
-trial engine — is only admissible because it is *exact*: with a fixed
-seed, results must be bit-identical whether the caches are on or off.
-This module pins that guarantee down, alongside unit tests of the cache
-bookkeeping itself.
+trial engine — is only admissible because it is *exact*: a cache hit
+returns the bytes a fresh evaluation would, and a reused basis changes
+nothing but the cost. This module pins that guarantee down, alongside
+unit tests of the cache bookkeeping itself.
 """
 
 from __future__ import annotations
@@ -15,22 +15,16 @@ import gc
 import numpy as np
 import pytest
 
-from repro.arrays.codebook import (
-    CodebookGainCache,
-    gain_cache_enabled,
-    set_gain_cache_enabled,
-    use_gain_cache,
-)
-from repro.estimation.ml_covariance import MlCovarianceEstimator
+from repro.arrays.codebook import CodebookGainCache
+from repro.estimation.ml_covariance import MlCovarianceEstimator, estimate_ml_covariance
 from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.sim.runner import run_trials, standard_schemes
-from repro.types import BeamPair
 from repro.utils.linalg import quadratic_forms, random_psd
 
 
 def _outcome_fingerprint(trials):
-    """Everything that must be invariant under caching and batching."""
+    """Everything that must be invariant across repeated runs."""
     return [
         (
             name,
@@ -137,58 +131,29 @@ class TestCodebookGainCache:
             CodebookGainCache(vectors, capacity=0)
 
 
-class TestGainCacheToggle:
-    def test_codebook_routes_through_cache_when_enabled(self, rx_codebook):
-        q = _frozen_psd(rx_codebook.vectors.shape[0], 2, seed=11)
-        with use_gain_cache(True):
-            hits_before = rx_codebook.gain_cache.hits
-            first = rx_codebook.gains(q)
-            second = rx_codebook.gains(q)
+class TestCodebookGains:
+    @pytest.mark.parametrize("writeable", [False, True])
+    def test_gains_match_quadratic_forms(self, rx_codebook, writeable):
+        """A miss and a hit both return the exact uncached quadratic forms."""
+        q = random_psd(rx_codebook.vectors.shape[0], 2, np.random.default_rng(11))
+        q.setflags(write=writeable)
+        expected = quadratic_forms(q, rx_codebook.vectors).tobytes()
+        misses = rx_codebook.gain_cache.misses
+        first = rx_codebook.gains(q)
+        assert rx_codebook.gain_cache.misses == misses + 1
+        hits = rx_codebook.gain_cache.hits
+        second = rx_codebook.gains(q)
+        assert rx_codebook.gain_cache.hits == hits + 1
         assert second is first
-        assert rx_codebook.gain_cache.hits == hits_before + 1
-
-    def test_disabled_cache_bypasses_memoization(self, rx_codebook):
-        q = _frozen_psd(rx_codebook.vectors.shape[0], 2, seed=11)
-        with use_gain_cache(False):
-            misses_before = rx_codebook.gain_cache.misses
-            first = rx_codebook.gains(q)
-            second = rx_codebook.gains(q)
-            assert rx_codebook.gain_cache.misses == misses_before
-        assert second is not first
-        assert first.tobytes() == second.tobytes()
-
-    def test_cache_on_off_same_values(self, rx_codebook):
-        q = _frozen_psd(rx_codebook.vectors.shape[0], 2, seed=11)
-        with use_gain_cache(True):
-            cached = rx_codebook.gains(q)
-        with use_gain_cache(False):
-            uncached = rx_codebook.gains(q)
-        assert cached.tobytes() == uncached.tobytes()
+        assert first.tobytes() == expected
 
     def test_invalidation_through_codebook(self, rx_codebook):
-        """Satellite check: Codebook.gains sees content changes."""
+        """Codebook.gains sees content changes."""
         q = random_psd(rx_codebook.vectors.shape[0], 2, np.random.default_rng(13))
-        with use_gain_cache(True):
-            before = rx_codebook.gains(q).copy()
-            q *= 3.0
-            after = rx_codebook.gains(q)
+        before = rx_codebook.gains(q).copy()
+        q *= 3.0
+        after = rx_codebook.gains(q)
         np.testing.assert_allclose(after, 3.0 * before, rtol=1e-12)
-
-    def test_set_gain_cache_enabled_returns_previous(self):
-        original = gain_cache_enabled()
-        try:
-            assert set_gain_cache_enabled(False) == original
-            assert gain_cache_enabled() is False
-            assert set_gain_cache_enabled(True) is False
-        finally:
-            set_gain_cache_enabled(original)
-
-    def test_context_manager_restores_on_error(self):
-        original = gain_cache_enabled()
-        with pytest.raises(RuntimeError):
-            with use_gain_cache(not original):
-                raise RuntimeError("boom")
-        assert gain_cache_enabled() == original
 
 
 # ----------------------------------------------------------------------
@@ -240,15 +205,28 @@ class TestEstimatorWarmStart:
         estimator.estimate(probes, powers, 0.01)
         assert estimator.warm_solves == 1  # still counted as warm
 
-    def test_basis_reuse_matches_recompute(self, probe_setup):
-        """reuse_basis is a cost optimization, not a different estimator."""
+    def test_warm_solve_reuses_the_previous_basis(self, probe_setup):
+        """A warm solve is ``estimate_ml_covariance`` from the previous
+        estimate and its lifted eigendecomposition, bit for bit, and the
+        reuse only saves the eigendecomposition: recomputing it gives the
+        same estimate to solver precision."""
         probes, powers = probe_setup
-        with_reuse = MlCovarianceEstimator(reuse_basis=True)
-        without = MlCovarianceEstimator(reuse_basis=False)
-        for _ in range(3):
-            reused = with_reuse.estimate(probes, powers, 0.01)
-            recomputed = without.estimate(probes, powers, 0.01)
-        np.testing.assert_allclose(reused, recomputed, rtol=1e-6, atol=1e-9)
+        estimator = MlCovarianceEstimator()
+        estimator.estimate(probes, powers, 0.01)
+        previous = estimator.last_result
+        reused = estimator.estimate(probes, powers, 0.01)
+        exact = estimate_ml_covariance(
+            probes,
+            powers,
+            0.01,
+            initial=previous.solution,
+            initial_eig=previous.solution_eig,
+        )
+        assert reused.tobytes() == exact.solution.tobytes()
+        recomputed = estimate_ml_covariance(
+            probes, powers, 0.01, initial=previous.solution, initial_eig=None
+        )
+        np.testing.assert_allclose(reused, recomputed.solution, rtol=1e-6, atol=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -257,28 +235,13 @@ class TestEstimatorWarmStart:
 
 
 class TestScenarioContext:
-    def test_pair_table_round_trip(self, small_scenario):
-        context = small_scenario.context()
-        for flat in range(context.total_pairs):
-            pair = context.pair_of(flat)
-            assert context.flat_of(pair) == flat
-        assert context.total_pairs == (
+    def test_total_pairs_from_codebooks(self, small_scenario):
+        assert small_scenario.context().total_pairs == (
             small_scenario.tx_codebook.num_beams * small_scenario.rx_codebook.num_beams
         )
 
-    def test_pair_table_immutable(self, small_scenario):
-        context = small_scenario.context()
-        assert not context.pair_table.flags.writeable
-
     def test_scenario_context_is_shared(self, small_scenario):
         assert small_scenario.context() is small_scenario.context()
-
-    def test_out_of_range_rejected(self, small_scenario):
-        context = small_scenario.context()
-        with pytest.raises(ValidationError):
-            context.pair_of(context.total_pairs)
-        with pytest.raises(ValidationError):
-            context.flat_of(BeamPair(0, small_scenario.rx_codebook.num_beams))
 
     def test_make_budget_matches_search_rate(self, small_scenario):
         context = small_scenario.context()
@@ -296,25 +259,6 @@ class TestScenarioContext:
 
 
 class TestDeterminism:
-    def test_run_trials_cache_on_off_bit_identical(self, small_scenario):
-        with use_gain_cache(True):
-            cached = run_trials(
-                small_scenario,
-                standard_schemes(measurements_per_slot=4),
-                0.3,
-                3,
-                base_seed=21,
-            )
-        with use_gain_cache(False):
-            uncached = run_trials(
-                small_scenario,
-                standard_schemes(measurements_per_slot=4),
-                0.3,
-                3,
-                base_seed=21,
-            )
-        assert _outcome_fingerprint(cached) == _outcome_fingerprint(uncached)
-
     def test_repeat_runs_share_cached_context(self, small_scenario):
         """Back-to-back runs reuse the warm context without drifting."""
         schemes = standard_schemes(measurements_per_slot=4)

@@ -6,28 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.mac.frames import FrameConfig
-from repro.mac.throughput import effective_capacity, training_overhead_fraction
-
-
-class TestOverheadFraction:
-    def test_zero_measurements_minimum_overhead(self):
-        config = FrameConfig()
-        fraction = training_overhead_fraction(config, 0, 0)
-        expected = (config.beacon_duration_us + config.feedback_duration_us) / (
-            config.coherence_time_us
-        )
-        assert fraction == pytest.approx(expected)
-
-    def test_monotone_in_measurements(self):
-        config = FrameConfig()
-        small = training_overhead_fraction(config, 10, 2)
-        large = training_overhead_fraction(config, 1000, 130)
-        assert large > small
-
-    def test_clipped_at_one(self):
-        config = FrameConfig(coherence_time_us=10.0)
-        assert training_overhead_fraction(config, 10_000, 1000) == 1.0
+from repro.mac.throughput import effective_capacity
 
 
 class TestEffectiveCapacity:

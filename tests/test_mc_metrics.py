@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.mc.metrics import numerical_rank, observed_rmse, relative_error
-from repro.mc.operators import EntryMask
+from repro.mc.metrics import relative_error
 from repro.utils.linalg import random_psd
 
 
@@ -26,36 +25,3 @@ class TestRelativeError:
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             relative_error(np.eye(2), np.eye(3))
-
-
-class TestObservedRmse:
-    def test_zero_for_match(self, rng):
-        truth = random_psd(6, 2, rng)
-        mask = EntryMask.random((6, 6), 0.5, rng)
-        assert observed_rmse(truth, truth, mask) == 0.0
-
-    def test_constant_offset(self, rng):
-        mask = EntryMask.random((4, 4), 0.8, rng)
-        a = np.zeros((4, 4))
-        b = np.full((4, 4), 2.0)
-        assert observed_rmse(a, b, mask) == pytest.approx(2.0)
-
-
-class TestNumericalRank:
-    def test_identity(self):
-        assert numerical_rank(np.eye(7)) == 7
-
-    def test_low_rank(self, rng):
-        assert numerical_rank(random_psd(9, 3, rng)) == 3
-
-    def test_zero(self):
-        assert numerical_rank(np.zeros((4, 4))) == 0
-
-    def test_threshold_effect(self, rng):
-        matrix = np.diag([1.0, 1e-3])
-        assert numerical_rank(matrix, threshold=1e-2) == 1
-        assert numerical_rank(matrix, threshold=1e-4) == 2
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValidationError):
-            numerical_rank(np.eye(2), threshold=0.0)

@@ -9,11 +9,7 @@ from repro.baselines.digital_rx import DigitalRxSearch
 from repro.core.base import AlignmentContext
 from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
-from repro.measurement.digital import (
-    beam_powers_from_observations,
-    observe_rx_vector,
-    vector_sample_covariance,
-)
+from repro.measurement.digital import beam_powers_from_observations, observe_rx_vector
 from repro.measurement.measurer import MeasurementEngine
 from repro.sim.metrics import loss_from_matrix_db
 
@@ -71,27 +67,6 @@ class TestBeamPowers:
     def test_shape_validation(self, rng):
         with pytest.raises(ValidationError):
             beam_powers_from_observations(np.ones((3, 4)), np.ones((5, 2)))
-
-
-class TestVectorSampleCovariance:
-    def test_psd_output(self, small_channel, tx_beam, rng):
-        observations = observe_rx_vector(small_channel, tx_beam, rng, fading_blocks=30)
-        q = vector_sample_covariance(observations, 0.01)
-        assert np.min(np.linalg.eigvalsh(q)) >= -1e-10
-
-    def test_converges_to_truth(self, small_channel, tx_beam, rng):
-        observations = observe_rx_vector(
-            small_channel, tx_beam, rng, fading_blocks=20000
-        )
-        q = vector_sample_covariance(observations, 0.01)
-        truth = small_channel.rx_covariance(tx_beam)
-        assert np.linalg.norm(q - truth) / np.linalg.norm(truth) < 0.15
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            vector_sample_covariance(np.ones(4), 0.01)
-        with pytest.raises(ValidationError):
-            vector_sample_covariance(np.ones((3, 4)), 0.0)
 
 
 class TestDigitalRxSearch:

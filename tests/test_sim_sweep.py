@@ -104,6 +104,24 @@ class TestStoreAdapter:
         )
         assert resumed.losses == direct.losses
 
+    def test_store_path_repeats_a_duplicate_rate(self, small_scenario, tmp_path):
+        """A rate listed twice runs once on both paths and reports twice."""
+        specs = self._specs()
+        rates = [0.2, 0.1, 0.2]
+        direct = effectiveness_sweep(
+            small_scenario,
+            {name: spec.build_factory() for name, spec in specs.items()},
+            rates,
+            3,
+            base_seed=2,
+        )
+        stored = effectiveness_sweep(
+            small_scenario, specs, rates, 3, base_seed=2, store=tmp_path / "store"
+        )
+        assert stored.search_rates == direct.search_rates == rates
+        assert stored.losses == direct.losses
+        assert stored.mean_loss("Proposed") == direct.mean_loss("Proposed")
+
     def test_store_requires_scheme_specs(self, small_scenario, tmp_path):
         with pytest.raises(ConfigurationError, match="SchemeSpec"):
             effectiveness_sweep(

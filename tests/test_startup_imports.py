@@ -96,6 +96,9 @@ def test_figure_module_skips_campaign_cell_and_mac():
 def test_every_exported_name_resolves_lazily():
     # A fresh interpreter, so each name goes through the package's
     # ``__getattr__`` rather than a value another test already cached.
+    # Both directions: every ``__all__`` name is listed and resolves, and
+    # every lazy name ``dir()`` adds beyond the package's own globals is
+    # in ``__all__`` and resolves, so a stale lazy-table entry fails too.
     out = run_fresh(
         "import importlib, json\n"
         f"packages = {list(PACKAGES)!r}\n"
@@ -103,12 +106,15 @@ def test_every_exported_name_resolves_lazily():
         "for name in packages:\n"
         "    package = importlib.import_module(name)\n"
         "    listed = set(dir(package))\n"
-        "    for attr in package.__all__:\n"
+        "    lazy = listed - set(vars(package))\n"
+        "    for attr in sorted(lazy - set(package.__all__)):\n"
+        "        missing.append(f'{name}: {attr} not in __all__')\n"
+        "    for attr in sorted(set(package.__all__) | lazy):\n"
         "        if attr not in listed:\n"
         "            missing.append(f'{name}: {attr} not in dir()')\n"
         "        try:\n"
         "            getattr(package, attr)\n"
-        "        except AttributeError as error:\n"
+        "        except (AttributeError, ImportError) as error:\n"
         "            missing.append(f'{name}: {attr}: {error}')\n"
         "print(json.dumps(missing))\n"
     )

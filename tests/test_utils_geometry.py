@@ -8,15 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.utils.geometry import (
-    Direction,
-    angle_distance,
-    angular_separation,
-    direction_cosines,
-    uniform_angle_grid,
-    uniform_sine_grid,
-    wrap_angle,
-)
+from repro.utils.geometry import Direction, uniform_sine_grid, wrap_angle
 
 
 class TestDirection:
@@ -35,24 +27,6 @@ class TestDirection:
     def test_rejects_bad_elevation(self):
         with pytest.raises(ValidationError):
             Direction(azimuth=0.0, elevation=2.0)
-
-    def test_cosines(self):
-        u, v = Direction(azimuth=np.pi / 2, elevation=0.0).cosines
-        assert u == pytest.approx(1.0)
-        assert v == pytest.approx(0.0)
-
-    def test_cosines_elevation(self):
-        u, v = Direction(azimuth=0.0, elevation=np.pi / 2).cosines
-        assert u == pytest.approx(0.0, abs=1e-12)
-        assert v == pytest.approx(1.0)
-
-    def test_perturbed_wraps(self):
-        d = Direction(azimuth=np.pi - 0.1).perturbed(0.3)
-        assert -np.pi <= d.azimuth <= np.pi
-
-    def test_perturbed_clips_elevation(self):
-        d = Direction(azimuth=0.0, elevation=np.pi / 2 - 0.05).perturbed(0.0, 0.3)
-        assert d.elevation == pytest.approx(np.pi / 2)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -73,36 +47,7 @@ class TestWrapAngle:
             assert -np.pi <= wrapped < np.pi
 
 
-class TestAngleDistance:
-    def test_symmetric(self):
-        assert angle_distance(0.3, 2.9) == pytest.approx(angle_distance(2.9, 0.3))
-
-    def test_wrapround(self):
-        assert angle_distance(np.pi - 0.1, -np.pi + 0.1) == pytest.approx(0.2)
-
-    def test_zero(self):
-        assert angle_distance(1.2, 1.2) == 0.0
-
-
 class TestGrids:
-    def test_uniform_angle_grid_count(self):
-        assert len(uniform_angle_grid(7)) == 7
-
-    def test_uniform_angle_grid_centers(self):
-        grid = uniform_angle_grid(2, low=0.0, high=1.0)
-        np.testing.assert_allclose(grid, [0.25, 0.75])
-
-    def test_uniform_angle_grid_bounds(self):
-        grid = uniform_angle_grid(16)
-        assert grid.min() > -np.pi / 2
-        assert grid.max() < np.pi / 2
-
-    def test_uniform_angle_grid_invalid(self):
-        with pytest.raises(ValidationError):
-            uniform_angle_grid(0)
-        with pytest.raises(ValidationError):
-            uniform_angle_grid(4, low=1.0, high=0.0)
-
     def test_uniform_sine_grid_sines_uniform(self):
         grid = uniform_sine_grid(8)
         sines = np.sin(grid)
@@ -121,33 +66,6 @@ class TestGrids:
             uniform_sine_grid(0)
 
 
-class TestAngularSeparation:
-    def test_zero_for_same(self):
-        d = Direction(azimuth=0.4, elevation=0.1)
-        assert angular_separation(d, d) == pytest.approx(0.0, abs=1e-7)
-
-    def test_right_angle(self):
-        a = Direction(azimuth=0.0)
-        b = Direction(azimuth=np.pi / 2)
-        assert angular_separation(a, b) == pytest.approx(np.pi / 2)
-
-    def test_symmetric(self):
-        a = Direction(azimuth=0.4, elevation=0.3)
-        b = Direction(azimuth=-1.0, elevation=-0.2)
-        assert angular_separation(a, b) == pytest.approx(angular_separation(b, a))
-
-
-class TestDirectionCosines:
-    def test_broadside(self):
-        assert direction_cosines(0.0, 0.0) == (0.0, 0.0)
-
-    def test_unit_circle_bound(self):
-        for az in np.linspace(-np.pi, np.pi, 17):
-            for el in np.linspace(-np.pi / 2, np.pi / 2, 9):
-                u, v = direction_cosines(az, el)
-                assert u**2 + v**2 <= 1.0 + 1e-12
-
-
 @settings(max_examples=100, deadline=None)
 @given(angle=st.floats(-100.0, 100.0))
 def test_property_wrap_angle_range(angle):
@@ -156,19 +74,3 @@ def test_property_wrap_angle_range(angle):
     # Wrapping preserves the angle modulo 2*pi (residual near 0 or 2*pi).
     residual = (angle - wrapped) % (2 * np.pi)
     assert min(residual, 2 * np.pi - residual) == pytest.approx(0.0, abs=1e-6)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    az1=st.floats(-3.1, 3.1),
-    az2=st.floats(-3.1, 3.1),
-    el1=st.floats(-1.5, 1.5),
-    el2=st.floats(-1.5, 1.5),
-)
-def test_property_angular_separation_triangle(az1, az2, el1, el2):
-    """Separation is a metric-like quantity: bounded by pi, symmetric."""
-    a = Direction(azimuth=az1, elevation=el1)
-    b = Direction(azimuth=az2, elevation=el2)
-    sep = angular_separation(a, b)
-    assert 0.0 <= sep <= np.pi + 1e-9
-    assert sep == pytest.approx(angular_separation(b, a), abs=1e-9)

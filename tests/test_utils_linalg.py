@@ -15,14 +15,12 @@ from repro.utils.linalg import (
     eigh_sorted,
     energy_fraction,
     hermitian,
-    is_hermitian,
     linear_to_db,
     nuclear_norm,
     project_psd,
     quadratic_forms,
     random_psd,
     soft_threshold_eigenvalues,
-    spectral_norm,
     unit_norm,
 )
 
@@ -40,17 +38,12 @@ class TestHermitian:
 
     def test_result_is_hermitian(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert is_hermitian(hermitian(a))
+        h = hermitian(a)
+        np.testing.assert_array_equal(h, h.conj().T)
 
     def test_preserves_hermitian_input(self, rng):
         h = _random_hermitian(rng, 6)
         np.testing.assert_allclose(hermitian(h), h)
-
-    def test_is_hermitian_rejects_nonsquare(self):
-        assert not is_hermitian(np.ones((2, 3)))
-
-    def test_is_hermitian_rejects_asymmetric(self):
-        assert not is_hermitian(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 class TestEighSorted:
@@ -119,7 +112,7 @@ class TestNorms:
 
     def test_spectral_leq_nuclear(self, rng):
         m = rng.normal(size=(5, 7))
-        assert spectral_norm(m) <= nuclear_norm(m) + 1e-12
+        assert np.linalg.norm(m, 2) <= nuclear_norm(m) + 1e-12
 
     def test_unit_norm(self, rng):
         v = rng.normal(size=9) + 1j * rng.normal(size=9)

@@ -5,21 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, complex_normal, spawn, trial_generator
-
-
-class TestAsGenerator:
-    def test_none_gives_generator(self):
-        assert isinstance(as_generator(None), np.random.Generator)
-
-    def test_int_seed_deterministic(self):
-        a = as_generator(42).integers(0, 1000, size=8)
-        b = as_generator(42).integers(0, 1000, size=8)
-        np.testing.assert_array_equal(a, b)
-
-    def test_generator_passthrough(self):
-        rng = np.random.default_rng(0)
-        assert as_generator(rng) is rng
+from repro.utils.rng import complex_normal, spawn, trial_generator
 
 
 class TestSpawn:

@@ -11,8 +11,6 @@ from repro.utils.validation import (
     check_nonnegative,
     check_positive,
     check_probability,
-    check_psd,
-    check_square,
     check_unit_norm,
     check_vector,
     require,
@@ -67,22 +65,6 @@ class TestArrays:
     def test_unit_norm_rejects(self):
         with pytest.raises(ValidationError):
             check_unit_norm(np.array([1.0, 1.0]))
-
-    def test_square(self):
-        check_square(np.eye(3))
-        with pytest.raises(ValidationError):
-            check_square(np.ones((2, 3)))
-
-    def test_psd_accepts_identity(self):
-        check_psd(np.eye(4))
-
-    def test_psd_rejects_indefinite(self):
-        with pytest.raises(ValidationError):
-            check_psd(np.diag([1.0, -1.0]))
-
-    def test_psd_rejects_non_hermitian(self):
-        with pytest.raises(ValidationError):
-            check_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestIndex:
