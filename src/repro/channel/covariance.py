@@ -10,11 +10,9 @@ benchmark regenerates this setup fact through :func:`low_rank_summary`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.channel.base import ClusteredChannel
 from repro.utils.linalg import effective_rank, energy_fraction
 
 __all__ = ["LowRankSummary", "low_rank_summary"]

@@ -54,7 +54,6 @@ class LsCovarianceEstimator(CovarianceEstimator):
             operator,
             targets,
             mu=self.mu,
-            hermitian_psd=True,
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             initial=self.warm_start,

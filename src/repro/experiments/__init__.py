@@ -35,7 +35,6 @@ if TYPE_CHECKING:
         run_j_ablation,
         run_lowrank,
         run_mac_overhead,
-        run_mc_recovery,
         run_mu_ablation,
     )
     from repro.experiments.registry import (
@@ -69,7 +68,6 @@ __all__ = [
     "run_j_ablation",
     "run_lowrank",
     "run_mac_overhead",
-    "run_mc_recovery",
     "run_mu_ablation",
     "run_interference",
     "run_scheme_comparison",
@@ -113,7 +111,6 @@ __getattr__, __dir__ = lazy_namespace(
             "run_j_ablation",
             "run_lowrank",
             "run_mac_overhead",
-            "run_mc_recovery",
             "run_mu_ablation",
         ),
         "repro.experiments.registry": (

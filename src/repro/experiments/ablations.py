@@ -14,14 +14,12 @@ Everything the paper asserts but does not plot gets regenerated here:
 * ``mac-overhead`` — effective capacity vs search rate through the MAC
   timing model (the Sec. I motivation for cheap alignment);
 * ``cell-search`` — directional initial-access latency (random vs
-  scanning RX), the related-work context of [12];
-* ``mc-recovery`` — matrix-completion substrate sanity: recovery error vs
-  sampling rate on synthetic low-rank PSD matrices.
+  scanning RX), the related-work context of [12].
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -38,14 +36,9 @@ from repro.experiments.render import render_table
 from repro.mac.cell_search import CellSearchConfig, simulate_cell_search
 from repro.mac.frames import FrameConfig
 from repro.mac.simulator import MacSimulator
-from repro.mc.metrics import relative_error
-from repro.mc.operators import EntryMask
-from repro.mc.optspace import optspace_complete
-from repro.mc.svt import svt_complete
 from repro.sim.aggregate import summarize
 from repro.sim.config import ChannelKind
 from repro.sim.runner import run_trials
-from repro.utils.linalg import random_psd
 from repro.utils.rng import trial_generator
 
 __all__ = [
@@ -56,7 +49,6 @@ __all__ = [
     "run_floor_ablation",
     "run_mac_overhead",
     "run_cell_search",
-    "run_mc_recovery",
 ]
 
 
@@ -372,58 +364,6 @@ def run_cell_search(
 
 
 # ----------------------------------------------------------------------
-# Matrix-completion substrate sanity
-# ----------------------------------------------------------------------
-
-
-def run_mc_recovery(
-    dimension: int = 40,
-    rank: int = 3,
-    fractions: Sequence[float] = (0.2, 0.3, 0.5, 0.7),
-    num_trials: int = 5,
-    base_seed: int = DEFAULT_SEED,
-    quick: bool = False,
-) -> ExperimentResult:
-    """Recovery error vs sampling fraction for the MC substrate solvers."""
-    if quick:
-        num_trials = min(num_trials, 2)
-        fractions = (0.3, 0.7)
-    rows = []
-    data: Dict[str, object] = {
-        "dimension": dimension,
-        "rank": rank,
-        "fractions": list(fractions),
-        "solvers": {},
-    }
-    solvers = {
-        "SVT": lambda truth, mask, rng: svt_complete(mask.project(truth), mask),
-        "OptSpace": lambda truth, mask, rng: optspace_complete(
-            mask.project(truth), mask, rank=rank, rng=rng
-        ),
-    }
-    for name, solver in solvers.items():
-        errors_per_fraction: List[float] = []
-        for fraction in fractions:
-            errors = []
-            for index in range(num_trials):
-                rng = trial_generator(base_seed, hash((name, fraction, index)) % 2**31)
-                truth = random_psd(dimension, rank, rng, scale=float(dimension))
-                mask = EntryMask.symmetric_random(dimension, fraction, rng)
-                result = solver(truth, mask, rng)
-                errors.append(relative_error(result.solution, truth))
-            mean_error = float(np.mean(errors))
-            errors_per_fraction.append(mean_error)
-            rows.append([name, f"{fraction:5.1%}", f"{mean_error:9.4f}"])
-        data["solvers"][name] = errors_per_fraction
-    table = render_table(
-        ["solver", "sampled", "rel. error"],
-        rows,
-        title=f"Matrix completion recovery (rank {rank}, {dimension}x{dimension} PSD)",
-    )
-    return ExperimentResult("mc-recovery", "MC substrate recovery", data, table)
-
-
-# ----------------------------------------------------------------------
 # Registration
 # ----------------------------------------------------------------------
 
@@ -488,14 +428,5 @@ register(
         paper_artifact="related work context ([12])",
         runner=run_cell_search,
         description="Directional sync-sweep discovery latency.",
-    )
-)
-register(
-    Experiment(
-        experiment_id="mc-recovery",
-        title="MC substrate recovery",
-        paper_artifact="substrate sanity (refs. [15]-[20])",
-        runner=run_mc_recovery,
-        description="Matrix completion recovery error vs sampling fraction.",
     )
 )

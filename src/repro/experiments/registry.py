@@ -2,7 +2,7 @@
 
 Every reproducible artifact (paper figure or ablation) registers itself
 under a stable id (``fig5`` ... ``fig8``, ``lowrank``, ``abl-*``,
-``ext-*``, ``mac-overhead``, ``mc-recovery``); the CLI and the benchmark
+``ext-*``, ``mac-overhead``, ``cell-search``); the CLI and the benchmark
 suite both dispatch through this registry, so "the code that regenerates
 Figure N" has exactly one home.
 
@@ -45,7 +45,6 @@ EXPERIMENT_MODULES: Dict[str, str] = {
     "abl-floor": _ABLATIONS,
     "mac-overhead": _ABLATIONS,
     "cell-search": _ABLATIONS,
-    "mc-recovery": _ABLATIONS,
     "ext-schemes": _EXTENSIONS,
     "ext-tracking": _EXTENSIONS,
     "ext-interference": _EXTENSIONS,

@@ -1,4 +1,4 @@
-"""MAC substrate: event kernel, frames, messages, training protocol."""
+"""MAC substrate: slot timing, train-then-transmit simulation, cell search."""
 
 from typing import TYPE_CHECKING
 
@@ -10,20 +10,7 @@ if TYPE_CHECKING:
         CellSearchOutcome,
         simulate_cell_search,
     )
-    from repro.mac.events import EventHandle, EventScheduler
     from repro.mac.frames import FrameConfig, TrainingTiming, training_timing
-    from repro.mac.messages import (
-        Beacon,
-        BestPairFeedback,
-        MeasurementReport,
-        MessageType,
-        TrainingAnnouncement,
-    )
-    from repro.mac.protocol import (
-        BeamTrainingSession,
-        TimelineEntry,
-        TrainingSessionResult,
-    )
     from repro.mac.simulator import IntervalReport, MacSimulationReport, MacSimulator
     from repro.mac.throughput import EffectiveCapacity, effective_capacity
 
@@ -31,19 +18,9 @@ __all__ = [
     "CellSearchConfig",
     "CellSearchOutcome",
     "simulate_cell_search",
-    "EventHandle",
-    "EventScheduler",
     "FrameConfig",
     "TrainingTiming",
     "training_timing",
-    "Beacon",
-    "BestPairFeedback",
-    "MeasurementReport",
-    "MessageType",
-    "TrainingAnnouncement",
-    "BeamTrainingSession",
-    "TimelineEntry",
-    "TrainingSessionResult",
     "IntervalReport",
     "MacSimulationReport",
     "MacSimulator",
@@ -59,20 +36,7 @@ __getattr__, __dir__ = lazy_namespace(
             "CellSearchOutcome",
             "simulate_cell_search",
         ),
-        "repro.mac.events": ("EventHandle", "EventScheduler"),
         "repro.mac.frames": ("FrameConfig", "TrainingTiming", "training_timing"),
-        "repro.mac.messages": (
-            "Beacon",
-            "BestPairFeedback",
-            "MeasurementReport",
-            "MessageType",
-            "TrainingAnnouncement",
-        ),
-        "repro.mac.protocol": (
-            "BeamTrainingSession",
-            "TimelineEntry",
-            "TrainingSessionResult",
-        ),
         "repro.mac.simulator": (
             "IntervalReport",
             "MacSimulationReport",

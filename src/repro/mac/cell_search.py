@@ -22,7 +22,6 @@ import numpy as np
 from repro.arrays.codebook import Codebook
 from repro.channel.base import ClusteredChannel
 from repro.exceptions import ConfigurationError
-from repro.mac.events import EventScheduler
 from repro.measurement.measurer import MeasurementEngine
 from repro.types import BeamPair
 
@@ -74,43 +73,30 @@ def simulate_cell_search(
     order when ``config.rx_scan`` is set.
     """
     config = config or CellSearchConfig()
-    scheduler = EventScheduler()
     engine = MeasurementEngine(channel, rng, fading_blocks=fading_blocks)
     rx_order = rx_codebook.snake_order(0)
-
-    state = {
-        "detected": False,
-        "pair": None,
-        "power": 0.0,
-        "bursts": 0,
-    }
-
-    def burst() -> None:
-        burst_index = state["bursts"]
-        state["bursts"] = burst_index + 1
+    latency_us = 0.0
+    for burst_index in range(config.max_bursts):
+        latency_us += config.sync_period_us
         tx_index = int(rng.integers(0, tx_codebook.num_beams))
         if config.rx_scan:
             rx_index = rx_order[burst_index % len(rx_order)]
         else:
             rx_index = int(rng.integers(0, rx_codebook.num_beams))
-        measurement = engine.measure_pair(
-            tx_codebook, rx_codebook, BeamPair(tx_index, rx_index)
-        )
+        pair = BeamPair(tx_index, rx_index)
+        measurement = engine.measure_pair(tx_codebook, rx_codebook, pair)
         if measurement.power >= config.detection_threshold:
-            state["detected"] = True
-            state["pair"] = BeamPair(tx_index, rx_index)
-            state["power"] = measurement.power
-            return  # stop scheduling further bursts
-        if state["bursts"] < config.max_bursts:
-            scheduler.schedule_after(config.sync_period_us, burst)
-
-    scheduler.schedule_after(config.sync_period_us, burst)
-    scheduler.run()
-
+            return CellSearchOutcome(
+                detected=True,
+                latency_us=latency_us,
+                bursts_used=burst_index + 1,
+                detected_pair=pair,
+                detected_power=float(measurement.power),
+            )
     return CellSearchOutcome(
-        detected=bool(state["detected"]),
-        latency_us=scheduler.now,
-        bursts_used=int(state["bursts"]),
-        detected_pair=state["pair"],
-        detected_power=float(state["power"]),
+        detected=False,
+        latency_us=latency_us,
+        bursts_used=config.max_bursts,
+        detected_pair=None,
+        detected_power=0.0,
     )

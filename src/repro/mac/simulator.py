@@ -1,11 +1,12 @@
 """End-to-end MAC simulation: train, then transmit, per coherence interval.
 
 Couples every piece of the MAC substrate: per coherence interval the link
-(1) redraws the channel's fast-fading statistics, (2) runs a beam-training
-session through the timing model, and (3) spends the rest of the interval
-transmitting at the capacity of the selected pair. The simulator reports
-per-interval and aggregate effective throughput — the system-level number
-that justifies spending engineering effort on cheaper beam alignment.
+(1) redraws the channel's fast-fading statistics, (2) runs one alignment
+and charges its airtime through :func:`~repro.mac.frames.training_timing`,
+and (3) spends the rest of the interval transmitting at the capacity of
+the selected pair. The simulator reports per-interval and aggregate
+effective throughput — the system-level number that justifies spending
+engineering effort on cheaper beam alignment.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.core.base import BeamAlignmentAlgorithm
+from repro.core.base import AlignmentContext, BeamAlignmentAlgorithm
+from repro.core.result import AlignmentResult
 from repro.exceptions import ConfigurationError
-from repro.mac.frames import FrameConfig
-from repro.mac.protocol import BeamTrainingSession, TrainingSessionResult
+from repro.mac.frames import FrameConfig, TrainingTiming, training_timing
 from repro.mac.throughput import EffectiveCapacity, effective_capacity
+from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
+from repro.sim.metrics import loss_from_matrix_db
 from repro.sim.scenario import Scenario
 from repro.utils.rng import spawn
 
@@ -32,7 +35,8 @@ class IntervalReport:
     """One coherence interval: training cost and achieved throughput."""
 
     interval: int
-    session: TrainingSessionResult
+    alignment: AlignmentResult
+    timing: TrainingTiming
     capacity: EffectiveCapacity
     loss_db: float
 
@@ -57,6 +61,18 @@ class MacSimulationReport:
     def mean_loss_db(self) -> float:
         """Average SNR loss of the selected pairs."""
         return float(np.mean([i.loss_db for i in self.intervals]))
+
+
+def _count_slots(alignment: AlignmentResult) -> int:
+    """TX-slots a trace occupies: runs of equal ``slot`` (``None`` is 0), >= 1."""
+    slots = 0
+    previous = None
+    for measurement in alignment.trace:
+        slot = measurement.slot if measurement.slot is not None else 0
+        if slot != previous:
+            slots += 1
+            previous = slot
+    return max(1, slots)
 
 
 class MacSimulator:
@@ -92,28 +108,28 @@ class MacSimulator:
                 engine_rng,
                 fading_blocks=self._scenario.config.fading_blocks,
             )
-            session = BeamTrainingSession(
+            context = AlignmentContext(
                 self._scenario.tx_codebook,
                 self._scenario.rx_codebook,
                 engine,
-                frame_config=self._config,
-            ).run(algorithm_factory(), search_rate, algo_rng)
-
-            selected = session.alignment.selected
-            achieved_snr = float(snr_matrix[selected.tx_index, selected.rx_index])
-            optimum = float(snr_matrix.max())
-            loss_db = (
-                float(10.0 * np.log10(optimum / achieved_snr))
-                if achieved_snr > 0
-                else float("inf")
+                MeasurementBudget.from_search_rate(
+                    self._scenario.total_pairs, search_rate
+                ),
             )
-            overhead = min(1.0, session.duration_us / self._config.coherence_time_us)
+            alignment = algorithm_factory().align(context, algo_rng)
+            timing = training_timing(
+                self._config, alignment.measurements_used, _count_slots(alignment)
+            )
+            selected = alignment.selected
+            achieved_snr = float(snr_matrix[selected.tx_index, selected.rx_index])
+            overhead = min(1.0, timing.total_us / self._config.coherence_time_us)
             report.intervals.append(
                 IntervalReport(
                     interval=interval,
-                    session=session,
+                    alignment=alignment,
+                    timing=timing,
                     capacity=effective_capacity(achieved_snr, overhead),
-                    loss_db=loss_db,
+                    loss_db=loss_from_matrix_db(snr_matrix, selected),
                 )
             )
         return report

@@ -1,57 +1,31 @@
-"""FISTA for nuclear-norm-regularized least squares.
+"""FISTA for nuclear-norm-regularized least squares on PSD covariances.
 
-Solves ``min_X 0.5 * ||A(X) - y||^2 + mu * ||X||_*`` for a general linear
-operator ``A`` — either an entry mask (classic matrix completion with
-noise) or the quadratic-form operator of the covariance estimation
+Solves ``min_Q 0.5 * ||A(Q) - y||^2 + mu * ||Q||_*`` over Hermitian PSD
+``Q`` for the quadratic-form operator ``A`` of the covariance estimation
 problem (the "sparsity regularization" route of the paper's Eq. 23–25,
-references [18]–[20]). With ``hermitian_psd=True`` the proximal step is
-eigenvalue soft-thresholding followed by clipping at zero, i.e. the exact
-prox of ``mu * ||.||_* + indicator(PSD)`` for Hermitian iterates.
+references [18]–[20]). The proximal step is eigenvalue soft-thresholding
+followed by clipping at zero, i.e. the exact prox of
+``mu * ||.||_* + indicator(PSD)`` for Hermitian iterates.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.mc.operators import EntryMask, QuadraticFormOperator
+from repro.mc.operators import QuadraticFormOperator
 from repro.mc.result import SolverResult
-from repro.mc.svt import shrink_singular_values
 from repro.utils.linalg import hermitian, nuclear_norm, soft_threshold_eigenvalues
 
 __all__ = ["fista_nuclear"]
 
 
-class _MaskOperator:
-    """Adapts an :class:`EntryMask` to the apply/adjoint interface."""
-
-    def __init__(self, mask: EntryMask) -> None:
-        self._mask = mask
-
-    @property
-    def shape(self):
-        return self._mask.shape
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return self._mask.observe(matrix)
-
-    def adjoint(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self._mask.shape, dtype=values.dtype)
-        out[self._mask.mask] = values
-        return out
-
-    def lipschitz_bound(self) -> float:
-        return 1.0
-
-
 def fista_nuclear(
-    operator: Union[EntryMask, QuadraticFormOperator],
+    operator: QuadraticFormOperator,
     observations: np.ndarray,
     mu: float,
-    shape: Optional[tuple] = None,
-    hermitian_psd: bool = False,
     max_iterations: int = 300,
     tolerance: float = 1e-6,
     initial: Optional[np.ndarray] = None,
@@ -61,55 +35,34 @@ def fista_nuclear(
     Parameters
     ----------
     operator:
-        Either an :class:`EntryMask` (entries observed directly) or a
-        :class:`QuadraticFormOperator` (quadratic-form probes, the
-        covariance-estimation case).
+        The quadratic-form probes ``Q -> [v_j^H Q v_j]_j``.
     observations:
-        The measured values ``y`` — entry values for a mask, power
-        statistics for quadratic forms.
+        The observed values ``y`` of the quadratic forms, one per probe.
     mu:
         Nuclear-norm weight; larger values bias toward lower rank.
-    hermitian_psd:
-        Restrict iterates to Hermitian PSD matrices (covariances).
     """
     if mu < 0:
         raise ValidationError(f"mu must be >= 0, got {mu}")
     if max_iterations < 1:
         raise ValidationError("max_iterations must be >= 1")
+    matrix_shape = (operator.dimension, operator.dimension)
+    observations = np.asarray(observations, dtype=float)
+    if observations.shape != (operator.num_measurements,):
+        raise ValidationError(
+            f"observations must have shape ({operator.num_measurements},),"
+            f" got {observations.shape}"
+        )
 
-    if isinstance(operator, EntryMask):
-        adapted = _MaskOperator(operator)
-        matrix_shape = operator.shape
-        observations = np.asarray(observations)
-        if observations.shape != (operator.num_observed,):
-            observations = operator.observe(observations)
-    else:
-        adapted = operator
-        matrix_shape = (operator.dimension, operator.dimension)
-        observations = np.asarray(observations, dtype=float)
-        if observations.shape != (operator.num_measurements,):
-            raise ValidationError(
-                f"observations must have shape ({operator.num_measurements},),"
-                f" got {observations.shape}"
-            )
-    if shape is not None and tuple(shape) != tuple(matrix_shape):
-        raise ValidationError(f"shape {shape} conflicts with operator {matrix_shape}")
-
-    lipschitz = max(adapted.lipschitz_bound(), 1e-12)
+    lipschitz = max(operator.lipschitz_bound(), 1e-12)
     step = 1.0 / lipschitz
 
-    def prox(matrix: np.ndarray, scale: float) -> np.ndarray:
-        if hermitian_psd:
-            return soft_threshold_eigenvalues(hermitian(matrix), scale)
-        return shrink_singular_values(matrix, scale)
-
     def objective(matrix: np.ndarray) -> float:
-        residual = adapted.apply(matrix) - observations
+        residual = operator.apply(matrix) - observations
         return float(0.5 * np.vdot(residual, residual).real + mu * nuclear_norm(matrix))
 
     if initial is not None:
         current = np.asarray(initial, dtype=complex).copy()
-        if current.shape != tuple(matrix_shape):
+        if current.shape != matrix_shape:
             raise ValidationError(
                 f"initial must have shape {matrix_shape}, got {current.shape}"
             )
@@ -121,9 +74,11 @@ def fista_nuclear(
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        residual = adapted.apply(momentum) - observations
-        gradient = adapted.adjoint(np.asarray(residual))
-        candidate = prox(momentum - step * gradient, mu * step)
+        residual = operator.apply(momentum) - observations
+        gradient = operator.adjoint(residual)
+        candidate = soft_threshold_eigenvalues(
+            hermitian(momentum - step * gradient), mu * step
+        )
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_current**2)) / 2.0
         momentum = candidate + ((t_current - 1.0) / t_next) * (candidate - current)
         change = float(

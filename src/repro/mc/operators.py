@@ -1,104 +1,20 @@
-"""Sampling masks and linear measurement operators.
+"""The quadratic-form measurement operator of covariance estimation.
 
-Matrix completion in its textbook form observes a subset ``Omega`` of the
-entries of a low-rank matrix; the covariance-estimation problem of the
-paper observes *quadratic-form* samples ``lambda_j = v_j^H Q v_j``
-instead, which are linear in ``Q`` (Sec. IV-A2: "a noisy linear
-measurement of the original Q matrix"). Both are instances of recovering
-a low-rank matrix from a linear operator, so both operators live here
-behind the same ``apply`` / ``adjoint`` interface the solvers consume.
+The covariance-estimation problem of the paper observes *quadratic-form*
+samples ``lambda_j = v_j^H Q v_j`` of the covariance ``Q``, which are
+linear in ``Q`` (Sec. IV-A2: "a noisy linear measurement of the original
+Q matrix"). The operator exposes the ``apply`` / ``adjoint`` interface
+the FISTA solver consumes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.exceptions import ValidationError
 from repro.utils.linalg import hermitian
 
-__all__ = ["EntryMask", "QuadraticFormOperator"]
-
-
-@dataclass(frozen=True)
-class EntryMask:
-    """A boolean entry-observation mask ``Omega`` over an ``(n1, n2)`` matrix."""
-
-    mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        mask = np.asarray(self.mask)
-        if mask.ndim != 2 or mask.dtype != bool:
-            raise ValidationError("mask must be a 2-D boolean array")
-        if not mask.any():
-            raise ValidationError("mask must observe at least one entry")
-        object.__setattr__(self, "mask", mask)
-
-    @classmethod
-    def random(
-        cls,
-        shape: Tuple[int, int],
-        fraction: float,
-        rng: np.random.Generator,
-    ) -> "EntryMask":
-        """Observe each entry independently with probability ``fraction``.
-
-        At least one entry is guaranteed to be observed.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
-        mask = rng.uniform(size=shape) < fraction
-        if not mask.any():
-            flat = rng.integers(0, shape[0] * shape[1])
-            mask.flat[flat] = True
-        return cls(mask=mask)
-
-    @classmethod
-    def symmetric_random(
-        cls,
-        dimension: int,
-        fraction: float,
-        rng: np.random.Generator,
-    ) -> "EntryMask":
-        """A Hermitian-consistent mask (``(i, j)`` observed iff ``(j, i)`` is)."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
-        upper = np.triu(rng.uniform(size=(dimension, dimension)) < fraction)
-        mask = upper | upper.T
-        if not mask.any():
-            mask[0, 0] = True
-        return cls(mask=mask)
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the underlying matrix."""
-        return tuple(self.mask.shape)
-
-    @property
-    def num_observed(self) -> int:
-        """Number of observed entries."""
-        return int(self.mask.sum())
-
-    @property
-    def fraction_observed(self) -> float:
-        """Observed fraction of the entries."""
-        return self.num_observed / self.mask.size
-
-    def project(self, matrix: np.ndarray) -> np.ndarray:
-        """``P_Omega(X)``: zero out the unobserved entries."""
-        matrix = np.asarray(matrix)
-        if matrix.shape != self.shape:
-            raise ValidationError(f"matrix shape {matrix.shape} != mask {self.shape}")
-        return np.where(self.mask, matrix, 0.0)
-
-    def observe(self, matrix: np.ndarray) -> np.ndarray:
-        """The observed entries as a flat vector (row-major over Omega)."""
-        matrix = np.asarray(matrix)
-        if matrix.shape != self.shape:
-            raise ValidationError(f"matrix shape {matrix.shape} != mask {self.shape}")
-        return matrix[self.mask]
+__all__ = ["QuadraticFormOperator"]
 
 
 class QuadraticFormOperator:

@@ -7,8 +7,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import ConvergenceError
-
 __all__ = ["SolverResult"]
 
 
@@ -20,8 +18,7 @@ class SolverResult:
     objective or residual per iteration for diagnostics. Solvers report
     non-convergence through ``converged`` instead of raising, because a
     partially-converged covariance estimate still usefully guides beam
-    selection; callers that need a hard guarantee call
-    :meth:`raise_if_failed`.
+    selection.
 
     ``solution_eig``, when a solver can produce it as a by-product (the
     subspace-reduced ML covariance solver lifts its small-matrix
@@ -38,12 +35,3 @@ class SolverResult:
     solution_eig: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
-
-    def raise_if_failed(self, context: str = "solver") -> "SolverResult":
-        """Raise :class:`ConvergenceError` unless the solver converged."""
-        if not self.converged:
-            raise ConvergenceError(
-                f"{context} failed to converge in {self.iterations} iterations"
-                f" (final objective {self.objective:.3e})"
-            )
-        return self

@@ -68,9 +68,8 @@ def soft_threshold_eigenvalues(matrix: np.ndarray, threshold: float) -> np.ndarr
 
     For Hermitian PSD input this is exactly the proximal operator of
     ``threshold * ||.||_*`` intersected with the PSD cone: shift every
-    eigenvalue down by ``threshold`` and clip at zero. It is the workhorse
-    of both the SVT matrix-completion solver and the penalized-ML
-    covariance estimator (Eq. 23).
+    eigenvalue down by ``threshold`` and clip at zero. It is the proximal
+    step of the FISTA least-squares solver in :mod:`repro.mc.fista`.
     """
     if threshold < 0:
         raise ValidationError(f"threshold must be >= 0, got {threshold}")

@@ -7,7 +7,7 @@ alignment loop then happily optimizes against. Fail loudly instead.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -14,7 +14,6 @@ from repro.core.base import AlignmentContext
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.sim.metrics import loss_from_matrix_db
-from repro.types import BeamPair
 
 
 def _context(small_channel, tx_codebook, rx_codebook, rng, limit):

@@ -57,14 +57,14 @@ class TestCommands:
             assert experiment_id in output
 
     def test_run_quick(self, capsys):
-        assert main(["run", "mc-recovery", "--quick"]) == 0
-        assert "rel. error" in capsys.readouterr().out
+        assert main(["run", "cell-search", "--quick"]) == 0
+        assert "detect rate" in capsys.readouterr().out
 
     def test_run_writes_json(self, capsys, tmp_path: Path):
         target = tmp_path / "out.json"
-        assert main(["run", "mc-recovery", "--quick", "--json", str(target)]) == 0
+        assert main(["run", "cell-search", "--quick", "--json", str(target)]) == 0
         payload = json.loads(target.read_text())
-        assert payload["id"] == "mc-recovery"
+        assert payload["id"] == "cell-search"
         assert "data" in payload
 
     def test_list_columns_align(self, capsys):

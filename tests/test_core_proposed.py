@@ -11,7 +11,6 @@ from repro.estimation.sample_covariance import BackProjectionEstimator
 from repro.exceptions import ValidationError
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
-from repro.types import BeamPair
 
 
 def _context(small_channel, tx_codebook, rx_codebook, rng, limit):

@@ -66,20 +66,6 @@ class TestCodebookExplicitVectors:
             Codebook(array, [], (0, 0))
 
 
-class TestHierarchicalThroughMac:
-    def test_wide_beam_probes_in_timeline(self, small_channel, tx_codebook, rx_codebook, rng):
-        """Wide-beam (off-codebook) probes appear in the session timeline."""
-        from repro.baselines.hierarchical_search import HierarchicalSearch
-        from repro.mac.protocol import BeamTrainingSession
-        from repro.measurement.measurer import MeasurementEngine
-
-        engine = MeasurementEngine(small_channel, rng, fading_blocks=2)
-        session = BeamTrainingSession(tx_codebook, rx_codebook, engine)
-        result = session.run(HierarchicalSearch(), search_rate=0.8, rng=rng)
-        labels = [e.detail for e in result.timeline if e.kind == "measurement"]
-        assert any("wide-beam" in label for label in labels)
-
-
 class TestCliSinglepath:
     def test_align_singlepath(self, capsys):
         from repro.cli import main

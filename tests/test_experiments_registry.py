@@ -37,7 +37,6 @@ class TestRegistry:
             "abl-floor",
             "mac-overhead",
             "cell-search",
-            "mc-recovery",
         ):
             assert required in ids
 
@@ -74,7 +73,7 @@ class TestRegistryTable:
     """``EXPERIMENT_MODULES`` must agree with what the modules register."""
 
     def test_covers_every_experiment(self):
-        assert len(EXPERIMENT_MODULES) == 15
+        assert len(EXPERIMENT_MODULES) == 14
         assert list_ids() == sorted(EXPERIMENT_MODULES)
 
     def test_home_modules_register_exactly_the_table(self):

@@ -79,11 +79,3 @@ class TestAblationExperiments:
         assert set(strategies) == {"random RX", "scanning RX"}
         for payload in strategies.values():
             assert 0.0 <= payload["detection_rate"] <= 1.0
-
-    def test_mc_recovery_quick(self):
-        result = experiments.run("mc-recovery", quick=True)
-        solvers = result.data["solvers"]
-        assert set(solvers) == {"SVT", "OptSpace"}
-        for errors in solvers.values():
-            # Error at the densest sampling should be small.
-            assert errors[-1] < 0.2

@@ -1,4 +1,4 @@
-"""Tests for sampling masks and quadratic-form operators."""
+"""Tests for the quadratic-form operator."""
 
 from __future__ import annotations
 
@@ -8,52 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.mc.operators import EntryMask, QuadraticFormOperator
+from repro.mc.operators import QuadraticFormOperator
 from repro.utils.linalg import random_psd
-
-
-class TestEntryMask:
-    def test_random_fraction(self, rng):
-        mask = EntryMask.random((50, 40), 0.3, rng)
-        assert 0.15 < mask.fraction_observed < 0.45
-
-    def test_random_never_empty(self, rng):
-        mask = EntryMask.random((5, 5), 1e-9, rng)
-        assert mask.num_observed >= 1
-
-    def test_symmetric_random(self, rng):
-        mask = EntryMask.symmetric_random(20, 0.4, rng)
-        np.testing.assert_array_equal(mask.mask, mask.mask.T)
-
-    def test_project_zeroes_unobserved(self, rng):
-        mask = EntryMask.random((6, 6), 0.5, rng)
-        matrix = rng.normal(size=(6, 6))
-        projected = mask.project(matrix)
-        assert np.all(projected[~mask.mask] == 0)
-        np.testing.assert_array_equal(projected[mask.mask], matrix[mask.mask])
-
-    def test_observe_roundtrip(self, rng):
-        mask = EntryMask.random((4, 7), 0.5, rng)
-        matrix = rng.normal(size=(4, 7))
-        observed = mask.observe(matrix)
-        assert observed.shape == (mask.num_observed,)
-
-    def test_shape_mismatch(self, rng):
-        mask = EntryMask.random((4, 4), 0.5, rng)
-        with pytest.raises(ValidationError):
-            mask.project(np.zeros((5, 5)))
-
-    def test_bool_required(self):
-        with pytest.raises(ValidationError):
-            EntryMask(mask=np.ones((3, 3)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            EntryMask(mask=np.zeros((3, 3), dtype=bool))
-
-    def test_invalid_fraction(self, rng):
-        with pytest.raises(ValidationError):
-            EntryMask.random((3, 3), 0.0, rng)
 
 
 class TestQuadraticFormOperator:

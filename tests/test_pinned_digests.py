@@ -20,7 +20,12 @@ reason:
 * one digest over a seeded set of probe measurements: fused
   ``measure_pairs`` batches with and without interference hits, a
   ``measure_pair`` loop, and ``Scan``/``Random`` alignments, so the
-  probe path's RNG stream and arithmetic are pinned on their own.
+  probe path's RNG stream and arithmetic are pinned on their own;
+* one digest each of the quick ``mac-overhead`` and ``cell-search``
+  result data, so the MAC timing and sync-sweep loops are pinned;
+* one digest over a seeded set of least-squares + nuclear-norm
+  covariance solves (cold, then warm-started from the previous
+  solution), so the FISTA iterates are pinned on their own.
 
 Each case also runs with ``REPRO_BACKEND=numba`` in the environment:
 the variable is no longer read, so the digests must be identical and
@@ -42,7 +47,9 @@ from repro.cell.config import CellConfig
 from repro.cell.service import serve_cell, summary_payload
 from repro.cell.shards import plan_cell
 from repro.core.base import AlignmentContext
+from repro.estimation.ls_covariance import LsCovarianceEstimator
 from repro.estimation.ml_covariance import estimate_ml_covariance
+from repro.experiments.ablations import run_cell_search, run_mac_overhead
 from repro.measurement.budget import MeasurementBudget
 from repro.measurement.measurer import MeasurementEngine
 from repro.obs import CheckpointRecorder, use_recorder
@@ -81,6 +88,12 @@ CELL_SUMMARY_DIGEST = "a857732c798545378a1959d8f9ce4791"
 ML_SOLVER_DIGEST = "3bf01a3ae32b3884cd07c687134a3cf8"
 #: blake2b over the seeded probe measurements of ``probe_stream_digest``.
 PROBE_STREAM_DIGEST = "f8c02ccc2b697470482fbba9a9283bf7"
+#: blake2b of the canonical JSON of ``run_mac_overhead(quick=True).data``.
+MAC_OVERHEAD_DIGEST = "2137a8d76060782d273cffafe6c7e997"
+#: blake2b of the canonical JSON of ``run_cell_search(quick=True).data``.
+CELL_SEARCH_DIGEST = "d1effd47e9c7488c421c6c04168c0194"
+#: blake2b over the results of the seeded ``LsCovarianceEstimator`` set.
+LS_SOLVER_DIGEST = "9d25689e5c99cc6ce1f9fef3905b3b7d"
 
 
 def _config() -> ScenarioConfig:
@@ -195,6 +208,24 @@ def ml_solver_digest() -> str:
     return hasher.hexdigest()
 
 
+def ls_solver_digest() -> str:
+    """Digest cold and warm-started least-squares + nuclear-norm solves."""
+    rng = np.random.default_rng(SEED)
+    noise = 0.01
+    hasher = hashlib.blake2b(digest_size=16)
+    for n, m in ((16, 7), (6, 12)):
+        estimator = LsCovarianceEstimator()
+        for _ in range(3):
+            probes, powers = _solver_problem(rng, n, m, noise)
+            hasher.update(estimator.estimate(probes, powers, noise).tobytes())
+    return hasher.hexdigest()
+
+
+def data_digest(result) -> str:
+    canonical = dumps(result.data).encode("utf-8")
+    return hashlib.blake2b(canonical, digest_size=16).hexdigest()
+
+
 def _update_measurements(hasher, measurements, engine) -> None:
     hasher.update(np.array([m.power for m in measurements], dtype=float).tobytes())
     hasher.update(np.array([m.z for m in measurements], dtype=complex).tobytes())
@@ -299,3 +330,12 @@ class TestPinnedDigests:
 
     def test_probe_stream_digest(self, environment):
         assert probe_stream_digest() == PROBE_STREAM_DIGEST
+
+    def test_mac_overhead_digest(self, environment):
+        assert data_digest(run_mac_overhead(quick=True)) == MAC_OVERHEAD_DIGEST
+
+    def test_cell_search_digest(self, environment):
+        assert data_digest(run_cell_search(quick=True)) == CELL_SEARCH_DIGEST
+
+    def test_ls_solver_digest(self, environment):
+        assert ls_solver_digest() == LS_SOLVER_DIGEST

@@ -29,7 +29,6 @@ from repro.channel.batch import stacked_steering_matrices
 from repro.estimation import ml_covariance
 from repro.estimation.likelihood import negative_log_likelihood
 from repro.mc.operators import QuadraticFormOperator
-from repro.mc.svt import shrink_singular_values
 from repro.obs.checkpoint import _as_arrays, array_digest
 from repro.utils.geometry import Direction
 from repro.utils.linalg import quadratic_forms
@@ -219,20 +218,6 @@ class TestLoopKernels:
                 shrunk = max(values[k] - threshold, 0.0)
                 expected += shrunk * np.outer(vectors[:, k], np.conj(vectors[:, k]))
             assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)
-
-    def test_svd_reconstruct_loops(self):
-        rng = np.random.default_rng(47)
-        matrices = _complex(rng, (3, 6, 4))
-        thresholds = (0.2, 1.0, 50.0)  # last matrix fully shrunk
-        for matrix, threshold in zip(matrices, thresholds):
-            result = shrink_singular_values(matrix, threshold)
-            u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-            expected = np.zeros((6, 4), dtype=complex)
-            for k in range(len(s)):
-                shrunk = max(s[k] - threshold, 0.0)
-                expected += shrunk * np.outer(u[:, k], vh[k, :])
-            assert np.allclose(result, expected, rtol=1e-12, atol=1e-12)
-        assert np.all(result == 0.0)
 
     def test_steering_phase_exp_loops(self):
         array = UniformPlanarArray(2, 3)
