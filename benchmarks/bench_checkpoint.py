@@ -31,7 +31,8 @@ from repro.sim.scenario import Scenario
 #: Quick-fig6-style workload: the paper's Sec. V-A multipath scenario,
 #: all three schemes, a low search rate (long probe schedules), few
 #: trials. Hundreds of checkpoint events per trial — probe digests are
-#: tiny, each estimator solve hashes its 64x64 complex solution.
+#: tiny, each subspace-reduced estimator solve hashes its reduced
+#: solution and basis (a few KB) rather than the lifted 64x64 one.
 TRIALS = 2
 SEARCH_RATE = 0.1
 SEED = 2016
@@ -104,8 +105,9 @@ def test_checkpoint_overhead_budget(scenario):
     that vary several percent run to run, more than the budget's own
     margin.) Both sides run interleaved under identical load, with the
     cyclic GC paused during timing; best-of-rounds discards scheduler
-    contention. The dominant irreducible cost is the blake2b hash of
-    each estimator solve's 64x64 complex solution (~65 KB per event).
+    contention. Each subspace-reduced estimator solve hashes its
+    reduced solution and basis, not the lifted 64x64 complex solution
+    (~65 KB per event), which took most of the digest time.
     """
     # Warm both code paths (lazy imports, codebook caches, LAPACK
     # work buffers, the digest hot path).

@@ -21,12 +21,14 @@ protocol, no launcher required.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection, wait
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.campaign.lease import DEFAULT_LEASE_TTL_S
 from repro.campaign.plan import CampaignPlan
@@ -80,6 +82,66 @@ def worker_attribution(store: ShardStore, plan: CampaignPlan) -> Dict[str, int]:
         worker = record.get("worker") or f"pid-{record.get('pid', '?')}"
         counts[worker] = counts.get(worker, 0) + 1
     return dict(sorted(counts.items()))
+
+
+#: OpenBLAS thread-count entry points, by build: the plain library and
+#: the ``scipy-openblas`` builds numpy's wheels bundle.
+_OPENBLAS_PREFIXES = ("openblas_", "scipy_openblas_")
+_OPENBLAS_SUFFIXES = ("", "64_")
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads() -> Optional[Tuple[Any, Any]]:
+    """``(get_num_threads, set_num_threads)`` of the OpenBLAS this process
+    has loaded, or None where none is found (or the platform has no
+    ``/proc/self/maps`` to find it in). Looked up once per process: the
+    lookup costs ~0.4 ms, a few percent of a launch that executes
+    nothing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted(
+                {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            )
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in _OPENBLAS_PREFIXES:
+            for suffix in _OPENBLAS_SUFFIXES:
+                getter = getattr(library, f"{prefix}get_num_threads{suffix}", None)
+                setter = getattr(library, f"{prefix}set_num_threads{suffix}", None)
+                if getter is not None and setter is not None:
+                    return getter, setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the block with this process's OpenBLAS on one thread.
+
+    Workers forked inside inherit it. The launcher starts one worker per
+    core it is given, and a multi-threaded OpenBLAS parks a spinning
+    helper thread on a core after each threaded call, so two workers with
+    two BLAS threads each run several times slower than one. The
+    launcher's own count is restored on exit; without OpenBLAS this does
+    nothing.
+    """
+    controls = _openblas_threads()
+    if controls is None:
+        yield
+        return
+    getter, setter = controls
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _worker_entry(
@@ -136,7 +198,7 @@ def launch_campaign(
     every shard digest before the workers inherit the plan, make one
     status pass and hand the done set to the workers (they skip those
     shards unread), fork (where the platform has it, else spawn) the
-    workers, poll the store for aggregate progress every
+    workers with OpenBLAS on one thread each, poll the store for aggregate progress every
     ``watch_interval_s``, and collect each worker's report as it exits.
     Each poll re-reads only the shards not yet seen done, so no shard's
     artifact is read twice by the launcher. It holds no campaign state,
@@ -193,22 +255,23 @@ def launch_campaign(
         workers: List[Any] = []
         #: read end of each worker's report pipe -> spawn index
         homes: Dict[Any, int] = {}
-        for index in range(num_workers):
-            reader, writer = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_worker_entry,
-                args=(store, plan, f"w{index}", options, collect, writer),
-                name=f"repro-campaign-w{index}",
-            )
-            process.start()
-            # The child now holds the only write end, so its exit (with
-            # or without a report) makes the read end ready here.
-            writer.close()
-            workers.append(process)
-            homes[reader] = index
-            recorder.event(
-                "campaign.worker_spawned", worker=index, pid=process.pid
-            )
+        with _one_blas_thread():
+            for index in range(num_workers):
+                reader, writer = context.Pipe(duplex=False)
+                process = context.Process(
+                    target=_worker_entry,
+                    args=(store, plan, f"w{index}", options, collect, writer),
+                    name=f"repro-campaign-w{index}",
+                )
+                process.start()
+                # The child now holds the only write end, so its exit
+                # (with or without a report) makes the read end ready.
+                writer.close()
+                workers.append(process)
+                homes[reader] = index
+                recorder.event(
+                    "campaign.worker_spawned", worker=index, pid=process.pid
+                )
         logger.info(
             "launched %d workers (%s) for plan %s",
             num_workers,

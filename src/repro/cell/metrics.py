@@ -16,7 +16,7 @@ the serve summary artifact byte-stable across runs and execution modes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.cell.engine import UEOutcome
@@ -58,8 +58,13 @@ class UERecord:
     selected_rx: int
 
     def to_payload(self) -> dict:
-        """Flat JSON mapping (round-trips through :meth:`from_payload`)."""
-        return asdict(self)
+        """Flat JSON mapping (round-trips through :meth:`from_payload`).
+
+        The fields are scalars, so a shallow copy is the whole mapping
+        (``asdict``'s recursive deep copy cost more than the shard's
+        JSON encoding).
+        """
+        return dict(vars(self))
 
     @classmethod
     def from_payload(cls, payload: dict) -> "UERecord":

@@ -19,21 +19,21 @@ time-dependent enters the summary payload.
 
 from __future__ import annotations
 
+import os
 import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.cell.config import CellConfig
 from repro.cell.metrics import UERecord, summarize_records
 from repro.cell.scheduler import CellSchedule
 from repro.cell.shards import DEFAULT_SHARD_UES, CellPlan, _schedule_for, plan_cell
 from repro.exceptions import CampaignError
-from repro.obs import MetricsRegistry, ProgressCallback, ProgressReporter, get_logger
+from repro.obs import MetricsRegistry, ProgressCallback, get_logger
 from repro.obs.openmetrics import write_openmetrics
 from repro.sim.batch import check_block_size
-from repro.sim.scenario import Scenario
 from repro.utils.serialization import dump
 
 __all__ = [
@@ -91,28 +91,24 @@ def _seed_registry(
     registry.set_gauge("cell.probe_budget_per_frame", float(config.probe_budget_per_frame))
 
 
-def _serve_in_process(
-    plan: CellPlan,
-    schedule: CellSchedule,
-    batch_users: int,
-    progress: Optional[ProgressCallback],
-    landed: Callable[[int], None],
-) -> List[UERecord]:
-    """Run every shard here, in plan order, with no store I/O."""
-    reporter = ProgressReporter(len(plan.shards), progress, label="shards")
-    scenario = Scenario(plan.config.scenario)
-    records: List[UERecord] = []
-    for shard in plan.shards:
-        records.extend(shard.execute(batch_users, schedule, scenario))
-        landed(len(records))
-        reporter.update()
-    return records
+def _default_workers(num_shards: int) -> int:
+    """One lease worker per usable CPU, but no more than there are shards.
+
+    Usable CPUs are this process's affinity mask where the platform has
+    one (a ``taskset`` or cgroup-pinned serve counts only its own cores),
+    else the machine's CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, num_shards))
 
 
 def _serve_leased(
     plan: CellPlan,
     store,
-    workers: Optional[int],
+    workers: int,
     batch_users: int,
     progress: ProgressCallback,
 ) -> Tuple[List[UERecord], int]:
@@ -146,14 +142,16 @@ def serve_cell(
 ) -> CellServeReport:
     """Run the cell workload end to end, publishing live metrics.
 
-    With neither ``store`` nor ``workers`` the shards run here with no
-    store I/O. Otherwise the plan runs under the campaign lease loop
-    (:func:`repro.campaign.scheduler.run_campaign`, ``workers`` launched
-    workers on a temporary store unless ``store`` is given), resumable
-    shard by shard; a shard still failing after its retries raises
-    :class:`~repro.exceptions.ShardExecutionError`. ``openmetrics_path``
-    is atomically rewritten before the first shard and as shards land;
-    ``summary_path`` receives the deterministic summary artifact.
+    The plan always runs under the campaign lease loop
+    (:func:`repro.campaign.scheduler.run_campaign`) on ``store``, or on a
+    temporary store when none is given, resumable shard by shard.
+    ``workers=None`` runs one lease worker per usable CPU, capped at the
+    plan's shard count; a count of 1 (given or resolved) is the
+    in-process loop, with no worker forked. A shard still failing after
+    its retries raises :class:`~repro.exceptions.ShardExecutionError`.
+    ``openmetrics_path`` is atomically rewritten before the first shard
+    and as shards land; ``summary_path`` receives the deterministic
+    summary artifact.
     """
     batch_users = check_block_size(batch_users, "batch_users", minimum=0)
     registry = registry if registry is not None else MetricsRegistry()
@@ -183,20 +181,18 @@ def serve_cell(
         len(plan.shards),
         plan.digest,
     )
+    if workers is None:
+        workers = _default_workers(len(plan.shards))
+
+    def on_progress(event) -> None:
+        landed(event.done)
+        if progress is not None:
+            progress(event)
+
     with registry.timer("cell.serve"):
-        if store is None and workers is None:
-            records = _serve_in_process(plan, schedule, batch_users, progress, landed)
-            cached_count = 0
-        else:
-
-            def on_progress(event) -> None:
-                landed(event.done)
-                if progress is not None:
-                    progress(event)
-
-            records, cached_count = _serve_leased(
-                plan, store, workers, batch_users, on_progress
-            )
+        records, cached_count = _serve_leased(
+            plan, store, workers, batch_users, on_progress
+        )
     # The per-record counters come from the assembled records, so every
     # execution path ends on the same values.
     registry.increment("cell.ues_done", len(records) - ues_done)

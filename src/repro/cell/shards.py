@@ -31,7 +31,6 @@ from repro.cell.scheduler import CellSchedule, build_schedule
 from repro.exceptions import ConfigurationError
 from repro.sim.config import ScenarioConfig
 from repro.sim.parallel import _scenario_for
-from repro.sim.scenario import Scenario
 from repro.utils.serialization import canonical_form, canonical_json, memoized_digest
 
 __all__ = [
@@ -115,30 +114,27 @@ class CellShard:
             self, "_digest", lambda: _canonical(self.config, self.spec_head())
         )
 
-    def execute(
-        self,
-        batch_trials: Optional[int] = None,
-        schedule: Optional[CellSchedule] = None,
-        scenario: Optional[Scenario] = None,
-    ) -> List[UERecord]:
+    def execute(self, batch_trials: Optional[int] = None) -> List[UERecord]:
         """Run this shard's UEs (``batch_trials`` per block); records in UE order.
 
-        The global schedule and the scenario default to this process's
-        copies for the config (the schedule is pure arithmetic — identical
-        in every process), so a shard is fully self-describing: workers
-        need nothing beyond the spec payload.
+        The global schedule and the scenario are this process's copies
+        for the config (the schedule is pure arithmetic — identical in
+        every process), so a shard is fully self-describing: workers need
+        nothing beyond the spec payload.
         """
-        if schedule is None:
-            schedule = _schedule_for(self.config)
+        schedule = _schedule_for(self.config)
         entries = schedule.entries[self.ue_start : self.ue_start + self.ue_count]
         if len(entries) != self.ue_count:
             raise ConfigurationError(
                 f"shard [{self.ue_start}, {self.ue_start + self.ue_count}) exceeds"
                 f" the {len(schedule.entries)}-UE schedule"
             )
-        if scenario is None:
-            scenario = _scenario_for(self.config.scenario)
-        outcomes = execute_ues(scenario, self.config, entries, batch_users=batch_trials)
+        outcomes = execute_ues(
+            _scenario_for(self.config.scenario),
+            self.config,
+            entries,
+            batch_users=batch_trials,
+        )
         return merge_records(entries, outcomes)
 
     def artifact_payload(self, records: Sequence[UERecord]) -> dict:

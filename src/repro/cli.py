@@ -427,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="run shards in N lease-based worker processes (on a temporary"
-        " store unless --store is given)",
+        help="lease-based worker processes (default: one per usable CPU,"
+        " at most one per shard; 1 runs the shards in this process; on a"
+        " temporary store unless --store is given)",
     )
     serve_cmd.add_argument(
         "--shard-ues",

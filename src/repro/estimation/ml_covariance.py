@@ -250,6 +250,9 @@ def estimate_ml_covariance(
                 basis @ small_vectors[:, order],
             )
             result.solution = hermitian(basis @ reduced_solution @ basis.conj().T)
+            # The small solution and its basis determine the lifted one;
+            # hashing them costs a fraction of the lifted n x n matrix.
+            solved = {"reduced_solution": reduced_solution, "basis": basis}
         else:
             result = _solve(
                 probes,
@@ -263,6 +266,7 @@ def estimate_ml_covariance(
                 backtrack,
                 min_step,
             )
+            solved = {"solution": result.solution}
         span.annotate(
             iterations=result.iterations,
             converged=result.converged,
@@ -271,10 +275,7 @@ def estimate_ml_covariance(
         if recorder.checkpoints_enabled:
             recorder.checkpoint(
                 "estimator.solve",
-                {
-                    "solution": result.solution,
-                    "history": np.asarray(result.history, dtype=float),
-                },
+                {**solved, "history": np.asarray(result.history, dtype=float)},
                 iterations=result.iterations,
                 converged=bool(result.converged),
                 objective=float(result.objective),

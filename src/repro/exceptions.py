@@ -20,23 +20,8 @@ class ValidationError(ReproError):
     """An input array or scalar failed a structural validation check."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative solver failed to converge within its iteration budget.
-
-    Solvers in :mod:`repro.mc` and :mod:`repro.estimation` only raise this
-    when explicitly configured with ``raise_on_failure=True``; by default
-    they return their best iterate together with a converged flag, which is
-    the behaviour the alignment loop wants (a rough covariance estimate is
-    still useful for guiding measurements).
-    """
-
-
 class BudgetExhaustedError(ReproError):
     """A beam-search algorithm was asked to measure beyond its budget."""
-
-
-class SimulationError(ReproError):
-    """The discrete-event MAC simulator reached an inconsistent state."""
 
 
 class ExperimentError(ReproError):

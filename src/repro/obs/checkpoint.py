@@ -77,8 +77,12 @@ __all__ = [
 ]
 
 #: Schema of checkpoint event payloads (JSONL records, shard digest
-#: manifests, worker transport). Bump when the payload shape changes.
-CHECKPOINT_SCHEMA = "repro.obs.checkpoint/1"
+#: manifests, worker transport). Bump when the payload shape changes or
+#: a stage digests different arrays; ``repro diff`` refuses to compare
+#: streams recorded under different schemas. ``/2``: a subspace-reduced
+#: ``estimator.solve`` digests its reduced solution and basis, not the
+#: lifted solution.
+CHECKPOINT_SCHEMA = "repro.obs.checkpoint/2"
 
 #: Environment variable carrying a perturbation spec (detector self-test).
 PERTURB_ENV = "REPRO_CHECKPOINT_PERTURB"
@@ -123,6 +127,9 @@ class CheckpointEvent:
     stream: Optional[str] = None
     spill: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
+    #: the schema the event was recorded under; digests compare only
+    #: between events of one schema
+    schema: str = CHECKPOINT_SCHEMA
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -132,7 +139,7 @@ class CheckpointEvent:
     def to_payload(self) -> Dict[str, Any]:
         """JSON-serializable form (trace records, digest manifests)."""
         payload: Dict[str, Any] = {
-            "schema": CHECKPOINT_SCHEMA,
+            "schema": self.schema,
             "stage": self.stage,
             "trial": self.trial,
             "seq": self.seq,
@@ -174,6 +181,7 @@ class CheckpointEvent:
             stream=payload.get("stream"),
             spill=payload.get("spill"),
             attrs=dict(payload.get("attrs") or {}),
+            schema=str(payload.get("schema", CHECKPOINT_SCHEMA)),
         )
 
 

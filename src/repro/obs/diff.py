@@ -285,7 +285,20 @@ def diff_checkpoints(
     (in rate/trial/seq order) that is missing on one side, names a
     different stage, or carries a different digest is the divergence;
     every later divergent key is counted but not detailed.
+
+    Digests compare only under one checkpoint schema: two sequences
+    recorded under different schemas (or one mixing schemas) raise
+    ``ValueError`` instead of reporting a divergence at every changed
+    stage.
     """
+    schemas_a = sorted({event.schema for event in events_a})
+    schemas_b = sorted({event.schema for event in events_b})
+    if len(set(schemas_a) | set(schemas_b)) > 1:
+        raise ValueError(
+            f"run A was recorded under checkpoint schema {', '.join(schemas_a)}"
+            f" and run B under {', '.join(schemas_b)}; digests compare only"
+            " within one schema, so re-record the older run"
+        )
     index_a = _index_events(events_a, "run A")
     index_b = _index_events(events_b, "run B")
     keys = sorted(set(index_a) | set(index_b), key=_sort_key)

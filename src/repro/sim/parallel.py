@@ -52,17 +52,27 @@ SCHEME_BUILDERS = {
 
 @dataclass(frozen=True)
 class SchemeSpec:
-    """A picklable scheme description: registered name + kwargs."""
+    """A picklable scheme description: registered name + kwargs.
+
+    Construction builds the scheme once and discards it, so a bad name or
+    parameter raises the scheme's own error here, in the caller, before
+    any shard runs or worker forks. The genie is the exception: it needs
+    a channel, so its parameters are first checked per trial.
+    """
 
     name: str
     params: Tuple[Tuple[str, object], ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.name not in SCHEME_BUILDERS:
+            known = ", ".join(sorted(SCHEME_BUILDERS))
+            raise ConfigurationError(f"unknown scheme {self.name!r}; known: {known}")
+        if self.name != "Genie":
+            SCHEME_BUILDERS[self.name](**dict(self.params))
+
     @classmethod
     def of(cls, name: str, **params: object) -> "SchemeSpec":
-        """Convenience constructor: ``SchemeSpec.of("Proposed", mu=0.1)``."""
-        if name not in SCHEME_BUILDERS:
-            known = ", ".join(sorted(SCHEME_BUILDERS))
-            raise ConfigurationError(f"unknown scheme {name!r}; known: {known}")
+        """Convenience constructor: ``SchemeSpec.of("Proposed", exploration=0.1)``."""
         return cls(name=name, params=tuple(sorted(params.items())))
 
     def build_factory(self):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
 
 import numpy as np
@@ -18,9 +20,10 @@ from repro.cell.shards import (
     CELL_SHARD_KIND,
     plan_cell,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ShardExecutionError, ValidationError
 from repro.obs.openmetrics import parse_openmetrics
 from repro.sim.config import ScenarioConfig
+from repro.sim.parallel import SchemeSpec
 from repro.utils.serialization import content_digest, dump
 
 
@@ -183,8 +186,9 @@ class TestStoreIntegration:
         monkeypatch.setattr(scheduler, "run_campaign", with_faults)
         config = small_cell()
         store = ShardStore(tmp_path / "store")
+        # The injector acts in the calling process only.
         serve_cell(
-            config, store=store, batch_users=8, shard_ues=8,
+            config, store=store, batch_users=8, shard_ues=8, workers=1,
             summary_path=tmp_path / "faulty.json",
         )
         assert [(r.executed, r.retries) for r in reports] == [(3, 1)]
@@ -197,11 +201,11 @@ class TestStoreIntegration:
 class TestWorkerPool:
     def test_worker_pool_bit_identical(self, tmp_path):
         """``workers=2`` runs launched lease workers, with a store or on a
-        temporary one, and writes the storeless serial serve's bytes."""
+        temporary one, and writes the in-process serial serve's bytes."""
         config = small_cell()
         names = ("serial", "bare", "stored")
         paths = {name: tmp_path / f"{name}.json" for name in names}
-        serve_cell(config, batch_users=None, summary_path=paths["serial"])
+        serve_cell(config, batch_users=None, workers=1, summary_path=paths["serial"])
         serve_cell(
             config, batch_users=8, shard_ues=8, workers=2, summary_path=paths["bare"]
         )
@@ -214,6 +218,105 @@ class TestWorkerPool:
         blobs = {name: path.read_bytes() for name, path in paths.items()}
         assert blobs["bare"] == blobs["serial"]
         assert blobs["stored"] == blobs["serial"]
+
+
+def _usable_cpus(monkeypatch, count: int) -> None:
+    """Make the serve see ``count`` usable CPUs."""
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
+def _count_launches(monkeypatch) -> list:
+    """Record the worker count of every lease-worker launch."""
+    import repro.campaign.scheduler as scheduler
+
+    launches = []
+    real = scheduler.launch_campaign
+
+    def counting(*args, **kwargs):
+        launches.append(kwargs["num_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "launch_campaign", counting)
+    return launches
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class TestDefaultWorkers:
+    """``workers=None`` runs one lease worker per usable CPU, capped at
+    the plan's shard count, through the same lease loop as every serve."""
+
+    def test_summary_byte_identical_across_every_serve(self, tmp_path):
+        config = small_cell()
+        store = ShardStore(tmp_path / "store")
+        runs = {
+            "default": {},
+            "one": {"workers": 1},
+            "two": {"workers": 2},
+            "stored": {"store": store},
+            "resumed": {"store": store},
+        }
+        cached = {}
+        for name, options in runs.items():
+            report = serve_cell(
+                config, batch_users=8, shard_ues=8,
+                summary_path=tmp_path / f"{name}.json", **options,
+            )
+            cached[name] = report.cached_shards
+        assert (cached["stored"], cached["resumed"]) == (0, 3)
+        blobs = {name: (tmp_path / f"{name}.json").read_bytes() for name in runs}
+        assert len(set(blobs.values())) == 1
+
+    def test_one_usable_cpu_forks_no_worker(self, monkeypatch, tmp_path):
+        _usable_cpus(monkeypatch, 1)
+        launches = _count_launches(monkeypatch)
+        report = serve_cell(small_cell(), batch_users=8, shard_ues=8)
+        assert launches == []
+        assert len(report.plan.shards) == 3
+        assert len(report.records) == 24
+
+    @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+    @pytest.mark.parametrize("shard_ues, workers", [(8, 3), (12, 2)])
+    def test_workers_follow_usable_cpus_up_to_the_shards(
+        self, monkeypatch, shard_ues, workers
+    ):
+        _usable_cpus(monkeypatch, 3)
+        launches = _count_launches(monkeypatch)
+        report = serve_cell(small_cell(), batch_users=8, shard_ues=shard_ues)
+        assert launches == [min(3, len(report.plan.shards))] == [workers]
+
+    @pytest.mark.skipif(not HAS_FORK, reason="requires the fork start method")
+    def test_failing_default_serve_leaves_no_process(self, monkeypatch):
+        from repro.cell.shards import CellShard
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("shard exploded")
+
+        _usable_cpus(monkeypatch, 2)
+        launches = _count_launches(monkeypatch)
+        monkeypatch.setattr(CellShard, "execute", broken)
+        with pytest.raises(ShardExecutionError, match="3 shard"):
+            serve_cell(small_cell(), batch_users=8, shard_ues=8)
+        assert launches == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_bad_scheme_parameter_raises_once_in_the_caller(self, monkeypatch):
+        """The spec builds its scheme, so the scheme's own error surfaces
+        in the caller, before any plan, store or worker exists."""
+        _usable_cpus(monkeypatch, 2)
+        launches = _count_launches(monkeypatch)
+        with pytest.raises(ValidationError, match="measurements_per_slot"):
+            serve_cell(
+                small_cell(
+                    num_users=12,
+                    scheme=SchemeSpec.of("Proposed", measurements_per_slot=0),
+                ),
+                shard_ues=4,
+            )
+        assert launches == []
 
 
 class TestServe:
@@ -282,7 +385,8 @@ class TestServe:
 
         monkeypatch.setattr(scheduler, "schedule_airtime", counting)
         _schedule_for.cache_clear()
-        serve_cell(small_cell(), batch_users=8)
+        # The counter sees only this process: keep the shards in it too.
+        serve_cell(small_cell(), batch_users=8, workers=1)
         assert len(calls) == 1
 
     def test_execute_ues_rejects_negative_batch_users(self):

@@ -10,10 +10,8 @@ from repro.arrays.upa import UniformPlanarArray
 from repro.exceptions import (
     BudgetExhaustedError,
     ConfigurationError,
-    ConvergenceError,
     ExperimentError,
     ReproError,
-    SimulationError,
     ValidationError,
 )
 from repro.utils.geometry import Direction
@@ -25,9 +23,7 @@ class TestExceptionHierarchy:
         [
             ConfigurationError,
             ValidationError,
-            ConvergenceError,
             BudgetExhaustedError,
-            SimulationError,
             ExperimentError,
         ],
     )

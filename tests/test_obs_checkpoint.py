@@ -310,6 +310,31 @@ class TestDiff:
         assert len(events) > 0
         assert diff_checkpoints(events, events).identical
 
+    def test_cross_schema_streams_refused(self, small_scenario, tmp_path, capsys):
+        from repro.cli import main
+
+        self._record_trace(small_scenario, tmp_path / "a.jsonl")
+        lines = (tmp_path / "a.jsonl").read_text(encoding="utf-8").splitlines()
+        older = []
+        for line in lines:
+            record = json.loads(line)
+            if record.get("type") == "checkpoint":
+                record["schema"] = "repro.obs.checkpoint/1"
+            older.append(json.dumps(record))
+        (tmp_path / "old.jsonl").write_text("\n".join(older) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="checkpoint schema"):
+            diff_checkpoints(
+                load_checkpoints(tmp_path / "a.jsonl"),
+                load_checkpoints(tmp_path / "old.jsonl"),
+            )
+        capsys.readouterr()
+        code = main(["diff", str(tmp_path / "a.jsonl"), str(tmp_path / "old.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro: error: ") and "checkpoint schema" in line
+
     def test_unreadable_source_raises(self, tmp_path):
         with pytest.raises(ValueError, match="not a trace file"):
             load_checkpoints(tmp_path)
@@ -386,6 +411,23 @@ class TestInspect:
 
 
 class TestEventPayloadRoundTrip:
+    def test_reduced_solve_digests_its_factors(self, small_scenario):
+        """A subspace-reduced solve is digested by its reduced solution
+        and basis, which determine the lifted solution."""
+        recorder = CheckpointRecorder()
+        with use_recorder(recorder):
+            run_trial(
+                small_scenario, _schemes(), 0.3, trial_generator(SEED, 0), trial_index=0
+            )
+        solves = [e for e in recorder.events if e.stage == "estimator.solve"]
+        assert solves
+        names = {tuple(info.name for info in event.arrays) for event in solves}
+        assert names <= {
+            ("reduced_solution", "basis", "history"),
+            ("solution", "history"),
+        }
+        assert ("reduced_solution", "basis", "history") in names
+
     def test_to_from_payload(self, small_scenario):
         recorder = CheckpointRecorder()
         with use_recorder(recorder):

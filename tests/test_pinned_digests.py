@@ -70,7 +70,7 @@ TRIALS = 3
 SEED = 11
 
 #: Combined digest of every checkpoint event of the tiny sweep below.
-SWEEP_CHECKPOINT_DIGEST = "e5d051ab8fe22d22a96230bef45b77a5"
+SWEEP_CHECKPOINT_DIGEST = "8a8dc24f5867588a79fb8fe44658caf9"
 #: ``plan_effectiveness_sweep(...).shards[1].digest`` for the same sweep.
 SHARD_SPEC_DIGEST = "d47d8276eaf70b7cbb34ab622a669c6d"
 #: ``plan_effectiveness_sweep(...).digest`` for the same sweep.

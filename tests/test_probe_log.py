@@ -287,7 +287,8 @@ class TestHotPathBuildsNoRecords:
             probe_budget_per_frame=16,
             interference_coupling=0.2,
         )
-        serve_cell(config, batch_users=4)
+        # The collector sees only this process: keep the serve in it.
+        serve_cell(config, batch_users=4, workers=1)
         assert len(results) == 6
         assert built["records"] == 0
         for context, result in results:

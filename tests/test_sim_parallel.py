@@ -44,7 +44,7 @@ class TestSchemeSpec:
             assert name in SCHEME_BUILDERS
 
     def test_params_hashable(self):
-        assert hash(SchemeSpec.of("Proposed", mu=0.1)) is not None
+        assert hash(SchemeSpec.of("Proposed", exploration=0.1)) is not None
 
 
 class _CrashInWorker(RandomSearch):

@@ -132,6 +132,23 @@ class TestStoreAdapter:
                 store=tmp_path / "store",
             )
 
+    def test_bad_scheme_parameter_raises_once_in_the_caller(
+        self, small_scenario, tmp_path
+    ):
+        """A spec builds its scheme, so the scheme's own error surfaces in
+        the caller before any shard is planned, stored or retried."""
+        from repro.sim.parallel import SchemeSpec
+
+        with pytest.raises(ValidationError, match="measurements_per_slot"):
+            effectiveness_sweep(
+                small_scenario,
+                {"Proposed": SchemeSpec.of("Proposed", measurements_per_slot=0)},
+                self.RATES,
+                2,
+                store=tmp_path / "store",
+            )
+        assert not (tmp_path / "store").exists()
+
 
 class TestRequiredSearchRates:
     def test_monotone_in_target(self, sweep):
